@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .fields import Grid
-from .microstates import MicrostateParams, build_microstate, energy_derivative_of_momentum
+from .microstates import EnergyFamily, MicrostateParams
 from .schrodinger import PhysicalConstants, Potential, Scenario
 from .uncertainty import delta_chain
 
@@ -75,10 +75,10 @@ def harmonic_scenario(hbar: float = 1.0, mass: float = 0.5, stiffness: float = 1
     """
     grid = grid or Grid(*DEFAULT_GRIDS["harmonic"])
     constants = PhysicalConstants(hbar=hbar, mass=mass)
-    energy = constants.epsilon * math.sqrt(stiffness)
+    potential = Potential("harmonic", stiffness=stiffness)
     ics = harmonic_ground_ics(constants, stiffness, grid.x_min)
-    return Scenario(Potential("harmonic", stiffness=stiffness), constants, grid,
-                    energy, method="numeric", ics=ics)
+    return Scenario(potential, constants, grid, potential.ground_level(constants),
+                    method="numeric", ics=ics)
 
 
 def linear_scenario(hbar: float = 1.0, mass: float = 0.5, slope: float = 1.0,
@@ -122,14 +122,18 @@ def scan_template(name: str, mass: float = 0.5, params: MicrostateParams | None 
     """
     if name not in SCENARIO_NAMES:
         raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
-    params = params or MicrostateParams()
-    window = SCAN_WINDOWS[name]
     grid = Grid(*SCAN_GRIDS[name])
+    return hbar_template(lambda hbar: builtin_scenario(name, hbar=hbar, mass=mass, grid=grid),
+                         params or MicrostateParams(), SCAN_WINDOWS[name])
 
+
+def hbar_template(scenario_at, params: MicrostateParams, window, base: EnergyFamily | None = None):
+    """Template (hbar, delta_alpha) -> UncertaintyReport over ``window`` from a
+    family of ``scenario_at(hbar)`` built per call, or ``base`` if it is that one."""
     def template(hbar: float, delta_alpha: float):
-        scenario = builtin_scenario(name, hbar=hbar, mass=mass, grid=grid)
-        ms = build_microstate(scenario.pair(), params)
-        de_p = energy_derivative_of_momentum(scenario, params)
-        return delta_chain(ms, delta_alpha, window, de_momentum=de_p)
+        scenario = scenario_at(hbar)
+        family = base if base and base.scenario == scenario else EnergyFamily(scenario, params)
+        return delta_chain(family.microstate, delta_alpha, window,
+                           de_momentum=family.de_momentum)
 
     return template

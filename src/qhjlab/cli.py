@@ -11,7 +11,7 @@ reruns of the same config are byte-identical.
 Subcommands: solve, microstate, uncertainty, duality, hierarchy, all, report
 (report runs every enabled check but writes only report.json).  Exit code 0
 means every check passed, 1 a config/validation problem, 2 at least one
-failing check.  QHJLAB_THREADS caps scan parallelism (0 = auto).
+failing check.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
 from . import duality, hierarchy, microstates, uncertainty
+from .catalog import harmonic_ground_ics, hbar_template
 from .errors import QhjLabError, ConfigError
 from .fields import Grid, ScalarField, derivative
 from .schrodinger import PhysicalConstants, Potential, Scenario, make_conjugate, \
@@ -72,6 +74,26 @@ def _need(section, key, where, types):
     return value
 
 
+def _number(value, where) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {where} must be a number, got {value!r}") from exc
+
+
+def _numbers(value, where) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"field {where} must be a list of numbers")
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _section(doc, key) -> dict:
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"field config.{key} must be an object")
+    return section
+
+
 class ScenarioConfig:
     """Validated view of the JSON scenario document."""
 
@@ -80,10 +102,12 @@ class ScenarioConfig:
             raise ConfigError("config root must be a JSON object")
         self.base_dir = base_dir
 
-        constants = doc.get("constants", {})
-        self.constants = PhysicalConstants(
-            hbar=float(constants.get("hbar", 1.0)),
-            mass=float(constants.get("mass", 0.5)))
+        constants = _section(doc, "constants")
+        try:
+            self.constants = PhysicalConstants(hbar=float(constants.get("hbar", 1.0)),
+                                               mass=float(constants.get("mass", 0.5)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"constants: {exc}") from exc
 
         pot = _need(doc, "potential", "config", dict)
         kind = _need(pot, "kind", "potential", str)
@@ -93,7 +117,7 @@ class ScenarioConfig:
                                   "sample files and are not yet wired into the CLI")
             self.potential = Potential(kind, slope=float(pot.get("slope", 1.0)),
                                        stiffness=float(pot.get("stiffness", 1.0)))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"potential: {exc}") from exc
 
         self.energy = float(_need(doc, "energy", "config", (int, float)))
@@ -108,62 +132,60 @@ class ScenarioConfig:
         except (QhjLabError, ValueError) as exc:
             raise ConfigError(f"grid: {exc}") from exc
 
-        solver = doc.get("solver", {})
+        solver = _section(doc, "solver")
         self.method = solver.get("method", "auto")
         if self.method not in ("auto", "analytic", "numeric"):
             raise ConfigError(f"solver.method must be auto/analytic/numeric, got {self.method!r}")
         self.ics_given = "ics" in solver
-        self.ics = tuple(float(v) for v in solver.get("ics", (1.0, 0.0, 0.0, 1.0)))
+        self.ics = tuple(_numbers(solver.get("ics", [1.0, 0.0, 0.0, 1.0]), "solver.ics"))
         if len(self.ics) != 4:
             raise ConfigError("solver.ics must hold exactly four values")
 
-        self.microstate = None
+        self.microstate = self.t_samples = None
         if "microstate" in doc:
-            section = doc["microstate"]
+            section = _section(doc, "microstate")
             ell1 = float(_need(section, "ell1", "microstate", (int, float)))
-            ell2 = float(section.get("ell2", 0.0))
+            ell2 = _number(section.get("ell2", 0.0), "microstate.ell2")
             if ell1 == 0.0:
                 raise ConfigError("microstate.ell1 must be nonzero")
             self.microstate = microstates.MicrostateParams(
-                alpha=float(section.get("alpha", 0.0)), ell=complex(ell1, ell2))
-            self.t_samples = section.get("t_samples")
+                alpha=_number(section.get("alpha", 0.0), "microstate.alpha"),
+                ell=complex(ell1, ell2))
+            if section.get("t_samples") is not None:
+                self.t_samples = _numbers(section["t_samples"], "microstate.t_samples")
 
         self.uncertainty = None
         if "uncertainty" in doc:
-            section = doc["uncertainty"]
-            window = _need(section, "window", "uncertainty", list)
+            section = _section(doc, "uncertainty")
+            window = _numbers(_need(section, "window", "uncertainty", list), "uncertainty.window")
             if len(window) != 2:
                 raise ConfigError("uncertainty.window must be [lo, hi]")
+            if self.microstate is None:
+                raise ConfigError("uncertainty section needs a microstate section")
             self.uncertainty = {
                 "delta_alpha": float(_need(section, "delta_alpha", "uncertainty", (int, float))),
-                "window": (float(window[0]), float(window[1])),
-                "hbar_scan": [float(h) for h in section.get("hbar_scan", [])],
+                "window": tuple(window),
+                "hbar_scan": _numbers(section.get("hbar_scan", []), "uncertainty.hbar_scan"),
             }
-            if self.uncertainty["hbar_scan"] and self.microstate is None:
-                raise ConfigError("uncertainty section needs a microstate section")
 
         self.hierarchy = None
         if "hierarchy" in doc:
-            section = doc["hierarchy"]
+            section = _section(doc, "hierarchy")
             self.hierarchy = {
                 "order": int(_need(section, "order", "hierarchy", int)),
                 "epsilon": float(_need(section, "epsilon", "hierarchy", (int, float))),
-                "x_ref": float(section.get("x_ref", self.grid.x_min)),
+                "x_ref": _number(section.get("x_ref", self.grid.x_min), "hierarchy.x_ref"),
                 "f_even_files": list(section.get("f_even_files", [])),
             }
 
-        outputs = doc.get("outputs", {})
+        outputs = _section(doc, "outputs")
         self.out_dir = outputs.get("directory", "out")
         self.plots = bool(outputs.get("plots", False))
 
-        self.tolerances = dict(doc.get("tolerances", {}))
+        self.tolerances = {key: _number(value, f"tolerances.{key}")
+                           for key, value in _section(doc, "tolerances").items()}
 
     # -- scenario construction ----------------------------------------------
-
-    def needs_energy_differencing(self) -> bool:
-        """True when some pipeline will re-solve the pair at shifted energies."""
-        return (self.uncertainty is not None
-                or bool(getattr(self, "t_samples", None)))
 
     def resolved_method(self) -> str:
         if self.method != "auto":
@@ -171,32 +193,32 @@ class ScenarioConfig:
         kind = self.potential.kind
         if kind in ("free", "linear"):
             return "analytic"
-        if kind == "harmonic" and not self.needs_energy_differencing():
+        if kind == "harmonic" and self.uncertainty is None and not self.t_samples:
             # the closed form exists for the ground level only, so it cannot
             # serve the E +/- dE re-solves of the time/uncertainty pipelines
-            e0 = self.constants.epsilon * math.sqrt(self.potential.stiffness)
+            e0 = self.potential.ground_level(self.constants)
             if abs(self.energy - e0) <= 1e-9 * max(1.0, abs(e0)):
                 return "analytic"
         return "numeric"
 
-    def initial_values(self, constants: PhysicalConstants):
-        """Numeric-solve seed: explicit values win, harmonic defaults to the
-        centered ground-family seed (well conditioned across hbar)."""
-        if self.ics_given or self.potential.kind != "harmonic":
-            return self.ics
-        from .catalog import harmonic_ground_ics
-
-        return harmonic_ground_ics(constants, self.potential.stiffness, self.grid.x_min)
-
-    def scenario(self) -> Scenario:
-        method = self.resolved_method()
-        ics = self.initial_values(self.constants) if method == "numeric" else None
-        return Scenario(self.potential, self.constants, self.grid, self.energy,
-                        method=method, ics=ics)
+    def scenario(self, hbar: float | None = None) -> Scenario:
+        """The configured scenario, or its rebuild at ``hbar`` (harmonic tracks
+        its ground level and seeds from the centered ground family by default)."""
+        constants, energy = self.constants, self.energy
+        if hbar is not None:
+            constants = PhysicalConstants(hbar=hbar, mass=constants.mass)
+            if self.potential.kind == "harmonic":
+                energy = self.potential.ground_level(constants)
+        method, ics = self.resolved_method(), None
+        if method == "numeric":
+            ics = self.ics
+            if not self.ics_given and self.potential.kind == "harmonic":
+                ics = harmonic_ground_ics(constants, self.potential.stiffness, self.grid.x_min)
+        return Scenario(self.potential, constants, self.grid, energy, method=method, ics=ics)
 
     def tolerance(self, name: str, provenance: str = "analytic") -> float:
         if name in self.tolerances:
-            return float(self.tolerances[name])
+            return self.tolerances[name]
         default = DEFAULT_TOLERANCES[name]
         if isinstance(default, dict):
             return default[provenance]
@@ -269,17 +291,14 @@ class CheckTable:
             "artifacts": list(artifacts),
         }
 
-    def add_interval(self, name: str, value: float, target: float, tolerance: float,
-                     artifacts=()):
-        self.add(name, abs(value - target), tolerance, artifacts)
-
     @property
     def failed(self):
         return sorted(n for n, c in self.checks.items() if c["status"] == "fail")
 
 
 # ---------------------------------------------------------------------------
-# Pipelines: each returns fields.csv columns and/or writes side tables.
+# Pipelines: each returns fields.csv columns and/or writes side tables; all
+# but the hierarchy share one EnergyFamily, so nothing is solved twice.
 
 
 def _pair_checks(cfg: ScenarioConfig, pair, table: CheckTable, artifacts):
@@ -295,20 +314,17 @@ def _pair_checks(cfg: ScenarioConfig, pair, table: CheckTable, artifacts):
               cfg.tolerance("wronskian_drift", prov), artifacts)
 
 
-def run_solve(cfg: ScenarioConfig, table: CheckTable):
-    pair = cfg.scenario().pair()
+def run_solve(cfg: ScenarioConfig, family: microstates.EnergyFamily, table: CheckTable):
+    pair = family.pair
     _pair_checks(cfg, pair, table, ["fields.csv"])
     v = cfg.potential.derivative_samples(cfg.grid, 0)
     return [("x", cfg.grid.x), ("potential", v),
             ("psi", pair.psi.values), ("psi_dual", pair.psi_dual.values)]
 
 
-def run_microstate(cfg: ScenarioConfig, table: CheckTable, out_dir, write_files=True):
-    if cfg.microstate is None:
-        raise ConfigError("microstate pipeline requested but config has no microstate section")
-    scenario = cfg.scenario()
-    pair = scenario.pair()
-    ms = microstates.build_microstate(pair, cfg.microstate)
+def run_microstate(cfg: ScenarioConfig, family: microstates.EnergyFamily, table: CheckTable,
+                   out_dir, write_files=True):
+    ms = family.microstate
     report = microstates.qshje_residual(ms)
     interior = cfg.grid.interior_slice(0.8)
     scale = max(abs(cfg.energy), float(np.max(np.abs(ms.mfW.values))))
@@ -333,25 +349,18 @@ def run_microstate(cfg: ScenarioConfig, table: CheckTable, out_dir, write_files=
                ("residual_qshje_potential", report.from_potential.values),
                ("residual_qshje_schwarzian", report.from_schwarzian.values)]
 
-    if write_files and getattr(cfg, "t_samples", None):
-        traj = microstates.trajectory(scenario, cfg.microstate, cfg.t_samples)
+    if write_files and cfg.t_samples:
+        traj = family.trajectory(cfg.t_samples)
         rows = [pt for seg in traj.segments for pt in seg]
         write_csv(os.path.join(out_dir, "trajectory.csv"),
-                  [("t", [p.t for p in rows]), ("q", [p.q for p in rows]),
-                   ("q_dot_from_energy", [p.q_dot_from_energy for p in rows]),
-                   ("q_dot_from_mass", [p.q_dot_from_mass for p in rows]),
-                   ("p", [p.p for p in rows]), ("m_q", [p.m_q for p in rows])])
+                  [(f.name, [getattr(pt, f.name) for pt in rows])
+                   for f in fields(microstates.TrajectoryPoint)])
     return columns
 
 
-def run_uncertainty(cfg: ScenarioConfig, table: CheckTable, out_dir, write_files=True):
-    if cfg.uncertainty is None:
-        raise ConfigError("uncertainty pipeline requested but config has no uncertainty section")
-    if cfg.microstate is None:
-        raise ConfigError("uncertainty pipeline needs a microstate section")
-    scenario = cfg.scenario()
-    ms = microstates.build_microstate(scenario.pair(), cfg.microstate)
-    de_p = microstates.energy_derivative_of_momentum(scenario, cfg.microstate)
+def run_uncertainty(cfg: ScenarioConfig, family: microstates.EnergyFamily, table: CheckTable,
+                    out_dir, write_files=True):
+    ms, de_p = family.microstate, family.de_momentum
     section = cfg.uncertainty
     report = uncertainty.delta_chain(ms, section["delta_alpha"], section["window"],
                                      de_momentum=de_p)
@@ -365,37 +374,17 @@ def run_uncertainty(cfg: ScenarioConfig, table: CheckTable, out_dir, write_files
                    ("time_weight", np.abs(de_p.values[mask]) / abs_p)])
 
     if section["hbar_scan"]:
-        hbar_values = section["hbar_scan"]
-
-        def template(hbar, delta_alpha):
-            constants = PhysicalConstants(hbar=hbar, mass=cfg.constants.mass)
-            scen = _rescaled_scenario(cfg, constants)
-            ms_h = microstates.build_microstate(scen.pair(), cfg.microstate)
-            de_h = microstates.energy_derivative_of_momentum(scen, cfg.microstate)
-            return uncertainty.delta_chain(ms_h, delta_alpha, section["window"],
-                                           de_momentum=de_h)
-
-        scan = uncertainty.hbar_scaling_scan(template, hbar_values, section["delta_alpha"],
-                                             max_workers=_thread_cap())
-        table.add_interval("uncertainty_pq_slope", scan.pq_slope, 1.0,
-                           cfg.tolerance("uncertainty_pq_slope"), ["uncertainty.csv"])
-        table.add_interval("uncertainty_et_slope", scan.et_slope, 1.0,
-                           cfg.tolerance("uncertainty_et_slope"), ["uncertainty.csv"])
-    return report
+        # the scan reuses the run's family at the configured hbar
+        template = hbar_template(cfg.scenario, cfg.microstate, section["window"], base=family)
+        scan = uncertainty.hbar_scaling_scan(template, section["hbar_scan"],
+                                             section["delta_alpha"])
+        for name, slope in (("uncertainty_pq_slope", scan.pq_slope),
+                            ("uncertainty_et_slope", scan.et_slope)):
+            table.add(name, abs(slope - 1.0), cfg.tolerance(name), ["uncertainty.csv"])
 
 
-def _rescaled_scenario(cfg: ScenarioConfig, constants: PhysicalConstants) -> Scenario:
-    """Scenario rebuilt at different constants; harmonic tracks its ground level."""
-    energy = cfg.energy
-    method = cfg.resolved_method()
-    if cfg.potential.kind == "harmonic":
-        energy = constants.epsilon * math.sqrt(cfg.potential.stiffness)
-    ics = cfg.initial_values(constants) if method == "numeric" else None
-    return Scenario(cfg.potential, constants, cfg.grid, energy, method=method, ics=ics)
-
-
-def run_duality(cfg: ScenarioConfig, table: CheckTable):
-    pair = cfg.scenario().pair()
+def run_duality(cfg: ScenarioConfig, family: microstates.EnergyFamily, table: CheckTable):
+    pair = family.pair
     prov = pair.provenance
     conj = normalize_wronskian(make_conjugate(pair))
     prep = duality.build_prepotential(conj)
@@ -428,8 +417,6 @@ def run_duality(cfg: ScenarioConfig, table: CheckTable):
 
 
 def run_hierarchy(cfg: ScenarioConfig, table: CheckTable, out_dir, write_files=True):
-    if cfg.hierarchy is None:
-        raise ConfigError("hierarchy pipeline requested but config has no hierarchy section")
     section = cfg.hierarchy
     f_even = []
     for ref in section["f_even_files"]:
@@ -474,7 +461,6 @@ def run_hierarchy(cfg: ScenarioConfig, table: CheckTable, out_dir, write_files=T
             columns.append((f"P{j}", p.values))
             columns.append((f"S{j}", s.values))
         write_csv(os.path.join(out_dir, "hierarchy.csv"), columns)
-    return sol
 
 
 PLOT_SCRIPT = """# gnuplot script generated by qhjlab; run from the output directory
@@ -494,28 +480,27 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
     cfg = load_config(config_path)
     if tolerance_overrides:
         cfg.tolerances.update(tolerance_overrides)
+    if subcommand in ("microstate", "uncertainty", "hierarchy") and getattr(cfg, subcommand) is None:
+        raise ConfigError(f"{subcommand} pipeline requested but config has no "
+                          f"{subcommand} section")
     out = out_dir or cfg.out_dir
     table = CheckTable()
     write_files = subcommand != "report"
     wants = (lambda *names: subcommand in names or subcommand in ("all", "report"))
 
+    family = microstates.EnergyFamily(cfg.scenario(), cfg.microstate)
     columns = []
     if wants("solve", "microstate", "duality"):
-        columns.extend(run_solve(cfg, table))
+        columns.extend(run_solve(cfg, family, table))
     if wants("microstate") and cfg.microstate is not None:
-        columns.extend(run_microstate(cfg, table, out, write_files=write_files))
-    elif subcommand == "microstate" and cfg.microstate is None:
-        raise ConfigError("microstate pipeline requested but config has no microstate section")
+        columns.extend(run_microstate(cfg, family, table, out, write_files=write_files))
     if wants("uncertainty") and cfg.uncertainty is not None:
-        run_uncertainty(cfg, table, out, write_files=write_files)
-    elif subcommand == "uncertainty" and cfg.uncertainty is None:
-        raise ConfigError("uncertainty pipeline requested but config has no uncertainty section")
+        run_uncertainty(cfg, family, table, out, write_files=write_files)
     if wants("duality"):
-        columns.extend(run_duality(cfg, table))
+        columns.extend(run_duality(cfg, family, table))
+    del family  # release its fields before the hierarchy and fields.csv
     if wants("hierarchy") and cfg.hierarchy is not None:
         run_hierarchy(cfg, table, out, write_files=write_files)
-    elif subcommand == "hierarchy" and cfg.hierarchy is None:
-        raise ConfigError("hierarchy pipeline requested but config has no hierarchy section")
 
     if write_files and columns:
         write_csv(os.path.join(out, "fields.csv"), columns)
@@ -543,19 +528,6 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
     return 2 if table.failed else 0
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("QHJLAB_THREADS", "")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
 def _parse_tol(items):
     overrides = {}
     for item in items or ():
@@ -564,7 +536,7 @@ def _parse_tol(items):
         key, _, value = item.partition("=")
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance key {key!r}")
-        overrides[key] = float(value)
+        overrides[key] = _number(value, f"--tol {key}")
     return overrides
 
 

@@ -22,15 +22,16 @@ curvature -hbar^2 R''/2mR of the polar amplitude R = |S0'|^{-1/2}) and the
 stationary Hamilton-Jacobi residual is reported with the potential term
 obtained both from V - E and from the Schwarzian of exp(2i S0/hbar).
 
-Time enters as the energy derivative of S0, differenced across re-solves of
-the pair at E +/- dE from identical initial data; trajectories invert t(q) on
-monotone windows.
+Time enters as the energy derivative of S0, differenced across the pairs at
+E +/- dE of one :class:`EnergyFamily` (solved once, from identical initial
+data); trajectories invert t(q) on monotone windows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -227,53 +228,6 @@ def qshje_residual(ms: Microstate) -> QshjeReport:
                        ScalarField(ms.pair.grid, res_schw), mismatch)
 
 
-def _aligned_s0_difference(scenario: Scenario, params: MicrostateParams,
-                           delta_e: float, ref_index: int):
-    """S0(E + dE) - S0(E - dE) with matched unwrap branches."""
-    hbar = scenario.constants.hbar
-    s0_plus = hamilton_principal(scenario.pair(scenario.energy + delta_e), params)
-    s0_minus = hamilton_principal(scenario.pair(scenario.energy - delta_e), params)
-    diff = s0_plus.values - s0_minus.values
-    quantum = math.pi * hbar  # branch offsets come in steps of (hbar/2) * 2 pi
-    diff = diff - quantum * round(float(diff[ref_index]) / quantum)
-    if float(np.max(np.abs(diff))) >= 0.5 * quantum:
-        raise UnwrapError(
-            "unwrap branches of S0 at E +/- dE cannot be aligned; "
-            "reduce delta_e or refine the grid")
-    return diff, s0_plus, s0_minus
-
-
-def energy_derivative_of_momentum(scenario: Scenario, params: MicrostateParams,
-                                  delta_e: float | None = None) -> ScalarField:
-    """Central difference of the momentum field with respect to energy."""
-    de = scenario.delta_e() if delta_e is None else delta_e
-    p_plus = momentum(scenario.pair(scenario.energy + de), params)
-    p_minus = momentum(scenario.pair(scenario.energy - de), params)
-    vals = (p_plus.values - p_minus.values) / (2.0 * de)
-    derivs = tuple((dp - dm) / (2.0 * de)
-                   for dp, dm in zip(p_plus.derivs, p_minus.derivs))
-    return ScalarField(scenario.grid, vals, derivs=derivs)
-
-
-def time_of_q(scenario: Scenario, params: MicrostateParams,
-              delta_e: float | None = None, x_ref: float | None = None) -> ScalarField:
-    """Trajectory time t(q) = dS0/dE by central differencing, gauged to t(x_ref) = 0.
-
-    The pair is re-solved at E +/- dE from identical energy-independent
-    initial data; unwrap branches of the two phases are aligned before
-    differencing (a mismatch that alignment cannot absorb raises
-    :class:`UnwrapError`).  Carries dp/dE as its attached first derivative.
-    """
-    de = scenario.delta_e() if delta_e is None else delta_e
-    x_ref = scenario.grid.x_min if x_ref is None else x_ref
-    ref = scenario.grid.index_of(x_ref)
-    diff, _, _ = _aligned_s0_difference(scenario, params, de, ref)
-    t = diff / (2.0 * de)
-    t = t - t[ref]
-    dt_dx = energy_derivative_of_momentum(scenario, params, de)
-    return ScalarField(scenario.grid, t, derivs=(dt_dx.values,) + dt_dx.derivs)
-
-
 @dataclass(frozen=True)
 class TrajectoryPoint:
     t: float
@@ -313,6 +267,116 @@ def _monotone_segments(t: np.ndarray):
     return segments
 
 
+@dataclass(frozen=True)
+class EnergyFamily:
+    """One scenario's pairs at E and E +/- dE, each solved lazily and at most once.
+
+    Keeps the pair and microstate at E, but of the pairs at E +/- dE only the
+    central differences of their microstates (dp/dE, dQ/dE, S0).  ``params``
+    may be None when only :attr:`pair` is used.
+    """
+
+    scenario: Scenario
+    params: MicrostateParams | None = None
+    delta_e: float | None = None
+
+    def __post_init__(self):
+        if self.delta_e is None:
+            object.__setattr__(self, "delta_e", self.scenario.delta_e())
+
+    @cached_property
+    def pair(self) -> SolutionPair:
+        return self.scenario.pair()
+
+    @cached_property
+    def microstate(self) -> Microstate:
+        return build_microstate(self.pair, self.params)
+
+    @cached_property
+    def _differences(self):
+        """(dp/dE field, dQ/dE samples, S0(E + dE) - S0(E - dE) samples)."""
+        energy, de = self.scenario.energy, self.delta_e
+        ms_plus, ms_minus = (build_microstate(self.scenario.pair(e), self.params)
+                             for e in (energy + de, energy - de))
+        p_plus, p_minus = ms_plus.p, ms_minus.p
+        de_p = ScalarField(self.scenario.grid, (p_plus.values - p_minus.values) / (2.0 * de),
+                           derivs=tuple((dp - dm) / (2.0 * de)
+                                        for dp, dm in zip(p_plus.derivs, p_minus.derivs)))
+        de_q = (ms_plus.Q.values - ms_minus.Q.values) / (2.0 * de)
+        return de_p, de_q, ms_plus.S0.values - ms_minus.S0.values
+
+    @property
+    def de_momentum(self) -> ScalarField:
+        """Central difference of the momentum field with respect to energy."""
+        return self._differences[0]
+
+    def time_of_q(self, x_ref: float | None = None) -> ScalarField:
+        """t(q) = dS0/dE gauged to t(x_ref) = 0; see :func:`time_of_q`."""
+        grid = self.scenario.grid
+        ref = grid.index_of(grid.x_min if x_ref is None else x_ref)
+        de_p, _, diff = self._differences
+        # align the unwrap branches; offsets come in steps of (hbar/2) * 2 pi
+        quantum = math.pi * self.scenario.constants.hbar
+        diff = diff - quantum * round(float(diff[ref]) / quantum)
+        if float(np.max(np.abs(diff))) >= 0.5 * quantum:
+            raise UnwrapError("unwrap branches of S0 at E +/- dE cannot be aligned; "
+                              "reduce delta_e or refine the grid")
+        t = diff / (2.0 * self.delta_e)
+        t = t - t[ref]
+        return ScalarField(grid, t, derivs=(de_p.values,) + de_p.derivs)
+
+    def trajectory(self, t_samples, x_ref: float | None = None) -> TrajectoryResult:
+        """The motion sampled at ``t_samples``; see :func:`trajectory`."""
+        ms = self.microstate
+        t = self.time_of_q(x_ref).values
+        de_p, de_q, _ = self._differences
+        m_q = self.scenario.constants.mass * (1.0 - de_q)
+        # dp/dE may cross zero (stationary trajectory time); the reciprocal
+        # velocity is genuinely infinite there
+        with np.errstate(divide="ignore"):
+            qdot_energy = 1.0 / de_p.values
+            qdot_mass = ms.p.values / m_q
+
+        x = self.scenario.grid.x
+        t_samples = np.sort(np.asarray(t_samples, dtype=float))
+        segments = _monotone_segments(t)
+        monotone = len(segments) == 1 and segments[0] == (0, len(t))
+
+        out_segments = []
+        for lo, hi in segments:
+            ts = t[lo:hi]
+            order = slice(None) if ts[0] < ts[-1] else slice(None, None, -1)
+            ts_a = ts[order]
+            inside = (t_samples >= ts_a[0]) & (t_samples <= ts_a[-1])
+            points = []
+            for tv in t_samples[inside]:
+                def at(vals):
+                    return float(np.interp(tv, ts_a, vals[lo:hi][order]))
+                points.append(TrajectoryPoint(
+                    t=float(tv), q=at(x), q_dot_from_energy=at(qdot_energy),
+                    q_dot_from_mass=at(qdot_mass), p=at(ms.p.values), m_q=at(m_q)))
+            out_segments.append(tuple(points))
+        return TrajectoryResult(monotone=monotone, segments=tuple(out_segments))
+
+
+def energy_derivative_of_momentum(scenario: Scenario, params: MicrostateParams,
+                                  delta_e: float | None = None) -> ScalarField:
+    """Central difference of the momentum field with respect to energy."""
+    return EnergyFamily(scenario, params, delta_e).de_momentum
+
+
+def time_of_q(scenario: Scenario, params: MicrostateParams,
+              delta_e: float | None = None, x_ref: float | None = None) -> ScalarField:
+    """Trajectory time t(q) = dS0/dE by central differencing, gauged to t(x_ref) = 0.
+
+    The pair is re-solved at E +/- dE from identical energy-independent
+    initial data; unwrap branches of the two phases are aligned before
+    differencing (a mismatch that alignment cannot absorb raises
+    :class:`UnwrapError`).  Carries dp/dE as its attached first derivative.
+    """
+    return EnergyFamily(scenario, params, delta_e).time_of_q(x_ref)
+
+
 def trajectory(scenario: Scenario, params: MicrostateParams, t_samples,
                delta_e: float | None = None, x_ref: float | None = None) -> TrajectoryResult:
     """Invert t(q) on monotone windows and sample the motion at ``t_samples``.
@@ -321,40 +385,4 @@ def trajectory(scenario: Scenario, params: MicrostateParams, t_samples,
     with m_Q = m(1 - dQ/dE).  A non-monotone t(q) yields one entry per
     monotone segment and ``monotone=False``.
     """
-    de = scenario.delta_e() if delta_e is None else delta_e
-    ms = build_microstate(scenario.pair(), params)
-    t_field = time_of_q(scenario, params, de, x_ref)
-
-    mass = scenario.constants.mass
-    ms_plus = build_microstate(scenario.pair(scenario.energy + de), params)
-    ms_minus = build_microstate(scenario.pair(scenario.energy - de), params)
-    de_p = (ms_plus.p.values - ms_minus.p.values) / (2.0 * de)
-    de_q = (ms_plus.Q.values - ms_minus.Q.values) / (2.0 * de)
-    m_q = mass * (1.0 - de_q)
-    # dp/dE may cross zero (stationary trajectory time); the reciprocal
-    # velocity is genuinely infinite there
-    with np.errstate(divide="ignore"):
-        qdot_energy = 1.0 / de_p
-        qdot_mass = ms.p.values / m_q
-
-    x = scenario.grid.x
-    t = t_field.values
-    t_samples = np.sort(np.asarray(t_samples, dtype=float))
-    segments = _monotone_segments(t)
-    monotone = len(segments) == 1 and segments[0] == (0, len(t))
-
-    out_segments = []
-    for lo, hi in segments:
-        ts, xs = t[lo:hi], x[lo:hi]
-        order = slice(None) if ts[0] < ts[-1] else slice(None, None, -1)
-        ts_a = ts[order]
-        inside = (t_samples >= ts_a[0]) & (t_samples <= ts_a[-1])
-        points = []
-        for tv in t_samples[inside]:
-            def at(vals):
-                return float(np.interp(tv, ts_a, vals[lo:hi][order]))
-            points.append(TrajectoryPoint(
-                t=float(tv), q=at(x), q_dot_from_energy=at(qdot_energy),
-                q_dot_from_mass=at(qdot_mass), p=at(ms.p.values), m_q=at(m_q)))
-        out_segments.append(tuple(points))
-    return TrajectoryResult(monotone=monotone, segments=tuple(out_segments))
+    return EnergyFamily(scenario, params, delta_e).trajectory(t_samples, x_ref)

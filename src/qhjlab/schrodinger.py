@@ -18,7 +18,7 @@ rather than by stencils.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -80,6 +80,12 @@ class Potential:
             raise ValueError("harmonic potential needs stiffness > 0")
         if self.kind == "linear" and self.slope == 0:
             raise ValueError("linear potential needs a nonzero slope (use kind='free')")
+
+    def ground_level(self, constants: PhysicalConstants) -> float:
+        """Harmonic ground level eps*sqrt(stiffness)."""
+        if self.kind != "harmonic":
+            raise CapabilityError(f"no closed-form ground level for potential kind {self.kind!r}")
+        return constants.epsilon * math.sqrt(self.stiffness)
 
     def value(self, x):
         """V at arbitrary coordinates (vectorised)."""
@@ -228,14 +234,12 @@ def _free_pair(E, constants, grid):
 
 
 def _harmonic_ground_pair(potential, E, constants, grid):
-    eps = constants.epsilon
-    kappa = potential.stiffness
-    e0 = eps * math.sqrt(kappa)
+    e0 = potential.ground_level(constants)
     if abs(E - e0) > 1e-9 * max(1.0, abs(e0)):
         raise CapabilityError(
             f"harmonic analytic pair covers the ground state only (E = {e0:.6g}); "
             f"got E = {E}")
-    a = math.sqrt(kappa) / eps
+    a = math.sqrt(potential.stiffness) / constants.epsilon
     x = grid.x
     u = np.exp(-0.5 * a * x * x)
     du = -a * x * u
@@ -423,6 +427,3 @@ class Scenario:
     def delta_e(self) -> float:
         """Default central-difference step in energy: relative with an absolute floor."""
         return max(1e-5, 1e-5 * abs(self.energy))
-
-    def with_constants(self, constants: PhysicalConstants) -> "Scenario":
-        return replace(self, constants=constants)

@@ -124,17 +124,14 @@ def _loglog_fit(x, y):
     return float(slope), float(intercept)
 
 
-def hbar_scaling_scan(template, hbar_list, delta_alpha: float,
-                      max_workers: int | None = None) -> ScanReport:
+def hbar_scaling_scan(template, hbar_list, delta_alpha: float) -> ScanReport:
     """Rebuild the scenario at each hbar and fit the product scaling.
 
     ``template(hbar, delta_alpha)`` must return an :class:`UncertaintyReport`
     with both product intervals filled in.  A slope near 1 in the returned
     fits is the scaling content of the uncertainty statements.  At least four
     positive hbar values are required; spanning a decade or more keeps the
-    fit well conditioned.  ``max_workers`` > 1 evaluates the template calls
-    concurrently (results are collected in list order, so output is
-    deterministic).
+    fit well conditioned.
     """
     hbars = [float(h) for h in hbar_list]
     if len(hbars) < 4:
@@ -142,13 +139,7 @@ def hbar_scaling_scan(template, hbar_list, delta_alpha: float,
     if any(h <= 0 for h in hbars):
         raise StatisticsError("hbar values must all be positive")
 
-    if max_workers is not None and max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(lambda h: template(h, delta_alpha), hbars))
-    else:
-        reports = [template(h, delta_alpha) for h in hbars]
+    reports = [template(h, delta_alpha) for h in hbars]
     pq_mid = [r.product_pq_midpoint for r in reports]
     et_mid = [r.product_et_midpoint for r in reports]
     pq_slope, pq_icept = _loglog_fit(hbars, pq_mid)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qhjlab import schrodinger
 from qhjlab.fields import Grid
 from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair
 
@@ -39,3 +40,18 @@ def airy_grid():
 @pytest.fixture(scope="session")
 def airy_pair(constants, airy_grid):
     return analytic_pair(Potential("linear"), 2.0, constants, airy_grid)
+
+
+@pytest.fixture
+def pair_solves(monkeypatch):
+    """Records one key per pair construction (analytic or numeric)."""
+    keys = []
+    for name in ("analytic_pair", "solve_pair"):
+        def counted(potential, E, constants, grid, *args, _name=name,
+                    _original=getattr(schrodinger, name), **kwargs):
+            ics = tuple(float(v) for v in args[0]) if args else None
+            keys.append((_name, repr(potential), float(E), constants, grid, ics))
+            return _original(potential, E, constants, grid, *args, **kwargs)
+
+        monkeypatch.setattr(schrodinger, name, counted)
+    return keys

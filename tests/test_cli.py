@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -31,6 +30,14 @@ def base_config(out_dir, **extra):
     }
     doc.update(extra)
     return doc
+
+
+# harmonic ground state on the scan grid, with the matching scan window
+HARMONIC = {"potential": {"kind": "harmonic", "stiffness": 1.0}, "energy": 1.0,
+            "grid": {"x_min": -0.5, "x_max": 0.5, "n": 257},
+            "uncertainty": {"delta_alpha": 1.0, "window": [-0.15, 0.15],
+                            "hbar_scan": [1.0, 0.5, 0.25, 0.125, 0.0625]},
+            "hierarchy": {"order": 2, "epsilon": 0.1, "x_ref": 0.0}}
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -73,6 +80,25 @@ class TestValidation:
                      "--tol", "nonsense=1"])
         assert code == 1
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("constants", "hbar", -1),
+        ("constants", "mass", 0),
+        ("constants", "hbar", "x"),
+        ("microstate", "ell2", "x"),
+        ("microstate", "t_samples", "x"),
+        ("hierarchy", "x_ref", "x"),
+        ("uncertainty", "hbar_scan", [1, "a"]),
+        (None, "constants", []),
+    ])
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        out = tmp_path / "out"
+        doc = base_config(out)
+        (doc if section is None else doc[section])[key] = value
+        code = main(["all", "--config", write_config(tmp_path, doc)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_config_tolerance_map(self, tmp_path):
         out = tmp_path / "out"
         doc = base_config(out)
@@ -113,6 +139,16 @@ class TestRun:
         assert main(["all", "--config", cfg]) == 0
         threaded = {p.name: p.read_bytes() for p in out.iterdir()}
         assert serial == threaded
+
+    @pytest.mark.parametrize("extra", [{}, HARMONIC], ids=["free", "harmonic"])
+    def test_all_solves_each_pair_once(self, tmp_path, pair_solves, extra):
+        out = tmp_path / "out"
+        doc = base_config(out, **extra)
+        assert main(["all", "--config", write_config(tmp_path, doc)]) == 0
+        # the pair at E and E +/- dE, then three solves at each of the four
+        # scan hbar values that differ from the configured one
+        assert len(pair_solves) == 15
+        assert len(set(pair_solves)) == 15
 
     def test_forced_failure_exits_two(self, tmp_path):
         out = tmp_path / "out"
@@ -170,10 +206,7 @@ class TestRun:
         # auto method must fall back to the numeric family (the closed form
         # covers the ground level only, which the E +/- dE re-solves leave)
         out = tmp_path / "out"
-        doc = base_config(out, potential={"kind": "harmonic", "stiffness": 1.0},
-                          energy=1.0, grid={"x_min": -0.5, "x_max": 0.5, "n": 257})
-        doc["uncertainty"] = {"delta_alpha": 1.0, "window": [-0.15, 0.15],
-                              "hbar_scan": [1.0, 0.5, 0.25, 0.125, 0.0625]}
+        doc = base_config(out, **HARMONIC)
         del doc["hierarchy"]
         assert main(["uncertainty", "--config", write_config(tmp_path, doc)]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -280,16 +313,6 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "schrodinger_residual" in proc.stdout
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    from qhjlab.cli import _thread_cap
-    monkeypatch.delenv("QHJLAB_THREADS", raising=False)
-    assert _thread_cap() is None
-    monkeypatch.setenv("QHJLAB_THREADS", "3")
-    assert _thread_cap() == 3
-    monkeypatch.setenv("QHJLAB_THREADS", "0")
-    assert _thread_cap() == (os.cpu_count() or 1)
 
 
 def test_default_tolerances_cover_known_checks():

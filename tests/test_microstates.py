@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from qhjlab import catalog
 from qhjlab.errors import ContractError
 from qhjlab.fields import Grid, derivative
 from qhjlab.microstates import (
+    EnergyFamily,
     MicrostateParams,
     _monotone_segments,
     beta_field,
@@ -313,3 +315,31 @@ class TestTrajectory:
     def test_energy_derivative_of_momentum(self, constants, free_grid):
         dEp = energy_derivative_of_momentum(free_scenario(constants, free_grid), UNIT_ELL)
         assert np.max(np.abs(dEp.values + 0.5)) < 1e-7  # d(-sqrt(E))/dE at E=1
+
+
+class TestEnergyFamily:
+    @pytest.mark.parametrize("stage, solves", [
+        (lambda sc: time_of_q(sc, UNIT_ELL), 2),
+        (lambda sc: energy_derivative_of_momentum(sc, UNIT_ELL), 2),
+        (lambda sc: trajectory(sc, UNIT_ELL, t_samples=[-2.0, -1.0]), 3),
+    ], ids=["time_of_q", "energy_derivative_of_momentum", "trajectory"])
+    def test_solve_counts(self, pair_solves, stage, solves):
+        stage(catalog.free_scenario())
+        assert len(pair_solves) == solves
+        assert len(set(pair_solves)) == solves
+
+    def test_consumers_share_three_solves(self, pair_solves):
+        sc = catalog.free_scenario()
+        family = EnergyFamily(sc, UNIT_ELL)
+        t = family.time_of_q()
+        family.trajectory([-2.0, -1.0])
+        assert family.microstate.pair is family.pair
+        assert len(pair_solves) == 3
+        assert np.array_equal(t.values, time_of_q(sc, UNIT_ELL).values)
+        assert np.array_equal(family.de_momentum.values,
+                              energy_derivative_of_momentum(sc, UNIT_ELL).values)
+
+    def test_delta_e_defaults_to_scenario_step(self):
+        sc = catalog.free_scenario(energy=4.0)
+        assert EnergyFamily(sc).delta_e == sc.delta_e()
+        assert EnergyFamily(sc, delta_e=1e-3).delta_e == 1e-3

@@ -121,13 +121,6 @@ class TestScaling:
         with pytest.raises(StatisticsError):
             hbar_scaling_scan(scan_template("free"), [1.0, 0.5, 0.25, -0.125], 1.0)
 
-    def test_parallel_scan_matches_serial(self):
-        template = scan_template("free")
-        serial = hbar_scaling_scan(template, SCAN_HBARS, 1.0)
-        threaded = hbar_scaling_scan(template, SCAN_HBARS, 1.0, max_workers=4)
-        assert serial.pq_midpoints == threaded.pq_midpoints
-        assert serial.et_midpoints == threaded.et_midpoints
-
 
 def test_scan_windows_inside_grids():
     from qhjlab.catalog import SCAN_GRIDS
