@@ -12,13 +12,18 @@ Subcommands: solve, microstate, uncertainty, duality, hierarchy, all, report
 (report runs every enabled check but writes only report.json).  Exit code 0
 means every check passed, 1 a config/validation problem, 2 at least one
 failing check.
+
+Each check (what its residual is, what it is divided by and where it is
+measured) is defined next to its physics: ``SolutionPair.checks``,
+``microstate_checks``, ``ScanReport.checks``, ``duality_checks`` and
+``hierarchy_checks``.  This module only validates the config, picks the
+stages, looks up each check's tolerance and writes the files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -29,13 +34,11 @@ import numpy as np
 from . import duality, hierarchy, microstates, uncertainty
 from .catalog import harmonic_ground_ics, hbar_template
 from .errors import QhjLabError, ConfigError
-from .fields import Grid, ScalarField, derivative
+from .fields import Grid, ScalarField
 from .schrodinger import PhysicalConstants, Potential, Scenario, make_conjugate, \
     normalize_wronskian
 
 SCHEMA_VERSION = "qhjlab.report/1"
-
-SUBCOMMANDS = ("solve", "microstate", "uncertainty", "duality", "hierarchy", "all", "report")
 
 DEFAULT_TOLERANCES = {
     "schrodinger_residual": {"analytic": 1e-8, "numeric": 1e-5},
@@ -62,23 +65,13 @@ DEFAULT_TOLERANCES = {
 # Config parsing / validation
 
 
-def _need(section, key, where, types):
-    if key not in section:
-        raise ConfigError(f"missing field {where}.{key}")
-    value = section[key]
-    if not isinstance(value, types):
-        raise ConfigError(f"field {where}.{key} has wrong type {type(value).__name__}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not math.isfinite(float(value)):
-            raise ConfigError(f"field {where}.{key} must be finite")
-    return value
-
-
 def _number(value, where) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {where} must be a number, got {value!r}") from exc
+    """``value`` as a float; it must be a finite JSON number (no bool, no string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field {where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # false for inf, nan and oversized integers
+        raise ConfigError(f"field {where} must be finite, got {value!r}")
+    return float(value)
 
 
 def _numbers(value, where) -> list:
@@ -87,11 +80,37 @@ def _numbers(value, where) -> list:
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+def _need(section, key, where, types):
+    """``section[key]``, which must be present; ``types=float`` reads a number."""
+    if key not in section:
+        raise ConfigError(f"missing field {where}.{key}")
+    value = section[key]
+    if types is float:
+        return _number(value, f"{where}.{key}")
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"field {where}.{key} has wrong type {type(value).__name__}")
+    return value
+
+
 def _section(doc, key) -> dict:
     section = doc.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"field config.{key} must be an object")
     return section
+
+
+def _construct(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError turned into a config error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _tolerance(key, value, where) -> float:
+    if key not in DEFAULT_TOLERANCES:
+        raise ConfigError(f"unknown tolerance key {key!r}")
+    return _number(value, where)
 
 
 class ScenarioConfig:
@@ -103,34 +122,27 @@ class ScenarioConfig:
         self.base_dir = base_dir
 
         constants = _section(doc, "constants")
-        try:
-            self.constants = PhysicalConstants(hbar=float(constants.get("hbar", 1.0)),
-                                               mass=float(constants.get("mass", 0.5)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"constants: {exc}") from exc
+        self.constants = _construct("constants", PhysicalConstants,
+                                    hbar=_number(constants.get("hbar", 1.0), "constants.hbar"),
+                                    mass=_number(constants.get("mass", 0.5), "constants.mass"))
 
         pot = _need(doc, "potential", "config", dict)
         kind = _need(pot, "kind", "potential", str)
-        try:
-            if kind == "custom":
-                raise ConfigError("custom potentials are configured via hierarchy/f_even-style "
-                                  "sample files and are not yet wired into the CLI")
-            self.potential = Potential(kind, slope=float(pot.get("slope", 1.0)),
-                                       stiffness=float(pot.get("stiffness", 1.0)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"potential: {exc}") from exc
+        if kind == "custom":
+            raise ConfigError("custom potentials are configured via hierarchy/f_even-style "
+                              "sample files and are not yet wired into the CLI")
+        self.potential = _construct(
+            "potential", Potential, kind, slope=_number(pot.get("slope", 1.0), "potential.slope"),
+            stiffness=_number(pot.get("stiffness", 1.0), "potential.stiffness"))
 
-        self.energy = float(_need(doc, "energy", "config", (int, float)))
+        self.energy = _need(doc, "energy", "config", float)
 
         grid = _need(doc, "grid", "config", dict)
-        n = int(_need(grid, "n", "grid", int))
+        n = _need(grid, "n", "grid", int)
         if n < 64:
             raise ConfigError(f"grid.n must be >= 64 for CLI runs, got {n}")
-        try:
-            self.grid = Grid(float(_need(grid, "x_min", "grid", (int, float))),
-                             float(_need(grid, "x_max", "grid", (int, float))), n)
-        except (QhjLabError, ValueError) as exc:
-            raise ConfigError(f"grid: {exc}") from exc
+        self.grid = _construct("grid", Grid, _need(grid, "x_min", "grid", float),
+                               _need(grid, "x_max", "grid", float), n)
 
         solver = _section(doc, "solver")
         self.method = solver.get("method", "auto")
@@ -144,13 +156,11 @@ class ScenarioConfig:
         self.microstate = self.t_samples = None
         if "microstate" in doc:
             section = _section(doc, "microstate")
-            ell1 = float(_need(section, "ell1", "microstate", (int, float)))
-            ell2 = _number(section.get("ell2", 0.0), "microstate.ell2")
-            if ell1 == 0.0:
-                raise ConfigError("microstate.ell1 must be nonzero")
-            self.microstate = microstates.MicrostateParams(
+            self.microstate = _construct(
+                "microstate", microstates.MicrostateParams,
                 alpha=_number(section.get("alpha", 0.0), "microstate.alpha"),
-                ell=complex(ell1, ell2))
+                ell=complex(_need(section, "ell1", "microstate", float),
+                            _number(section.get("ell2", 0.0), "microstate.ell2")))
             if section.get("t_samples") is not None:
                 self.t_samples = _numbers(section["t_samples"], "microstate.t_samples")
 
@@ -162,28 +172,44 @@ class ScenarioConfig:
                 raise ConfigError("uncertainty.window must be [lo, hi]")
             if self.microstate is None:
                 raise ConfigError("uncertainty section needs a microstate section")
-            self.uncertainty = {
-                "delta_alpha": float(_need(section, "delta_alpha", "uncertainty", (int, float))),
-                "window": tuple(window),
-                "hbar_scan": _numbers(section.get("hbar_scan", []), "uncertainty.hbar_scan"),
-            }
+            delta_alpha = _need(section, "delta_alpha", "uncertainty", float)
+            if delta_alpha == 0.0:
+                raise ConfigError("uncertainty.delta_alpha must be nonzero")
+            self.uncertainty = {"delta_alpha": delta_alpha, "window": tuple(window),
+                                "hbar_scan": _numbers(section.get("hbar_scan", []),
+                                                      "uncertainty.hbar_scan")}
 
         self.hierarchy = None
         if "hierarchy" in doc:
             section = _section(doc, "hierarchy")
-            self.hierarchy = {
-                "order": int(_need(section, "order", "hierarchy", int)),
-                "epsilon": float(_need(section, "epsilon", "hierarchy", (int, float))),
-                "x_ref": _number(section.get("x_ref", self.grid.x_min), "hierarchy.x_ref"),
-                "f_even_files": list(section.get("f_even_files", [])),
-            }
+            files = section.get("f_even_files", [])
+            if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+                raise ConfigError("field hierarchy.f_even_files must be a list of file names")
+            self.hierarchy = _construct(
+                "hierarchy", hierarchy.HierarchyInput.from_potential, self.potential, self.grid,
+                self.energy, _need(section, "order", "hierarchy", int),
+                _need(section, "epsilon", "hierarchy", float),
+                _number(section.get("x_ref", self.grid.x_min), "hierarchy.x_ref"),
+                f_even=[self._sampled_field(ref) for ref in files])
 
         outputs = _section(doc, "outputs")
         self.out_dir = outputs.get("directory", "out")
         self.plots = bool(outputs.get("plots", False))
 
-        self.tolerances = {key: _number(value, f"tolerances.{key}")
+        self.tolerances = {key: _tolerance(key, value, f"tolerances.{key}")
                            for key, value in _section(doc, "tolerances").items()}
+
+    def _sampled_field(self, ref: str) -> ScalarField:
+        """The last column of a CSV file (one header line), relative to the config."""
+        try:
+            data = np.loadtxt(os.path.join(self.base_dir, ref), delimiter=",", skiprows=1,
+                              ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read f_even file {ref}: {exc}") from exc
+        if len(data) != self.grid.n:
+            raise ConfigError(f"f_even file {ref} has {len(data)} samples, "
+                              f"grid has {self.grid.n}")
+        return ScalarField(self.grid, data[:, -1])
 
     # -- scenario construction ----------------------------------------------
 
@@ -216,13 +242,14 @@ class ScenarioConfig:
                 ics = harmonic_ground_ics(constants, self.potential.stiffness, self.grid.x_min)
         return Scenario(self.potential, constants, self.grid, energy, method=method, ics=ics)
 
-    def tolerance(self, name: str, provenance: str = "analytic") -> float:
-        if name in self.tolerances:
-            return self.tolerances[name]
-        default = DEFAULT_TOLERANCES[name]
-        if isinstance(default, dict):
-            return default[provenance]
-        return default
+    def tolerance(self, check: str) -> float:
+        """Tolerance of a report check: its configured or default value, the
+        default following the solve method where it depends on it."""
+        if check == "duality_im_f":
+            return 0.0  # Im F = X/eps holds by construction
+        key = "gd_residual" if check.startswith("gd_") else check
+        value = self.tolerances.get(key, DEFAULT_TOLERANCES[key])
+        return value[self.resolved_method()] if isinstance(value, dict) else value
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -277,190 +304,83 @@ def write_csv(path: str, columns):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-class CheckTable:
-    """Accumulates named pass/fail entries for the run report."""
-
-    def __init__(self):
-        self.checks = {}
-
-    def add(self, name: str, value: float, tolerance: float, artifacts=()):
-        self.checks[name] = {
-            "status": "pass" if value <= tolerance else "fail",
-            "max_residual": float(value),
-            "tolerance": float(tolerance),
-            "artifacts": list(artifacts),
-        }
-
-    @property
-    def failed(self):
-        return sorted(n for n, c in self.checks.items() if c["status"] == "fail")
-
-
 # ---------------------------------------------------------------------------
-# Pipelines: each returns fields.csv columns and/or writes side tables; all
-# but the hierarchy share one EnergyFamily, so nothing is solved twice.
+# Stages: (cfg, family, out_dir) -> ({check name: residual}, the artifact the
+# checks refer to, fields.csv columns); side tables are written unless out_dir
+# is None.
 
 
-def _pair_checks(cfg: ScenarioConfig, pair, table: CheckTable, artifacts):
-    prov = pair.provenance
-    scale = pair.residual_scale()
-    inner = cfg.grid.interior_slice(0.8)
-    resid = max(
-        float(np.max(np.abs(pair.schrodinger_residual("psi", use_attached=False).values[inner]))),
-        float(np.max(np.abs(pair.schrodinger_residual("psi_dual", use_attached=False).values[inner]))))
-    table.add("schrodinger_residual", resid / scale,
-              cfg.tolerance("schrodinger_residual", prov), artifacts)
-    table.add("wronskian_drift", pair.wronskian_drift(),
-              cfg.tolerance("wronskian_drift", prov), artifacts)
-
-
-def run_solve(cfg: ScenarioConfig, family: microstates.EnergyFamily, table: CheckTable):
+def run_solve(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
     pair = family.pair
-    _pair_checks(cfg, pair, table, ["fields.csv"])
-    v = cfg.potential.derivative_samples(cfg.grid, 0)
-    return [("x", cfg.grid.x), ("potential", v),
-            ("psi", pair.psi.values), ("psi_dual", pair.psi_dual.values)]
+    return pair.checks(), "fields.csv", [
+        ("x", cfg.grid.x), ("potential", cfg.potential.derivative_samples(cfg.grid, 0)),
+        ("psi", pair.psi.values), ("psi_dual", pair.psi_dual.values)]
 
 
-def run_microstate(cfg: ScenarioConfig, family: microstates.EnergyFamily, table: CheckTable,
-                   out_dir, write_files=True):
+def run_microstate(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
     ms = family.microstate
     report = microstates.qshje_residual(ms)
-    interior = cfg.grid.interior_slice(0.8)
-    scale = max(abs(cfg.energy), float(np.max(np.abs(ms.mfW.values))))
-
-    table.add("qshje_potential",
-              float(np.max(np.abs(report.from_potential.values[interior]))) / scale,
-              cfg.tolerance("qshje_potential"), ["fields.csv"])
-    table.add("qshje_schwarzian",
-              float(np.max(np.abs(report.from_schwarzian.values[interior]))) / scale,
-              cfg.tolerance("qshje_schwarzian"), ["fields.csv"])
-    table.add("qshje_w_mismatch", report.w_mismatch / scale,
-              cfg.tolerance("qshje_w_mismatch"), ["fields.csv"])
-
-    fd_p = derivative(ms.S0, 1, use_attached=False).values
-    p_scale = float(np.max(np.abs(ms.p.values)))
-    table.add("momentum_cross_check",
-              float(np.max(np.abs(fd_p[interior] - ms.p.values[interior]))) / p_scale,
-              cfg.tolerance("momentum_cross_check"), ["fields.csv"])
-
     columns = [("w_ratio", ms.w.values), ("S0", ms.S0.values), ("p", ms.p.values),
                ("Q", ms.Q.values), ("mfW", ms.mfW.values),
                ("residual_qshje_potential", report.from_potential.values),
                ("residual_qshje_schwarzian", report.from_schwarzian.values)]
-
-    if write_files and cfg.t_samples:
+    if out_dir and cfg.t_samples:
         traj = family.trajectory(cfg.t_samples)
         rows = [pt for seg in traj.segments for pt in seg]
         write_csv(os.path.join(out_dir, "trajectory.csv"),
                   [(f.name, [getattr(pt, f.name) for pt in rows])
                    for f in fields(microstates.TrajectoryPoint)])
-    return columns
+    return microstates.microstate_checks(ms, report), "fields.csv", columns
 
 
-def run_uncertainty(cfg: ScenarioConfig, family: microstates.EnergyFamily, table: CheckTable,
-                    out_dir, write_files=True):
+def run_uncertainty(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
     ms, de_p = family.microstate, family.de_momentum
     section = cfg.uncertainty
     report = uncertainty.delta_chain(ms, section["delta_alpha"], section["window"],
                                      de_momentum=de_p)
-
-    if write_files:
+    if out_dir:
         mask = (cfg.grid.x >= section["window"][0]) & (cfg.grid.x <= section["window"][1])
         abs_p = np.abs(ms.p.values[mask])
         write_csv(os.path.join(out_dir, "uncertainty.csv"),
                   [("x", cfg.grid.x[mask]), ("abs_p", abs_p),
                    ("delta_q_pointwise", report.delta_s0 / abs_p),
                    ("time_weight", np.abs(de_p.values[mask]) / abs_p)])
-
+    checks = {}
     if section["hbar_scan"]:
         # the scan reuses the run's family at the configured hbar
         template = hbar_template(cfg.scenario, cfg.microstate, section["window"], base=family)
-        scan = uncertainty.hbar_scaling_scan(template, section["hbar_scan"],
-                                             section["delta_alpha"])
-        for name, slope in (("uncertainty_pq_slope", scan.pq_slope),
-                            ("uncertainty_et_slope", scan.et_slope)):
-            table.add(name, abs(slope - 1.0), cfg.tolerance(name), ["uncertainty.csv"])
+        checks = uncertainty.hbar_scaling_scan(template, section["hbar_scan"],
+                                               section["delta_alpha"]).checks()
+    return checks, "uncertainty.csv", []
 
 
-def run_duality(cfg: ScenarioConfig, family: microstates.EnergyFamily, table: CheckTable):
-    pair = family.pair
-    prov = pair.provenance
-    conj = normalize_wronskian(make_conjugate(pair))
-    prep = duality.build_prepotential(conj)
-    v_field = cfg.potential.field(cfg.grid)
-
-    im_err = float(np.max(np.abs(prep.F.values.imag - cfg.grid.x / cfg.constants.epsilon)))
-    table.add("duality_im_f", im_err, 0.0, ["fields.csv"])
-    table.add("dual_derivative",
-              float(np.max(duality.dual_derivative_residual(prep).values)),
-              cfg.tolerance("dual_derivative", prov), ["fields.csv"])
-    table.add("modulus_momentum",
-              float(np.max(np.abs(duality.modulus_momentum_residual(conj).values))),
-              cfg.tolerance("modulus_momentum", prov), ["fields.csv"])
-    table.add("legendre",
-              float(np.max(np.abs(duality.legendre_residual(prep).values))),
-              cfg.tolerance("legendre"), ["fields.csv"])
-    for variant, xi in prep.xi.items():
-        resid = duality.gd_residual(xi, v_field, cfg.energy, cfg.constants.epsilon)
-        scale = duality.gd_scale(xi, v_field, cfg.energy, cfg.constants.epsilon)
-        table.add(f"gd_{variant}", float(np.max(np.abs(resid.values))) / scale,
-                  cfg.tolerance("gd_residual", prov), ["fields.csv"])
-    fe = duality.FreeEnergy.from_potential(cfg.potential, cfg.grid, cfg.grid.x_min)
-    akq = duality.akq_residual(prep, fe, cfg.energy, v_field=v_field)
-    direct = duality.prepotential_gd_residual(prep, v_field, cfg.energy)
-    scale = duality.gd_scale(prep.xi["psi_psibar"], v_field, cfg.energy, cfg.constants.epsilon)
-    table.add("akq_matches_direct",
-              float(np.max(np.abs(akq.values - direct.values))) / scale,
-              cfg.tolerance("akq_matches_direct"), ["fields.csv"])
-    return [("F", prep.F.values), ("phi", prep.phi.values)]
+def run_duality(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
+    prep = duality.build_prepotential(normalize_wronskian(make_conjugate(family.pair)))
+    return duality.duality_checks(prep), "fields.csv", [("F", prep.F.values),
+                                                        ("phi", prep.phi.values)]
 
 
-def run_hierarchy(cfg: ScenarioConfig, table: CheckTable, out_dir, write_files=True):
-    section = cfg.hierarchy
-    f_even = []
-    for ref in section["f_even_files"]:
-        path = ref if os.path.isabs(ref) else os.path.join(cfg.base_dir, ref)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        values = data[:, -1] if data.ndim == 2 else data
-        if len(values) != cfg.grid.n:
-            raise ConfigError(f"f_even file {ref} has {len(values)} samples, "
-                              f"grid has {cfg.grid.n}")
-        f_even.append(ScalarField(cfg.grid, values))
-    try:
-        inp = hierarchy.HierarchyInput.from_potential(
-            cfg.potential, cfg.grid, cfg.energy, section["order"],
-            section["epsilon"], section["x_ref"], f_even=f_even)
-    except QhjLabError as exc:
-        raise ConfigError(f"hierarchy: {exc}") from exc
-
-    sol = hierarchy.recurse(inp)
-    table.add("hierarchy_parity", max(sol.parity_report),
-              cfg.tolerance("hierarchy_parity"), ["hierarchy.csv"])
-
-    if sol.order >= 1:
-        p0, p1 = sol.p_coeffs[0], sol.p_coeffs[1]
-        identity = np.abs(p1.values + derivative(p0, 1).values / (2.0 * p0.values))
-        p1_scale = max(float(np.max(np.abs(p1.values))), 1.0)
-        table.add("hierarchy_p1_identity", float(np.max(identity)) / p1_scale,
-                  cfg.tolerance("hierarchy_p1_identity"), ["hierarchy.csv"])
-
-    report = hierarchy.master_residual(sol, inp)
-    scale = abs(cfg.energy) + float(np.max(np.abs(inp.v_field.values)))
-    table.add("hierarchy_per_order", report.max_per_order() / scale,
-              cfg.tolerance("hierarchy_per_order"), ["hierarchy.csv"])
-
-    f2 = inp.f_dd_jet(2, 1)
-    if sol.order >= 2 and (f2 is None or float(np.max(np.abs(f2[0]))) == 0.0):
-        table.add("hierarchy_p2_schwarzian", hierarchy.p2_schwarzian_check(sol, inp),
-                  cfg.tolerance("hierarchy_p2_schwarzian"), ["hierarchy.csv"])
-
-    if write_files:
+def run_hierarchy(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
+    sol = hierarchy.recurse(cfg.hierarchy)
+    if out_dir:
         columns = [("x", cfg.grid.x)]
         for j, (p, s) in enumerate(zip(sol.p_coeffs, sol.s_coeffs)):
             columns.append((f"P{j}", p.values))
             columns.append((f"S{j}", s.values))
         write_csv(os.path.join(out_dir, "hierarchy.csv"), columns)
+    return hierarchy.hierarchy_checks(sol, cfg.hierarchy), "hierarchy.csv", []
+
+
+# Run order.  The hierarchy needs no solution pair, so it goes first, before
+# the family is solved, and the two never hold memory at the same time.
+STAGES = {"hierarchy": run_hierarchy, "solve": run_solve, "microstate": run_microstate,
+          "uncertainty": run_uncertainty, "duality": run_duality}
+# Stages that need their config section: requested alone, a missing section
+# is a config error; under all and report the stage is skipped.
+SECTION_STAGES = ("microstate", "uncertainty", "hierarchy")
+PIPELINES = {"solve": ("solve",), "microstate": ("solve", "microstate"),
+             "uncertainty": ("uncertainty",), "duality": ("solve", "duality"),
+             "hierarchy": ("hierarchy",), "all": tuple(STAGES), "report": tuple(STAGES)}
 
 
 PLOT_SCRIPT = """# gnuplot script generated by qhjlab; run from the output directory
@@ -480,52 +400,43 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
     cfg = load_config(config_path)
     if tolerance_overrides:
         cfg.tolerances.update(tolerance_overrides)
-    if subcommand in ("microstate", "uncertainty", "hierarchy") and getattr(cfg, subcommand) is None:
+    if subcommand in SECTION_STAGES and getattr(cfg, subcommand) is None:
         raise ConfigError(f"{subcommand} pipeline requested but config has no "
                           f"{subcommand} section")
+    stages = [name for name in PIPELINES[subcommand]
+              if name not in SECTION_STAGES or getattr(cfg, name) is not None]
     out = out_dir or cfg.out_dir
-    table = CheckTable()
-    write_files = subcommand != "report"
-    wants = (lambda *names: subcommand in names or subcommand in ("all", "report"))
+    write_to = None if subcommand == "report" else out
 
-    family = microstates.EnergyFamily(cfg.scenario(), cfg.microstate)
-    columns = []
-    if wants("solve", "microstate", "duality"):
-        columns.extend(run_solve(cfg, family, table))
-    if wants("microstate") and cfg.microstate is not None:
-        columns.extend(run_microstate(cfg, family, table, out, write_files=write_files))
-    if wants("uncertainty") and cfg.uncertainty is not None:
-        run_uncertainty(cfg, family, table, out, write_files=write_files)
-    if wants("duality"):
-        columns.extend(run_duality(cfg, family, table))
-    del family  # release its fields before the hierarchy and fields.csv
-    if wants("hierarchy") and cfg.hierarchy is not None:
-        run_hierarchy(cfg, table, out, write_files=write_files)
+    family = microstates.EnergyFamily(cfg.scenario(), cfg.microstate)  # solved on first use
+    checks, columns = {}, []
+    for name in stages:
+        values, artifact, stage_columns = STAGES[name](cfg, family, write_to)
+        columns.extend(stage_columns)
+        for check, value in values.items():
+            tolerance = cfg.tolerance(check)
+            checks[check] = {"status": "pass" if value <= tolerance else "fail",
+                             "max_residual": float(value), "tolerance": float(tolerance),
+                             "artifacts": [artifact]}
+    del family  # release its fields before fields.csv is written
 
-    if write_files and columns:
+    if write_to and columns:
         write_csv(os.path.join(out, "fields.csv"), columns)
         if cfg.plots:
             atomic_write(os.path.join(out, "plots.gp"), PLOT_SCRIPT)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": subcommand,
-        "checks": table.checks,
-        "summary": {
-            "total": len(table.checks),
-            "passed": sum(1 for c in table.checks.values() if c["status"] == "pass"),
-            "failed": len(table.failed),
-            "failing_checks": table.failed,
-        },
-    }
+    failed = sorted(name for name, check in checks.items() if check["status"] == "fail")
+    report = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand, "checks": checks,
+              "summary": {"total": len(checks), "passed": len(checks) - len(failed),
+                          "failed": len(failed), "failing_checks": failed}}
     atomic_write(os.path.join(out, "report.json"),
                  json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    for name in sorted(table.checks):
-        check = table.checks[name]
+    for name in sorted(checks):
+        check = checks[name]
         print(f"{check['status']:4s}  {name}  "
               f"(max {check['max_residual']:.3e}, tol {check['tolerance']:.3e})")
-    return 2 if table.failed else 0
+    return 2 if failed else 0
 
 
 def _parse_tol(items):
@@ -533,10 +444,12 @@ def _parse_tol(items):
     for item in items or ():
         if "=" not in item:
             raise ConfigError(f"--tol expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance key {key!r}")
-        overrides[key] = _number(value, f"--tol {key}")
+        key, _, text = item.partition("=")
+        try:
+            value = float(text)
+        except ValueError:
+            value = text  # refused below as not a number
+        overrides[key] = _tolerance(key, value, f"--tol {key}")
     return overrides
 
 
@@ -544,7 +457,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qhjlab",
         description="Scenario-driven residual checks for 1-D trajectory quantum mechanics")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=PIPELINES)
     parser.add_argument("--config", required=True, help="path to the JSON scenario config")
     parser.add_argument("--out", default=None, help="output directory (default: from config)")
     parser.add_argument("--tol", action="append", metavar="KEY=VALUE",

@@ -201,6 +201,12 @@ def gd_scale(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: floa
     return max(float(np.max(terms)), floor)
 
 
+def gd_relative(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: float) -> float:
+    """Max |resolvent residual| of one Xi over :func:`gd_scale`."""
+    resid = gd_residual(xi, v_field, energy, epsilon)
+    return float(np.max(np.abs(resid.values))) / gd_scale(xi, v_field, energy, epsilon)
+
+
 def prepotential_gd_residual(prep: Prepotential, v_field: ScalarField, energy: float,
                              printed_form: bool = False) -> ScalarField:
     """The resolvent equation written in terms of the prepotential.
@@ -350,3 +356,24 @@ def legendre_residual(prep: Prepotential) -> ScalarField:
     psi_sq = prep.xi["psi_sq"].values
     resid = psi_sq * (f1 / xi1) - prep.F.values - grid.x / (1j * eps)
     return ScalarField(grid, resid)
+
+
+def duality_checks(prep: Prepotential) -> dict:
+    """{check name: residual} for ``prep``: the resolvent forms over
+    :func:`gd_scale`, the O(1) construction identities absolute."""
+    pair, eps, grid = prep.pair, prep.epsilon, prep.pair.grid
+    v_field = pair.potential.field(grid)
+    checks = {
+        "duality_im_f": float(np.max(np.abs(prep.F.values.imag - grid.x / eps))),
+        "dual_derivative": float(np.max(dual_derivative_residual(prep).values)),
+        "modulus_momentum": float(np.max(np.abs(modulus_momentum_residual(pair).values))),
+        "legendre": float(np.max(np.abs(legendre_residual(prep).values))),
+    }
+    for variant, xi in prep.xi.items():
+        checks[f"gd_{variant}"] = gd_relative(xi, v_field, pair.energy, eps)
+    fe = FreeEnergy.from_potential(pair.potential, grid, grid.x_min)
+    akq = akq_residual(prep, fe, pair.energy, v_field=v_field)
+    direct = prepotential_gd_residual(prep, v_field, pair.energy)
+    scale = gd_scale(prep.xi["psi_psibar"], v_field, pair.energy, eps)
+    checks["akq_matches_direct"] = float(np.max(np.abs(akq.values - direct.values))) / scale
+    return checks

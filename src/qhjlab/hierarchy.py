@@ -304,14 +304,36 @@ def p2_schwarzian_check(sol: HierarchySolution, hierarchy_input: HierarchyInput)
     """
     if sol.order < 2:
         raise ValueError("need the expansion at least to order 2")
-    f2 = hierarchy_input.f_dd_jet(2, 1)
-    if f2 is not None and float(np.max(np.abs(f2[0]))) > 0.0:
+    if not _f2_vanishes(hierarchy_input):
         raise ContractError("the Schwarzian form of P_2 requires F_2'' = 0")
 
     p0 = sol.p_coeffs[0]
     s0_bare = ScalarField(p0.grid, antiderivative(p0.bare(), hierarchy_input.x_ref).values)
     alt = schwarzian(s0_bare).values / (4.0 * p0.values)
     return float(np.max(np.abs(sol.p_coeffs[2].values - alt)))
+
+
+def _f2_vanishes(hierarchy_input: HierarchyInput) -> bool:
+    f2 = hierarchy_input.f_dd_jet(2, 1)
+    return f2 is None or float(np.max(np.abs(f2[0]))) == 0.0
+
+
+def hierarchy_checks(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> dict:
+    """{check name: residual}: parity, P_1 = -P_0'/(2 P_0) over max(max|P_1|, 1),
+    the per-order master residual over |E| + max|V|, and the Schwarzian route
+    to P_2 where it applies (order >= 2, F_2'' = 0)."""
+    inp = hierarchy_input
+    checks = {"hierarchy_parity": max(sol.parity_report)}
+    if sol.order >= 1:
+        p0, p1 = sol.p_coeffs[0], sol.p_coeffs[1]
+        identity = np.abs(p1.values + derivative(p0, 1).values / (2.0 * p0.values))
+        p1_scale = max(float(np.max(np.abs(p1.values))), 1.0)
+        checks["hierarchy_p1_identity"] = float(np.max(identity)) / p1_scale
+    scale = abs(inp.energy) + float(np.max(np.abs(inp.v_field.values)))
+    checks["hierarchy_per_order"] = master_residual(sol, inp).max_per_order() / scale
+    if sol.order >= 2 and _f2_vanishes(inp):
+        checks["hierarchy_p2_schwarzian"] = p2_schwarzian_check(sol, inp)
+    return checks
 
 
 def reconstruct_modulus(sol: HierarchySolution, hierarchy_input: HierarchyInput,

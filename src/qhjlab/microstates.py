@@ -118,10 +118,13 @@ def momentum(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
 def hamilton_principal(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
     """Principal function S0 = (hbar/2)(alpha + theta) with theta the unwrapped
     phase of beta; carries (p, p', p'') as attached derivatives."""
-    hbar = pair.constants.hbar
-    theta = unwrap_phase(beta_field(pair, params))
-    values = hbar * (ALPHA_SLOPE * params.alpha + 0.5 * theta.values)
-    p = momentum(pair, params)
+    return _principal(pair, params, beta_field(pair, params), momentum(pair, params))
+
+
+def _principal(pair: SolutionPair, params: MicrostateParams, beta: ScalarField,
+               p: ScalarField) -> ScalarField:
+    theta = unwrap_phase(beta)
+    values = pair.constants.hbar * (ALPHA_SLOPE * params.alpha + 0.5 * theta.values)
     return ScalarField(pair.grid, values, derivs=(p.values,) + p.derivs)
 
 
@@ -180,8 +183,8 @@ def build_microstate(pair: SolutionPair, params: MicrostateParams) -> Microstate
     w = ScalarField(pair.grid, w_vals)
 
     beta = beta_field(pair, params)
-    s0 = hamilton_principal(pair, params)
     p = momentum(pair, params)
+    s0 = _principal(pair, params, beta, p)
     hbar, mass = pair.constants.hbar, pair.constants.mass
     q = 0.25 * hbar * hbar / mass * schwarzian(s0).values
     v = pair.potential.derivative_samples(pair.grid, 0)
@@ -226,6 +229,22 @@ def qshje_residual(ms: Microstate) -> QshjeReport:
     mismatch = float(np.max(np.abs(w_schw - ms.mfW.values)))
     return QshjeReport(ScalarField(ms.pair.grid, res_pot),
                        ScalarField(ms.pair.grid, res_schw), mismatch)
+
+
+def microstate_checks(ms: Microstate, report: QshjeReport) -> dict:
+    """{check name: relative residual}: the HJ residuals of ``report`` over
+    max(|E|, max|V - E|), and p against the stencil derivative of S0 over
+    max|p|, each on the central 80%."""
+    inner = ms.pair.grid.interior_slice(0.8)
+    scale = max(abs(ms.pair.energy), float(np.max(np.abs(ms.mfW.values))))
+    p = ms.p.values
+    fd_error = derivative(ms.S0, 1, use_attached=False).values - p
+    return {
+        "qshje_potential": float(np.max(np.abs(report.from_potential.values[inner]))) / scale,
+        "qshje_schwarzian": float(np.max(np.abs(report.from_schwarzian.values[inner]))) / scale,
+        "qshje_w_mismatch": report.w_mismatch / scale,
+        "momentum_cross_check": float(np.max(np.abs(fd_error[inner]))) / float(np.max(np.abs(p))),
+    }
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,20 @@ class SolutionPair:
             scale = max(scale, float(np.max(np.abs((v - self.energy) * u.values))))
         return scale if scale > 0 else 1.0
 
+    def relative_residual(self, use_attached: bool = True, fraction: float = 1.0) -> float:
+        """Max |Schrodinger residual| of both members over the central ``fraction``
+        of the grid, relative to :meth:`residual_scale`."""
+        inner = self.grid.interior_slice(fraction)
+        worst = max(float(np.max(np.abs(self.schrodinger_residual(m, use_attached).values[inner])))
+                    for m in ("psi", "psi_dual"))
+        return worst / self.residual_scale()
+
+    def checks(self) -> dict:
+        """{check name: relative residual}; the Schrodinger residual uses stencils
+        on the central 80%, independent of the attached derivatives."""
+        return {"schrodinger_residual": self.relative_residual(use_attached=False, fraction=0.8),
+                "wronskian_drift": self.wronskian_drift()}
+
 
 def _validate_pair(pair: SolutionPair, residual_tol=None, wronskian_tol=None) -> SolutionPair:
     if abs(pair.wronskian) == 0:
@@ -204,16 +218,11 @@ def _validate_pair(pair: SolutionPair, residual_tol=None, wronskian_tol=None) ->
 
     residual_tol = RESIDUAL_TOL[pair.provenance] if residual_tol is None else residual_tol
     wronskian_tol = WRONSKIAN_TOL[pair.provenance] if wronskian_tol is None else wronskian_tol
-    scale = pair.residual_scale()
-    diagnostics = {}
-    for member in ("psi", "psi_dual"):
-        use_attached = pair.provenance == "analytic"
-        res = pair.schrodinger_residual(member, use_attached=use_attached)
-        diagnostics[member] = float(np.max(np.abs(res.values))) / scale
-    diagnostics["wronskian_drift"] = pair.wronskian_drift()
-    if max(diagnostics["psi"], diagnostics["psi_dual"]) > residual_tol:
+    diagnostics = {"schrodinger_residual": pair.relative_residual(pair.provenance == "analytic"),
+                   "wronskian_drift": pair.wronskian_drift()}
+    if diagnostics["schrodinger_residual"] > residual_tol:
         raise AccuracyError(
-            f"Schrodinger residual {max(diagnostics['psi'], diagnostics['psi_dual']):.3e} "
+            f"Schrodinger residual {diagnostics['schrodinger_residual']:.3e} "
             f"exceeds tolerance {residual_tol:.1e}", diagnostics=diagnostics)
     if diagnostics["wronskian_drift"] > wronskian_tol:
         raise AccuracyError(

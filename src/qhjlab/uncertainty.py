@@ -118,6 +118,11 @@ class ScanReport:
     et_slope: float
     et_intercept: float
 
+    def checks(self) -> dict:
+        """{check name: |slope - 1|} for both products."""
+        return {"uncertainty_pq_slope": abs(self.pq_slope - 1.0),
+                "uncertainty_et_slope": abs(self.et_slope - 1.0)}
+
 
 def _loglog_fit(x, y):
     slope, intercept = np.polyfit(np.log(np.asarray(x)), np.log(np.asarray(y)), 1)

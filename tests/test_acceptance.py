@@ -11,22 +11,11 @@ import time
 import numpy as np
 
 from qhjlab.catalog import free_scenario, scan_template
-from qhjlab.duality import (
-    FreeEnergy,
-    akq_residual,
-    build_prepotential,
-    dual_derivative_residual,
-    gd_residual,
-    gd_scale,
-    legendre_residual,
-    modulus_momentum_residual,
-    omega_for_norm,
-    prepotential_gd_residual,
-)
+from qhjlab.duality import build_prepotential, duality_checks, gd_relative, omega_for_norm
 from qhjlab.fields import Grid, ScalarField, derivative
 from qhjlab.hierarchy import HierarchyInput, master_residual, p2_schwarzian_check, recurse
-from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual, \
-    time_of_q, trajectory
+from qhjlab.microstates import MicrostateParams, build_microstate, microstate_checks, \
+    qshje_residual, time_of_q, trajectory
 from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair, \
     make_conjugate, normalize_wronskian, solve_pair
 from qhjlab.uncertainty import hbar_scaling_scan
@@ -42,8 +31,9 @@ def report(criterion, label, worst, bound):
     assert worst <= bound, f"criterion {criterion} ({label}): {worst} > {bound}"
 
 
-def interior(grid, values, fraction=0.8):
-    return values[grid.interior_slice(fraction)]
+def worst_gd(checks):
+    """Largest square-eigenfunction residual over the three Xi variants."""
+    return max(value for name, value in checks.items() if name.startswith("gd_"))
 
 
 def test_criterion_1_free_particle_closed_forms():
@@ -86,26 +76,22 @@ def test_criterion_2_qshje_identity():
     worst_residual = worst_mismatch = 0.0
     for name, pair, params in cases:
         ms = build_microstate(pair, params)
-        rep = qshje_residual(ms)
-        scale = max(abs(pair.energy), np.max(np.abs(ms.mfW.values)))
-        grid = pair.grid
-        worst_residual = max(
-            worst_residual,
-            np.max(np.abs(interior(grid, rep.from_potential.values))) / scale,
-            np.max(np.abs(interior(grid, rep.from_schwarzian.values))) / scale)
-        worst_mismatch = max(worst_mismatch, rep.w_mismatch / scale)
+        checks = microstate_checks(ms, qshje_residual(ms))
+        worst_residual = max(worst_residual, checks["qshje_potential"],
+                             checks["qshje_schwarzian"])
+        worst_mismatch = max(worst_mismatch, checks["qshje_w_mismatch"])
     report(2, "stationary HJ residual (interior 80%)", worst_residual, 1e-6)
     report(2, "two potential-term routes agree", worst_mismatch, 1e-6)
 
 
 def test_criterion_3_uncertainty_scaling():
-    free = hbar_scaling_scan(scan_template("free"), SCAN_HBARS, 1.0)
-    report(3, "free slope exactness (pq)", abs(free.pq_slope - 1.0), 1e-10)
-    report(3, "free slope exactness (Et)", abs(free.et_slope - 1.0), 1e-10)
+    free = hbar_scaling_scan(scan_template("free"), SCAN_HBARS, 1.0).checks()
+    report(3, "free slope exactness (pq)", free["uncertainty_pq_slope"], 1e-10)
+    report(3, "free slope exactness (Et)", free["uncertainty_et_slope"], 1e-10)
     worst = 0.0
     for name in ("free", "harmonic", "linear"):
-        scan = hbar_scaling_scan(scan_template(name), SCAN_HBARS, 1.0)
-        worst = max(worst, abs(scan.pq_slope - 1.0), abs(scan.et_slope - 1.0))
+        checks = hbar_scaling_scan(scan_template(name), SCAN_HBARS, 1.0).checks()
+        worst = max(worst, *checks.values())
     report(3, "all scenarios, both products", worst, 0.05)
 
 
@@ -117,31 +103,14 @@ def test_criterion_4_resolvent_residuals():
             (Potential("linear"), 2.0, Grid(-4.0, 1.5, 1025))):
         pair = normalize_wronskian(make_conjugate(
             analytic_pair(potential, energy, constants, grid)))
-        prep = build_prepotential(pair)
-        v = potential.field(grid)
-        for xi in prep.xi.values():
-            resid = gd_residual(xi, v, energy, constants.epsilon)
-            scale = gd_scale(xi, v, energy, constants.epsilon)
-            worst_analytic = max(worst_analytic, np.max(np.abs(resid.values)) / scale)
+        worst_analytic = max(worst_analytic, worst_gd(duality_checks(build_prepotential(pair))))
     report(4, "square-eigenfunction residual, analytic pairs", worst_analytic, 1e-6)
 
     grid = Grid(-3.0, 3.0, 2049)
     numeric = solve_pair(Potential("harmonic"), 2.0, constants, grid, (1.0, 0.0, 0.0, 1.0))
-    prep = build_prepotential(normalize_wronskian(make_conjugate(numeric)))
-    v = Potential("harmonic").field(grid)
-    worst_numeric = 0.0
-    for xi in prep.xi.values():
-        resid = gd_residual(xi, v, 2.0, constants.epsilon)
-        scale = gd_scale(xi, v, 2.0, constants.epsilon)
-        worst_numeric = max(worst_numeric, np.max(np.abs(resid.values)) / scale)
-    report(4, "square-eigenfunction residual, numeric pair", worst_numeric, 1e-4)
-
-    fe = FreeEnergy.from_potential(Potential("harmonic"), grid, 0.0)
-    akq = akq_residual(prep, fe, 2.0, v_field=v)
-    direct = prepotential_gd_residual(prep, v, 2.0)
-    scale = gd_scale(prep.xi["psi_psibar"], v, 2.0, constants.epsilon)
-    report(4, "free-energy form reduces to direct form",
-           np.max(np.abs(akq.values - direct.values)) / scale, 1e-12)
+    checks = duality_checks(build_prepotential(normalize_wronskian(make_conjugate(numeric))))
+    report(4, "square-eigenfunction residual, numeric pair", worst_gd(checks), 1e-4)
+    report(4, "free-energy form reduces to direct form", checks["akq_matches_direct"], 1e-12)
 
 
 def test_criterion_5_duality_identities():
@@ -149,15 +118,11 @@ def test_criterion_5_duality_identities():
     grid = Grid(0.0, 2.0 * math.pi, 1025)
     pair = normalize_wronskian(make_conjugate(
         analytic_pair(Potential("free"), 1.0, constants, grid)))
-    prep = build_prepotential(pair)
-    report(5, "Im F = X/eps (construction)",
-           np.max(np.abs(prep.F.values.imag - grid.x / constants.epsilon)), 0.0)
-    report(5, "dual derivative identity",
-           np.max(dual_derivative_residual(prep).values), 1e-10)
-    report(5, "modulus-momentum normalization",
-           np.max(np.abs(modulus_momentum_residual(pair).values)), 1e-8)
-    report(5, "Legendre pairing",
-           np.max(np.abs(legendre_residual(prep).values)), 1e-6)
+    checks = duality_checks(build_prepotential(pair))
+    report(5, "Im F = X/eps (construction)", checks["duality_im_f"], 0.0)
+    report(5, "dual derivative identity", checks["dual_derivative"], 1e-10)
+    report(5, "modulus-momentum normalization", checks["modulus_momentum"], 1e-8)
+    report(5, "Legendre pairing", checks["legendre"], 1e-6)
 
 
 def test_criterion_6_hierarchy_recursion():
@@ -229,12 +194,11 @@ def test_criterion_8_norm_scaling():
         field = ScalarField(grid, factor * xi,
                             derivs=tuple(factor * d for d in
                                          build_prepotential(conj).xi["psi_psibar"].derivs))
-        resid = gd_residual(field, v, 1.0, constants.epsilon)
-        scale = gd_scale(field, v, 1.0, constants.epsilon)
+        relative = gd_relative(field, v, 1.0, constants.epsilon)
         if factor == 1.0:
-            base = np.max(np.abs(resid.values)) / scale
+            base = relative
         else:
-            worst = max(worst, abs(np.max(np.abs(resid.values)) / scale - base))
+            worst = max(worst, abs(relative - base))
     report(8, "residuals invariant under the scaling", worst, 1e-10)
 
 

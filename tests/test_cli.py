@@ -89,6 +89,16 @@ class TestValidation:
         ("hierarchy", "x_ref", "x"),
         ("uncertainty", "hbar_scan", [1, "a"]),
         (None, "constants", []),
+        ("hierarchy", "order", -1),
+        ("hierarchy", "epsilon", 0),
+        ("hierarchy", "f_even_files", ["missing.csv"]),
+        ("hierarchy", "f_even_files", "f2.csv"),
+        ("hierarchy", "x_ref", 99),
+        (None, "tolerances", {"qshje_potentail": 1e-30}),
+        ("microstate", "alpha", "inf"),
+        ("microstate", "t_samples", [1, "nan"]),
+        ("uncertainty", "window", ["nan", 5]),
+        ("uncertainty", "delta_alpha", 0),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"
@@ -109,7 +119,37 @@ class TestValidation:
         assert report["checks"]["qshje_potential"]["tolerance"] == 1e-30
 
 
+PAIR_CHECKS = {"schrodinger_residual", "wronskian_drift"}
+MICROSTATE_CHECKS = {"qshje_potential", "qshje_schwarzian", "qshje_w_mismatch",
+                     "momentum_cross_check"}
+UNCERTAINTY_CHECKS = {"uncertainty_pq_slope", "uncertainty_et_slope"}
+DUALITY_CHECKS = {"duality_im_f", "dual_derivative", "modulus_momentum", "legendre",
+                  "gd_psi_psibar", "gd_psi_sq", "gd_psibar_sq", "akq_matches_direct"}
+HIERARCHY_CHECKS = {"hierarchy_parity", "hierarchy_p1_identity", "hierarchy_per_order",
+                    "hierarchy_p2_schwarzian"}
+ALL_CHECKS = (PAIR_CHECKS | MICROSTATE_CHECKS | UNCERTAINTY_CHECKS | DUALITY_CHECKS
+              | HIERARCHY_CHECKS)
+
+
 class TestRun:
+    @pytest.mark.parametrize("subcommand, checks, files", [
+        ("solve", PAIR_CHECKS, {"fields.csv"}),
+        ("microstate", PAIR_CHECKS | MICROSTATE_CHECKS, {"fields.csv"}),
+        ("uncertainty", UNCERTAINTY_CHECKS, {"uncertainty.csv"}),
+        ("duality", PAIR_CHECKS | DUALITY_CHECKS, {"fields.csv"}),
+        ("hierarchy", HIERARCHY_CHECKS, {"hierarchy.csv"}),
+        ("all", ALL_CHECKS, {"fields.csv", "uncertainty.csv", "hierarchy.csv"}),
+        ("report", ALL_CHECKS, set()),
+    ])
+    def test_subcommand_runs_its_checks_and_writes_its_files(self, tmp_path, subcommand,
+                                                             checks, files):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main([subcommand, "--config", cfg]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["checks"]) == checks
+        assert {p.name for p in out.iterdir()} == files | {"report.json"}
+
     def test_free_scenario_all_checks_pass(self, tmp_path):
         out = tmp_path / "out"
         code = main(["all", "--config", write_config(tmp_path, base_config(out))])

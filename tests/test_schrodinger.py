@@ -138,7 +138,7 @@ class TestSolvePair:
         with pytest.raises(AccuracyError) as err:
             solve_pair(Potential("free"), 1.0, constants, free_grid,
                        (1.0, 0.0, 0.0, 1.0), residual_tol=1e-30)
-        assert "psi" in err.value.diagnostics
+        assert "schrodinger_residual" in err.value.diagnostics
         assert "wronskian_drift" in err.value.diagnostics
 
     def test_ics_are_energy_independent(self, constants, free_grid):
