@@ -170,14 +170,17 @@ class ScenarioConfig:
             window = _numbers(_need(section, "window", "uncertainty", list), "uncertainty.window")
             if len(window) != 2:
                 raise ConfigError("uncertainty.window must be [lo, hi]")
+            _construct("uncertainty.window", uncertainty.window_mask, self.grid, window)
             if self.microstate is None:
                 raise ConfigError("uncertainty section needs a microstate section")
             delta_alpha = _need(section, "delta_alpha", "uncertainty", float)
             if delta_alpha == 0.0:
                 raise ConfigError("uncertainty.delta_alpha must be nonzero")
+            hbar_scan = _numbers(section.get("hbar_scan", []), "uncertainty.hbar_scan")
+            if hbar_scan:  # an empty list runs no scan
+                _construct("uncertainty.hbar_scan", uncertainty.scan_hbars, hbar_scan)
             self.uncertainty = {"delta_alpha": delta_alpha, "window": tuple(window),
-                                "hbar_scan": _numbers(section.get("hbar_scan", []),
-                                                      "uncertainty.hbar_scan")}
+                                "hbar_scan": hbar_scan}
 
         self.hierarchy = None
         if "hierarchy" in doc:
@@ -194,6 +197,8 @@ class ScenarioConfig:
 
         outputs = _section(doc, "outputs")
         self.out_dir = outputs.get("directory", "out")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"field outputs.directory must be a string, got {self.out_dir!r}")
         self.plots = bool(outputs.get("plots", False))
 
         self.tolerances = {key: _tolerance(key, value, f"tolerances.{key}")
@@ -339,7 +344,7 @@ def run_uncertainty(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_d
     report = uncertainty.delta_chain(ms, section["delta_alpha"], section["window"],
                                      de_momentum=de_p)
     if out_dir:
-        mask = (cfg.grid.x >= section["window"][0]) & (cfg.grid.x <= section["window"][1])
+        mask = uncertainty.window_mask(cfg.grid, section["window"])
         abs_p = np.abs(ms.p.values[mask])
         write_csv(os.path.join(out_dir, "uncertainty.csv"),
                   [("x", cfg.grid.x[mask]), ("abs_p", abs_p),

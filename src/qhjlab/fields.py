@@ -125,15 +125,16 @@ class ScalarField:
         return float(np.max(np.abs(self.values)))
 
 
-def _fornberg_weights(z: float, nodes: np.ndarray, max_order: int) -> np.ndarray:
+def _fornberg_weights(z, nodes: np.ndarray, max_order: int) -> np.ndarray:
     """Finite-difference weights at point ``z`` for derivatives 0..max_order.
 
     Classic recurrence; returns shape (len(nodes), max_order + 1) where column
-    m holds the weights of the m-th derivative.
+    m holds the weights of the m-th derivative.  An array ``z`` adds its shape
+    as trailing axes, each point going through the same scalar operations.
     """
     nodes = np.asarray(nodes, dtype=float)
     npts = len(nodes)
-    w = np.zeros((npts, max_order + 1))
+    w = np.zeros((npts, max_order + 1) + np.shape(z))
     w[0, 0] = 1.0
     c1 = 1.0
     c4 = nodes[0] - z
@@ -215,16 +216,23 @@ def _interval_weights(shift: int) -> np.ndarray:
     return w
 
 
-def interpolate(f: ScalarField, x: float):
-    """Value of ``f`` at coordinate ``x`` by 6-point Lagrange interpolation."""
+def interpolate(f: ScalarField, x):
+    """Value of ``f`` at coordinate(s) ``x`` by 6-point Lagrange interpolation.
+
+    An array ``x`` is evaluated in one pass; each point gets the same weights
+    and the same summation order as it would alone.
+    """
     grid = f.grid
-    if not grid.contains(x):
-        raise DomainError(f"coordinate {x} outside grid [{grid.x_min}, {grid.x_max}]")
-    i = int(np.floor((x - grid.x_min) / grid.h))
-    j0 = min(max(i - 2, 0), grid.n - 6)
-    t = (x - grid.x_min) / grid.h - j0
-    w = _fornberg_weights(t, np.arange(6, dtype=float), 0)[:, 0]
-    return (w * f.values[j0:j0 + 6]).sum()
+    x = np.asarray(x, dtype=float)
+    inside = (x >= grid.x_min) & (x <= grid.x_max)
+    if not inside.all():
+        raise DomainError(f"coordinate {x[~inside].flat[0]} outside grid "
+                          f"[{grid.x_min}, {grid.x_max}]")
+    s = (x - grid.x_min) / grid.h
+    j0 = np.clip(np.floor(s).astype(int) - 2, 0, grid.n - 6)
+    w = _fornberg_weights(s - j0, np.arange(6, dtype=float), 0)[:, 0]
+    stencil = f.values[j0[..., None] + np.arange(6)]
+    return (np.moveaxis(w, 0, -1) * stencil).sum(axis=-1)
 
 
 def antiderivative(f: ScalarField, x_ref: float) -> ScalarField:

@@ -28,7 +28,8 @@ from .errors import DomainError, StatisticsError
 from .fields import ScalarField
 from .microstates import Microstate
 
-__all__ = ["UncertaintyReport", "ScanReport", "delta_chain", "hbar_scaling_scan"]
+__all__ = ["UncertaintyReport", "ScanReport", "delta_chain", "hbar_scaling_scan",
+           "scan_hbars", "window_mask"]
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,9 @@ class UncertaintyReport:
         return self._midpoint(self.product_et)
 
 
-def _window_mask(grid, window):
+def window_mask(grid, window):
+    """Samples of ``grid`` inside ``window`` = (lo, hi), which must satisfy
+    lo < hi, lie inside the grid and hold at least one sample."""
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi):
         raise DomainError(f"window must satisfy lo < hi, got ({lo}, {hi})")
@@ -85,7 +88,7 @@ def delta_chain(ms: Microstate, delta_alpha: float, window,
     """
     hbar = ms.pair.constants.hbar
     delta_s0 = 0.5 * hbar * abs(delta_alpha)
-    mask = _window_mask(ms.pair.grid, window)
+    mask = window_mask(ms.pair.grid, window)
 
     abs_p = np.abs(ms.p.values[mask])
     p_min, p_max = float(np.min(abs_p)), float(np.max(abs_p))
@@ -129,21 +132,26 @@ def _loglog_fit(x, y):
     return float(slope), float(intercept)
 
 
-def hbar_scaling_scan(template, hbar_list, delta_alpha: float) -> ScanReport:
-    """Rebuild the scenario at each hbar and fit the product scaling.
-
-    ``template(hbar, delta_alpha)`` must return an :class:`UncertaintyReport`
-    with both product intervals filled in.  A slope near 1 in the returned
-    fits is the scaling content of the uncertainty statements.  At least four
-    positive hbar values are required; spanning a decade or more keeps the
-    fit well conditioned.
-    """
+def scan_hbars(hbar_list) -> list:
+    """The hbar values of a slope fit as floats: at least four, all positive."""
     hbars = [float(h) for h in hbar_list]
     if len(hbars) < 4:
         raise StatisticsError(f"need at least 4 hbar values for a slope fit, got {len(hbars)}")
     if any(h <= 0 for h in hbars):
         raise StatisticsError("hbar values must all be positive")
+    return hbars
 
+
+def hbar_scaling_scan(template, hbar_list, delta_alpha: float) -> ScanReport:
+    """Rebuild the scenario at each hbar and fit the product scaling.
+
+    ``template(hbar, delta_alpha)`` must return an :class:`UncertaintyReport`
+    with both product intervals filled in.  A slope near 1 in the returned
+    fits is the scaling content of the uncertainty statements.  ``hbar_list``
+    must pass :func:`scan_hbars`; spanning a decade or more keeps the fit
+    well conditioned.
+    """
+    hbars = scan_hbars(hbar_list)
     reports = [template(h, delta_alpha) for h in hbars]
     pq_mid = [r.product_pq_midpoint for r in reports]
     et_mid = [r.product_et_midpoint for r in reports]

@@ -99,6 +99,11 @@ class TestValidation:
         ("microstate", "t_samples", [1, "nan"]),
         ("uncertainty", "window", ["nan", 5]),
         ("uncertainty", "delta_alpha", 0),
+        ("uncertainty", "hbar_scan", [1, 2]),
+        ("uncertainty", "hbar_scan", [1.0, 0.5, -0.25, 0.125]),
+        ("uncertainty", "window", [-10, 1]),
+        ("uncertainty", "window", [3, 2]),
+        ("outputs", "directory", 5),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"
@@ -217,6 +222,7 @@ class TestRun:
         doc = base_config(out, potential={"kind": "linear", "slope": 1.0}, energy=2.0,
                           grid={"x_min": -2.0, "x_max": 1.5, "n": 257})
         doc["hierarchy"] = {"order": 4, "epsilon": 0.1, "x_ref": 0.0}
+        del doc["uncertainty"]  # its window [1, 5] is off this grid, a config error
         cfg = write_config(tmp_path, doc)
         assert main(["hierarchy", "--config", cfg]) == 0
         header = (out / "hierarchy.csv").read_text().splitlines()[0]

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from qhjlab.errors import CapabilityError, DegeneracyError
-from qhjlab.fields import Grid, ScalarField
+from qhjlab.errors import CapabilityError, DegeneracyError, DomainError
+from qhjlab.fields import Grid, ScalarField, interpolate
 from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual
 from qhjlab.schrodinger import (
     PhysicalConstants,
@@ -59,6 +59,18 @@ class TestPotential:
         assert abs(v.value(0.505) - np.cos(0.505)) < 1e-9
         d1 = v.derivative_samples(g, 1)
         assert np.max(np.abs(d1[4:-4] + np.sin(g.x)[4:-4])) < 1e-9
+
+    def test_custom_value_is_one_array_pass_of_the_scalar_stencil(self):
+        g = Grid(-1.0, 1.0, 129)
+        f = ScalarField(g, 0.3 * np.cos(3.0 * g.x))
+        v = Potential("custom", samples=f)
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 1001), g.x, g.x[:-1] + 0.5 * g.h])
+        scalar = np.array([interpolate(f, float(x)) for x in xs])
+        assert np.max(np.abs(v.value(xs) - scalar)) <= 1e-13 * np.max(np.abs(scalar))
+        assert v.value(xs[:6].reshape(2, 3)).shape == (2, 3)
+        for off_grid in (1.01, np.array([0.0, -1.5]), np.nan):
+            with pytest.raises(DomainError):
+                v.value(off_grid)
 
 
 class TestAnalyticPairs:
@@ -167,6 +179,63 @@ class TestSolvePair:
         inner = g.interior_slice(0.8)
         assert np.max(np.abs(rep.from_potential.values[inner])) / scale < 1e-6
         assert rep.w_mismatch / scale < 1e-6
+
+
+def numpy_step_loop(potential, E, constants, grid, ics):
+    """The former numpy RK4 sweep of ``solve_pair``, kept as the reference:
+    (n, 4) states (psi, psi', psiD, psiD') on the grid."""
+    eps2 = constants.epsilon ** 2
+    x = grid.x
+    h = grid.h
+    g_nodes = (potential.value(x) - E) / eps2
+    g_mid = (potential.value(x[:-1] + 0.5 * h) - E) / eps2
+
+    n = grid.n
+    state = np.empty((n, 4))
+    state[0] = ics
+    y = np.array(ics)
+    for i in range(n - 1):
+        g0, gm, g1 = g_nodes[i], g_mid[i], g_nodes[i + 1]
+        k1 = np.array([y[1], g0 * y[0], y[3], g0 * y[2]])
+        y2 = y + 0.5 * h * k1
+        k2 = np.array([y2[1], gm * y2[0], y2[3], gm * y2[2]])
+        y3 = y + 0.5 * h * k2
+        k3 = np.array([y3[1], gm * y3[0], y3[3], gm * y3[2]])
+        y4 = y + h * k3
+        k4 = np.array([y4[1], g1 * y4[0], y4[3], g1 * y4[2]])
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        state[i + 1] = y
+    return state
+
+
+def _sweep_cases():
+    from qhjlab.catalog import harmonic_scenario
+
+    unit = PhysicalConstants()
+    g = Grid(-3.0, 3.0, 1025)
+    u0 = np.exp(-0.5 * g.x_min ** 2)
+    scan = harmonic_scenario(hbar=1.0 / 16.0, grid=Grid(-0.5, 0.5, 4097))
+    custom = Grid(-2.0, 2.0, 257)
+    return {
+        "free": (Potential("free"), 1.0, unit, Grid(0.0, 2.0 * np.pi, 257),
+                 (1.0, 0.0, 0.0, 1.0)),
+        "harmonic-ground": (Potential("harmonic"), 1.0, unit, g,
+                            (u0, -g.x_min * u0, 0.0, -1.0 / u0)),
+        "harmonic-scan": (scan.potential, scan.energy, scan.constants, scan.grid, scan.ics),
+        "linear": (Potential("linear"), 2.0, unit, Grid(0.0, 4.0, 1025), (1.0, 0.0, 0.0, 1.0)),
+        "custom": (Potential("custom", samples=ScalarField(custom, 0.3 * np.cos(custom.x))),
+                   1.4, unit, custom, (1.0, 0.0, 0.0, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["free", "harmonic-ground", "harmonic-scan", "linear", "custom"])
+def test_scalar_sweep_is_bitwise_the_numpy_loop(case):
+    args = _sweep_cases()[case]
+    pair = solve_pair(*args)
+    expected = numpy_step_loop(*args)
+    got = (pair.psi.values, pair.psi.derivs[0], pair.psi_dual.values, pair.psi_dual.derivs[0])
+    for column, values in enumerate(got):
+        assert np.array_equal(values, expected[:, column]), f"state column {column}"
 
 
 class TestNormalizeWronskian:
