@@ -32,7 +32,6 @@ from dataclasses import fields
 import numpy as np
 
 from . import duality, hierarchy, microstates, uncertainty
-from .catalog import harmonic_ground_ics, hbar_template
 from .errors import QhjLabError, ConfigError
 from .fields import Grid, ScalarField
 from .schrodinger import PhysicalConstants, Potential, Scenario, make_conjugate, \
@@ -148,10 +147,11 @@ class ScenarioConfig:
         self.method = solver.get("method", "auto")
         if self.method not in ("auto", "analytic", "numeric"):
             raise ConfigError(f"solver.method must be auto/analytic/numeric, got {self.method!r}")
-        self.ics_given = "ics" in solver
-        self.ics = tuple(_numbers(solver.get("ics", [1.0, 0.0, 0.0, 1.0]), "solver.ics"))
-        if len(self.ics) != 4:
-            raise ConfigError("solver.ics must hold exactly four values")
+        self.ics = None  # Scenario then solves from default_ics at each hbar
+        if "ics" in solver:
+            self.ics = tuple(_numbers(solver["ics"], "solver.ics"))
+            if len(self.ics) != 4:
+                raise ConfigError("solver.ics must hold exactly four values")
 
         self.microstate = self.t_samples = None
         if "microstate" in doc:
@@ -224,28 +224,16 @@ class ScenarioConfig:
         kind = self.potential.kind
         if kind in ("free", "linear"):
             return "analytic"
-        if kind == "harmonic" and self.uncertainty is None and not self.t_samples:
-            # the closed form exists for the ground level only, so it cannot
-            # serve the E +/- dE re-solves of the time/uncertainty pipelines
-            e0 = self.potential.ground_level(self.constants)
-            if abs(self.energy - e0) <= 1e-9 * max(1.0, abs(e0)):
-                return "analytic"
+        # the closed form exists for the ground level only, so it cannot
+        # serve the E +/- dE re-solves of the time/uncertainty pipelines
+        if (kind == "harmonic" and self.uncertainty is None and not self.t_samples
+                and self.potential.is_ground_level(self.energy, self.constants)):
+            return "analytic"
         return "numeric"
 
-    def scenario(self, hbar: float | None = None) -> Scenario:
-        """The configured scenario, or its rebuild at ``hbar`` (harmonic tracks
-        its ground level and seeds from the centered ground family by default)."""
-        constants, energy = self.constants, self.energy
-        if hbar is not None:
-            constants = PhysicalConstants(hbar=hbar, mass=constants.mass)
-            if self.potential.kind == "harmonic":
-                energy = self.potential.ground_level(constants)
-        method, ics = self.resolved_method(), None
-        if method == "numeric":
-            ics = self.ics
-            if not self.ics_given and self.potential.kind == "harmonic":
-                ics = harmonic_ground_ics(constants, self.potential.stiffness, self.grid.x_min)
-        return Scenario(self.potential, constants, self.grid, energy, method=method, ics=ics)
+    def scenario(self) -> Scenario:
+        return Scenario(self.potential, self.constants, self.grid, self.energy,
+                        method=self.resolved_method(), ics=self.ics)
 
     def tolerance(self, check: str) -> float:
         """Tolerance of a report check: its configured or default value, the
@@ -352,9 +340,7 @@ def run_uncertainty(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_d
                    ("time_weight", np.abs(de_p.values[mask]) / abs_p)])
     checks = {}
     if section["hbar_scan"]:
-        # the scan reuses the run's family at the configured hbar
-        template = hbar_template(cfg.scenario, cfg.microstate, section["window"], base=family)
-        checks = uncertainty.hbar_scaling_scan(template, section["hbar_scan"],
+        checks = uncertainty.hbar_scaling_scan(family, section["window"], section["hbar_scan"],
                                                section["delta_alpha"]).checks()
     return checks, "uncertainty.csv", []
 

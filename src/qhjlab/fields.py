@@ -109,20 +109,12 @@ class ScalarField:
         object.__setattr__(self, "derivs", tuple(checked))
 
     @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
-    @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
 
     def bare(self) -> "ScalarField":
         """Copy of this field without attached analytic derivatives."""
         return ScalarField(self.grid, self.values)
-
-    def scale(self) -> float:
-        """Max modulus over the grid; the reference for relative tolerances."""
-        return float(np.max(np.abs(self.values)))
 
 
 def _fornberg_weights(z, nodes: np.ndarray, max_order: int) -> np.ndarray:

@@ -25,7 +25,7 @@ rather than by stencils.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -93,6 +93,11 @@ class Potential:
         if self.kind != "harmonic":
             raise CapabilityError(f"no closed-form ground level for potential kind {self.kind!r}")
         return constants.epsilon * math.sqrt(self.stiffness)
+
+    def is_ground_level(self, E: float, constants: PhysicalConstants) -> bool:
+        """Whether E is the harmonic ground level, to 1e-9 relative."""
+        e0 = self.ground_level(constants)
+        return abs(E - e0) <= 1e-9 * max(1.0, abs(e0))
 
     def value(self, x):
         """V at arbitrary coordinates (vectorised)."""
@@ -246,11 +251,10 @@ def _free_pair(E, constants, grid):
 
 
 def _harmonic_ground_pair(potential, E, constants, grid):
-    e0 = potential.ground_level(constants)
-    if abs(E - e0) > 1e-9 * max(1.0, abs(e0)):
+    if not potential.is_ground_level(E, constants):
         raise CapabilityError(
-            f"harmonic analytic pair covers the ground state only (E = {e0:.6g}); "
-            f"got E = {E}")
+            "harmonic analytic pair covers the ground state only "
+            f"(E = {potential.ground_level(constants):.6g}); got E = {E}")
     a = math.sqrt(potential.stiffness) / constants.epsilon
     x = grid.x
     u = np.exp(-0.5 * a * x * x)
@@ -414,10 +418,31 @@ def normalize_wronskian(pair: SolutionPair, target: complex | None = None) -> So
                         kind=kind, potential=pair.potential, provenance=pair.provenance)
 
 
+def default_ics(potential: Potential, constants: PhysicalConstants, x_min: float) -> tuple:
+    """Initial values (psi, psi', psiD, psiD') at x_min of a numeric pair given none.
+
+    Harmonic: the ground state and its partner, anchored at the well center
+    rather than at x_min, since anchoring at the boundary would make the
+    denominator field swing over ~e^{2 a x^2} and starve the momentum of
+    dynamic range at small hbar; the orientation gives Wronskian +1, as the
+    analytic pair.  Otherwise (1, 0, 0, 1).
+    """
+    if potential.kind != "harmonic":
+        return (1.0, 0.0, 0.0, 1.0)
+    a = math.sqrt(potential.stiffness) / constants.epsilon
+    u0 = math.exp(-0.5 * a * x_min * x_min)
+    du0 = -a * x_min * u0
+    i0 = 0.5 * math.sqrt(math.pi / a) * float(special.erfi(math.sqrt(a) * x_min))
+    return (u0, du0, -u0 * i0, -du0 * i0 - 1.0 / u0)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A pair factory bound to (potential, constants, grid) that can re-solve
-    at shifted energies from identical, energy-independent initial data."""
+    at shifted energies from identical, energy-independent initial data.
+
+    ``ics=None`` means :func:`default_ics` at the scenario's constants.
+    """
 
     potential: Potential
     constants: PhysicalConstants
@@ -429,14 +454,24 @@ class Scenario:
     def __post_init__(self):
         if self.method not in ("analytic", "numeric"):
             raise ValueError(f"unknown scenario method {self.method!r}")
-        if self.method == "numeric" and self.ics is None:
-            raise ValueError("numeric scenario needs initial values at x_min")
 
     def pair(self, energy: float | None = None) -> SolutionPair:
         E = self.energy if energy is None else energy
         if self.method == "analytic":
             return analytic_pair(self.potential, E, self.constants, self.grid)
-        return solve_pair(self.potential, E, self.constants, self.grid, self.ics)
+        ics = self.ics
+        if ics is None:
+            ics = default_ics(self.potential, self.constants, self.grid.x_min)
+        return solve_pair(self.potential, E, self.constants, self.grid, ics)
+
+    def at_hbar(self, hbar: float) -> "Scenario":
+        """This scenario at another hbar with the same mass; a harmonic one
+        moves to its ground level there."""
+        constants = PhysicalConstants(hbar=hbar, mass=self.constants.mass)
+        energy = self.energy
+        if self.potential.kind == "harmonic":
+            energy = self.potential.ground_level(constants)
+        return replace(self, constants=constants, energy=energy)
 
     def delta_e(self) -> float:
         """Default central-difference step in energy: relative with an absolute floor."""

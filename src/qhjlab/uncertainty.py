@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, StatisticsError
 from .fields import ScalarField
-from .microstates import Microstate
+from .microstates import EnergyFamily, Microstate
 
 __all__ = ["UncertaintyReport", "ScanReport", "delta_chain", "hbar_scaling_scan",
            "scan_hbars", "window_mask"]
@@ -142,17 +142,24 @@ def scan_hbars(hbar_list) -> list:
     return hbars
 
 
-def hbar_scaling_scan(template, hbar_list, delta_alpha: float) -> ScanReport:
-    """Rebuild the scenario at each hbar and fit the product scaling.
+def hbar_scaling_scan(family: EnergyFamily, window, hbar_list,
+                      delta_alpha: float) -> ScanReport:
+    """Rebuild ``family``'s scenario at each hbar and fit the product scaling.
 
-    ``template(hbar, delta_alpha)`` must return an :class:`UncertaintyReport`
-    with both product intervals filled in.  A slope near 1 in the returned
-    fits is the scaling content of the uncertainty statements.  ``hbar_list``
-    must pass :func:`scan_hbars`; spanning a decade or more keeps the fit
-    well conditioned.
+    Each hbar runs :func:`delta_chain` over ``window`` on the family of
+    ``family.scenario.at_hbar(hbar)``, which is ``family`` itself where that
+    scenario is unchanged.  A slope near 1 in the returned fits is the scaling
+    content of the uncertainty statements.  ``hbar_list`` must pass
+    :func:`scan_hbars`; spanning a decade or more keeps the fit well
+    conditioned.
     """
     hbars = scan_hbars(hbar_list)
-    reports = [template(h, delta_alpha) for h in hbars]
+    reports = []
+    for h in hbars:
+        scenario = family.scenario.at_hbar(h)
+        at_h = family if scenario == family.scenario else EnergyFamily(scenario, family.params)
+        reports.append(delta_chain(at_h.microstate, delta_alpha, window,
+                                   de_momentum=at_h.de_momentum))
     pq_mid = [r.product_pq_midpoint for r in reports]
     et_mid = [r.product_et_midpoint for r in reports]
     pq_slope, pq_icept = _loglog_fit(hbars, pq_mid)

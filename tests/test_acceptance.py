@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from qhjlab.catalog import free_scenario, scan_template
+from qhjlab.catalog import SCAN_WINDOWS, free_scenario, scan_family
 from qhjlab.duality import build_prepotential, duality_checks, gd_relative, omega_for_norm
 from qhjlab.fields import Grid, ScalarField, derivative
 from qhjlab.hierarchy import HierarchyInput, master_residual, p2_schwarzian_check, recurse
@@ -85,12 +85,12 @@ def test_criterion_2_qshje_identity():
 
 
 def test_criterion_3_uncertainty_scaling():
-    free = hbar_scaling_scan(scan_template("free"), SCAN_HBARS, 1.0).checks()
+    free = hbar_scaling_scan(scan_family("free"), SCAN_WINDOWS["free"], SCAN_HBARS, 1.0).checks()
     report(3, "free slope exactness (pq)", free["uncertainty_pq_slope"], 1e-10)
     report(3, "free slope exactness (Et)", free["uncertainty_et_slope"], 1e-10)
     worst = 0.0
     for name in ("free", "harmonic", "linear"):
-        checks = hbar_scaling_scan(scan_template(name), SCAN_HBARS, 1.0).checks()
+        checks = hbar_scaling_scan(scan_family(name), SCAN_WINDOWS[name], SCAN_HBARS, 1.0).checks()
         worst = max(worst, *checks.values())
     report(3, "all scenarios, both products", worst, 0.05)
 

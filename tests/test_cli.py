@@ -8,6 +8,7 @@ import pytest
 
 from qhjlab.cli import DEFAULT_TOLERANCES, SCHEMA_VERSION, load_config, main
 from qhjlab.errors import ConfigError
+from qhjlab.schrodinger import Potential, default_ics
 
 FIELDS_HEADER = ("x,potential,psi,psi_dual,w_ratio,S0,p,Q,mfW,"
                  "residual_qshje_potential,residual_qshje_schwarzian,"
@@ -194,6 +195,20 @@ class TestRun:
         # scan hbar values that differ from the configured one
         assert len(pair_solves) == 15
         assert len(set(pair_solves)) == 15
+
+    @pytest.mark.parametrize("ics", [None, [0.9, 0.4, 0.1, 1.2]], ids=["default", "given"])
+    def test_scan_solves_keep_the_configured_ics(self, tmp_path, pair_solves, ics):
+        doc = base_config(tmp_path / "out", **HARMONIC)
+        if ics:
+            doc["solver"] = {"ics": ics}
+        main(["uncertainty", "--config", write_config(tmp_path, doc)])
+        scan = HARMONIC["uncertainty"]["hbar_scan"]
+        assert sorted({key[3].hbar for key in pair_solves}) == sorted(scan)
+        for name, _, _, constants, grid, solved_from in pair_solves:
+            assert name == "solve_pair"
+            # without solver.ics each hbar seeds from its own ground-state data
+            expected = ics or default_ics(Potential("harmonic"), constants, grid.x_min)
+            assert solved_from == tuple(expected)
 
     def test_forced_failure_exits_two(self, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Solution pairs: closed forms, the RK4 fallback, Wronskian control."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qhjlab.schrodinger import (
     Potential,
     Scenario,
     analytic_pair,
+    default_ics,
     make_conjugate,
     normalize_wronskian,
     solve_pair,
@@ -44,6 +47,15 @@ class TestPotential:
             Potential("custom")  # needs samples
         with pytest.raises(ValueError):
             Potential("linear", slope=0.0)
+
+    def test_ground_level_predicate(self):
+        harmonic = Potential("harmonic", stiffness=4.0)
+        c = PhysicalConstants(hbar=0.5)  # eps = 0.5, ground level 1
+        assert harmonic.is_ground_level(1.0, c)
+        assert harmonic.is_ground_level(1.0 + 5e-10, c)
+        assert not harmonic.is_ground_level(1.0 + 5e-9, c)
+        with pytest.raises(CapabilityError):
+            Potential("free").is_ground_level(1.0, c)
 
     def test_values_and_derivatives(self):
         g = Grid(-1.0, 1.0, 65)
@@ -221,7 +233,8 @@ def _sweep_cases():
                  (1.0, 0.0, 0.0, 1.0)),
         "harmonic-ground": (Potential("harmonic"), 1.0, unit, g,
                             (u0, -g.x_min * u0, 0.0, -1.0 / u0)),
-        "harmonic-scan": (scan.potential, scan.energy, scan.constants, scan.grid, scan.ics),
+        "harmonic-scan": (scan.potential, scan.energy, scan.constants, scan.grid,
+                          default_ics(scan.potential, scan.constants, scan.grid.x_min)),
         "linear": (Potential("linear"), 2.0, unit, Grid(0.0, 4.0, 1025), (1.0, 0.0, 0.0, 1.0)),
         "custom": (Potential("custom", samples=ScalarField(custom, 0.3 * np.cos(custom.x))),
                    1.4, unit, custom, (1.0, 0.0, 0.0, 1.0)),
@@ -276,9 +289,47 @@ class TestNormalizeWronskian:
 
 
 class TestScenario:
-    def test_numeric_needs_ics(self, constants, free_grid):
-        with pytest.raises(ValueError):
-            Scenario(Potential("free"), constants, free_grid, 1.0, method="numeric")
+    @pytest.mark.parametrize("kind", ["free", "harmonic"])
+    def test_numeric_without_ics_solves_from_default_ics(self, constants, kind):
+        grid = Grid(-0.5, 0.5, 257)
+        potential = Potential(kind)
+        ics = (1.0, 0.0, 0.0, 1.0) if kind == "free" else \
+            default_ics(potential, constants, grid.x_min)
+        bare = Scenario(potential, constants, grid, 1.0, method="numeric")
+        got, expected = bare.pair(), replace(bare, ics=ics).pair()
+        for member in ("psi", "psi_dual"):
+            a, b = getattr(got, member), getattr(expected, member)
+            assert np.array_equal(a.values, b.values)
+            assert all(np.array_equal(da, db) for da, db in zip(a.derivs, b.derivs))
+
+    def test_harmonic_default_ics_are_the_centered_ground_pair(self):
+        # the partner is anchored at the well center, as in the analytic pair
+        constants = PhysicalConstants(hbar=0.5)
+        grid = Grid(-0.5, 0.5, 1025)
+        pair = analytic_pair(Potential("harmonic"), 0.5, constants, grid)
+        at_x_min = (pair.psi.values[0], pair.psi.derivs[0][0],
+                    pair.psi_dual.values[0], pair.psi_dual.derivs[0][0])
+        assert default_ics(Potential("harmonic"), constants, grid.x_min) == \
+            pytest.approx(at_x_min, rel=1e-9)
+
+    def test_at_hbar_moves_harmonic_to_its_ground_level(self):
+        sc = Scenario(Potential("harmonic", stiffness=4.0), PhysicalConstants(mass=2.0),
+                      Grid(-1.0, 1.0, 65), 3.0, method="numeric")
+        moved = sc.at_hbar(0.25)
+        assert moved.constants == PhysicalConstants(hbar=0.25, mass=2.0)
+        assert moved.energy == 0.25  # eps sqrt(k) = (0.25 / 2) * 2
+        assert replace(moved, constants=sc.constants, energy=sc.energy) == sc
+
+    def test_at_hbar_keeps_free_energy(self, free_grid):
+        sc = Scenario(Potential("free"), PhysicalConstants(mass=2.0), free_grid, 1.5)
+        moved = sc.at_hbar(0.5)
+        assert moved.constants == PhysicalConstants(hbar=0.5, mass=2.0)
+        assert moved.energy == 1.5
+
+    @pytest.mark.parametrize("kind", ["free", "harmonic"])
+    def test_at_same_hbar_is_the_scenario(self, constants, free_grid, kind):
+        sc = Scenario(Potential(kind), constants, free_grid, 1.0)  # harmonic ground level
+        assert sc.at_hbar(constants.hbar) == sc
 
     def test_pair_at_shifted_energy(self, constants, free_grid):
         sc = Scenario(Potential("free"), constants, free_grid, 1.0)

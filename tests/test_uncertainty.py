@@ -6,7 +6,7 @@ from qhjlab.catalog import (
     SCAN_WINDOWS,
     builtin_scenario,
     harmonic_scenario,
-    scan_template,
+    scan_family,
 )
 from qhjlab.errors import DomainError, StatisticsError
 from qhjlab.fields import Grid
@@ -16,6 +16,11 @@ from qhjlab.uncertainty import delta_chain, hbar_scaling_scan
 
 UNIT_ELL = MicrostateParams(alpha=0.0, ell=1.0 + 0.0j)
 SCAN_HBARS = [1.0, 0.5, 0.25, 0.125, 0.0625]
+
+
+def scan(name, hbars=SCAN_HBARS):
+    """The hbar scan of a built-in scenario over its scan window."""
+    return hbar_scaling_scan(scan_family(name), SCAN_WINDOWS[name], hbars, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +88,7 @@ class TestDeltaChain:
 
 class TestScaling:
     def test_free_slope_exact(self):
-        report = hbar_scaling_scan(scan_template("free"), SCAN_HBARS, 1.0)
+        report = scan("free")
         assert abs(report.pq_slope - 1.0) < 1e-10
         assert abs(report.et_slope - 1.0) < 1e-10
         # the free product is exactly hbar/2
@@ -92,34 +97,34 @@ class TestScaling:
 
     def test_free_slope_exact_minimal_list(self):
         # the shortest admissible scan gives the same exact slope
-        report = hbar_scaling_scan(scan_template("free"), [1.0, 0.5, 0.25, 0.125], 1.0)
+        report = scan("free", [1.0, 0.5, 0.25, 0.125])
         assert abs(report.pq_slope - 1.0) < 1e-10
 
     @pytest.mark.parametrize("name", ["harmonic", "linear"])
     def test_builtin_slopes_near_one(self, name):
-        report = hbar_scaling_scan(scan_template(name), SCAN_HBARS, 1.0)
+        report = scan(name)
         assert abs(report.pq_slope - 1.0) < 0.05, f"{name} pq {report.pq_slope}"
         assert abs(report.et_slope - 1.0) < 0.05, f"{name} et {report.et_slope}"
 
     @pytest.mark.parametrize("name", ["free", "harmonic", "linear"])
     def test_midpoint_bracket_fixed_across_scan(self, name):
         # the literal O(hbar) content: midpoint/hbar stays in a fixed bracket
-        report = hbar_scaling_scan(scan_template(name), SCAN_HBARS, 1.0)
+        report = scan(name)
         ratios = [m / h for m, h in zip(report.pq_midpoints, report.hbars)]
         assert max(ratios) / min(ratios) < 1.2
 
     def test_doubling_alpha_doubles_products(self):
-        template = scan_template("free")
-        r1 = hbar_scaling_scan(template, SCAN_HBARS, 1.0)
-        r2 = hbar_scaling_scan(template, SCAN_HBARS, 2.0)
+        family = scan_family("free")
+        r1 = hbar_scaling_scan(family, SCAN_WINDOWS["free"], SCAN_HBARS, 1.0)
+        r2 = hbar_scaling_scan(family, SCAN_WINDOWS["free"], SCAN_HBARS, 2.0)
         for a, b in zip(r1.pq_midpoints, r2.pq_midpoints):
             assert b == pytest.approx(2.0 * a, rel=1e-14)
 
     def test_too_few_points(self):
         with pytest.raises(StatisticsError):
-            hbar_scaling_scan(scan_template("free"), [1.0, 0.5, 0.25], 1.0)
+            scan("free", [1.0, 0.5, 0.25])
         with pytest.raises(StatisticsError):
-            hbar_scaling_scan(scan_template("free"), [1.0, 0.5, 0.25, -0.125], 1.0)
+            scan("free", [1.0, 0.5, 0.25, -0.125])
 
 
 def test_scan_windows_inside_grids():
