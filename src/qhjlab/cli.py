@@ -4,7 +4,9 @@ Reads a single JSON config describing the scenario (constants, potential,
 energy, grid and the optional microstate / uncertainty / hierarchy sections),
 runs the selected pipelines, and writes CSV tables plus a JSON report into
 the output directory.  Files are written atomically (temp file + rename) and
-reruns of the same config are byte-identical.
+reruns of the same config are byte-identical.  Every CSV number is written
+as ``%.17g`` (17 significant digits, so it reads back exactly); the format is
+fixed so that CSV bytes stay stable across versions.
 
     qhjlab <subcommand> --config scenario.json [--out DIR] [--tol key=value]...
 
@@ -261,8 +263,8 @@ def load_config(path: str) -> ScenarioConfig:
 # Output helpers
 
 
-def _format_value(v) -> str:
-    return f"{float(v):.17g}"
+# Rows per .tolist() batch; the whole table as Python floats would cost memory.
+CSV_BLOCK_ROWS = 1024
 
 
 def atomic_write(path: str, text: str):
@@ -280,21 +282,24 @@ def atomic_write(path: str, text: str):
 
 
 def write_csv(path: str, columns):
-    """columns: list of (name, 1-D array); complex arrays split into re_/im_."""
+    """columns: list of (name, 1-D array) of one length; complex split into re_/im_."""
     names, arrays = [], []
     for name, arr in columns:
         arr = np.asarray(arr)
+        if arrays and len(arr) != len(arrays[0]):
+            raise ValueError(f"column {name!r} has {len(arr)} rows, expected {len(arrays[0])}")
         if np.iscomplexobj(arr):
             names.extend([f"re_{name}", f"im_{name}"])
             arrays.extend([arr.real, arr.imag])
         else:
             names.append(name)
             arrays.append(arr)
-    length = len(arrays[0])
-    lines = [",".join(names)]
-    for i in range(length):
-        lines.append(",".join(_format_value(a[i]) for a in arrays))
-    atomic_write(path, "\n".join(lines) + "\n")
+    table = np.stack(arrays, axis=1, dtype=np.float64)
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    lines = [",".join(names) + "\n"]
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        lines.extend([row % tuple(r) for r in table[start:start + CSV_BLOCK_ROWS].tolist()])
+    atomic_write(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------

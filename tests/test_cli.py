@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qhjlab.cli import DEFAULT_TOLERANCES, SCHEMA_VERSION, load_config, main
+from qhjlab.cli import CSV_BLOCK_ROWS, DEFAULT_TOLERANCES, SCHEMA_VERSION, load_config, main, \
+    write_csv
 from qhjlab.errors import ConfigError
 from qhjlab.schrodinger import Potential, default_ics
 
@@ -360,6 +361,72 @@ class TestGoldenSchema:
         doc["outputs"]["plots"] = True
         assert main(["all", "--config", write_config(tmp_path, doc)]) == 0
         assert "gnuplot" in (out / "plots.gp").read_text()
+
+
+def per_cell_csv(columns):
+    """The former per-cell ``write_csv`` body, kept as the reference text."""
+    names, arrays = [], []
+    for name, arr in columns:
+        arr = np.asarray(arr)
+        if np.iscomplexobj(arr):
+            names.extend([f"re_{name}", f"im_{name}"])
+            arrays.extend([arr.real, arr.imag])
+        else:
+            names.append(name)
+            arrays.append(arr)
+    length = len(arrays[0])
+    lines = [",".join(names)]
+    for i in range(length):
+        lines.append(",".join(f"{float(a[i]):.17g}" for a in arrays))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, np.finfo(float).max,
+               -np.finfo(float).max, 0.1, 1.0 / 3.0, -2.5, 1e22]
+
+
+class TestWriteCsv:
+    @staticmethod
+    def columns(rows):
+        def cycle(offset):
+            return [EDGE_VALUES[(i + offset) % len(EDGE_VALUES)] for i in range(rows)]
+        z = np.array(cycle(0), dtype=complex)
+        z.imag = cycle(5)
+        return [("x", np.linspace(-1.0, 1.0, rows)),
+                ("z", z),
+                ("t", cycle(3)),  # a list of Python floats, as for trajectory.csv
+                ("flag", np.arange(rows) % 3 == 0),
+                ("k", np.arange(rows) - rows // 2)]
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                      CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
+    def test_bytes_equal_the_per_cell_loop(self, tmp_path, rows):
+        columns = self.columns(rows)
+        write_csv(str(tmp_path / "t.csv"), columns)
+        expected = per_cell_csv(columns).encode("utf-8")
+        assert (tmp_path / "t.csv").read_bytes() == expected
+        assert expected.count(b"\n") == rows + 1
+
+    @pytest.mark.parametrize("length", [4, 6])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_unequal_lengths_rejected(self, tmp_path, length, dtype):
+        columns = [("x", np.zeros(5)), ("bad", np.zeros(length, dtype=dtype))]
+        with pytest.raises(ValueError, match=rf"column 'bad' has {length} rows, expected 5"):
+            write_csv(str(tmp_path / "t.csv"), columns)
+        assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.xfail(strict=True, reason="no resolution guard before the hbar scan (ROADMAP D5)")
+def test_under_resolved_scan_refused_before_any_write(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = base_config(out, potential={"kind": "linear", "slope": 1.0}, energy=2.0,
+                      grid={"x_min": -4.0, "x_max": 1.5, "n": 1025},
+                      solver={"method": "numeric"})
+    doc["uncertainty"]["window"] = [-3.5, -0.5]
+    doc["hierarchy"]["x_ref"] = 0.0
+    assert main(["all", "--config", write_config(tmp_path, doc)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_module_entry_point(tmp_path):
