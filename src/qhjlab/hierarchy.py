@@ -17,13 +17,20 @@ jets (value plus scaled derivatives at every grid point), so the derivative
 appearing at each order is exact given the derivatives of V, and rerunning on
 a sub-grid reproduces the restriction of the full-grid output to rounding.
 
-Even-index coefficients come out purely imaginary and odd-index ones purely
-real for real inputs; the antiderivatives S^j (anchored at x_ref) reconstruct
-the squared modulus through |psi|^2 = omega * exp(2 sum_j eps^{2j} S^{2j+1}).
+For real V and F'' each coefficient is one real jet R_j, with P_j = i R_j for
+even j and P_j = R_j for odd j: the recursion keeps this parity (i*i = -1 in a
+product of even coefficients, and dividing by 2 P_0 = 2i R_0 swaps real and
+imaginary), so it holds by construction.  Each real step does the IEEE
+operations of complex arithmetic on the nonzero component, in the same order;
+divisions multiply by the divisor's reciprocal, as numpy's complex divide
+(Smith's algorithm) does, so the coefficients equal a complex recursion's bit
+for bit.  The antiderivatives S^j (anchored at x_ref) reconstruct the squared
+modulus through |psi|^2 = omega * exp(2 sum_j eps^{2j} S^{2j+1}).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,69 +41,62 @@ from .fields import Grid, ScalarField, antiderivative, derivative, schwarzian
 from .schrodinger import Potential
 
 MAX_ORDER = 12  # third-derivative noise of sampled inputs dominates beyond this
+_FACTORIALS = np.array([[1.0], [1.0], [2.0], [6.0]])  # r! for jet rows 0..3
 
 
 # ---------------------------------------------------------------------------
-# Truncated Taylor jets: arrays of shape (rows, n) holding f^(r)/r! per sample.
+# Truncated Taylor jets: real arrays of shape (rows, n) holding f^(r)/r! per sample.
 
-def _jet_mul(a, b):
-    rows = min(a.shape[0], b.shape[0])
-    out = np.zeros((rows, a.shape[1]), dtype=np.complex128)
+def _jet_mul(a, b, rows):
+    """First ``rows`` rows of the jet of a*b, row r summed over s = 0..r in order
+    (from a[0] b[r], not 0 + a[0] b[r]; recurse adds it to a +0, which erases the
+    only difference, the sign of an exact zero)."""
+    out = np.empty((rows, a.shape[1]))
     for r in range(rows):
-        for s in range(r + 1):
-            out[r] += a[s] * b[r - s]
+        row = out[r]
+        np.multiply(a[0], b[r], out=row)
+        for s in range(1, r + 1):
+            row += a[s] * b[r - s]
     return out
 
 
 def _jet_div(a, b):
-    """Jet of a/b (b[0] must not vanish)."""
-    rows = min(a.shape[0], b.shape[0])
-    out = np.empty((rows, a.shape[1]), dtype=np.complex128)
-    out[0] = a[0] / b[0]
-    for r in range(1, rows):
-        acc = a[r].astype(np.complex128)
-        for s in range(1, r + 1):
-            acc = acc - b[s] * out[r - s]
-        out[r] = acc / b[0]
+    """Jet of a/b, each row scaled by the reciprocal 1/b[0] (b[0] must not vanish)."""
+    scl = 1.0 / b[0]
+    out = np.empty_like(a)
+    np.multiply(a[0], scl, out=out[0])
+    for r in range(1, a.shape[0]):
+        acc = a[r] - b[1] * out[r - 1]
+        for s in range(2, r + 1):
+            acc -= b[s] * out[r - s]
+        np.multiply(acc, scl, out=out[r])
     return out
 
 
 def _jet_sqrt(a):
-    """Jet of sqrt(a) (principal branch of a[0])."""
-    rows = a.shape[0]
-    out = np.empty((rows, a.shape[1]), dtype=np.complex128)
+    """Jet of sqrt(a) (a[0] > 0)."""
+    out = np.empty_like(a)
     out[0] = np.sqrt(a[0])
-    for r in range(1, rows):
-        acc = a[r].astype(np.complex128)
+    scl = 1.0 / (2.0 * out[0])
+    for r in range(1, a.shape[0]):
+        acc = a[r]
         for s in range(1, r):
             acc = acc - out[s] * out[r - s]
-        out[r] = acc / (2.0 * out[0])
-    return out
-
-
-def _jet_shift(a):
-    """Jet of a' (one row shorter)."""
-    rows = a.shape[0] - 1
-    out = np.empty((rows, a.shape[1]), dtype=np.complex128)
-    for r in range(rows):
-        out[r] = (r + 1) * a[r + 1]
+        out[r] = acc * scl
     return out
 
 
 def _field_jet(f: ScalarField, rows: int) -> np.ndarray:
-    """Jet of a sampled field: attached derivatives first, stencils beyond."""
-    out = np.zeros((rows, f.grid.n), dtype=np.complex128)
-    out[0] = f.values
-    available = list(f.derivs)
-    factorial = 1.0
+    """Jet of a sampled field's real part: attached derivatives first, stencils beyond."""
+    out = np.zeros((rows, f.grid.n))
+    out[0] = f.values.real
     tail = ScalarField(f.grid, f.derivs[-1]) if f.derivs else f
     for r in range(1, rows):
-        factorial *= r
-        if r <= len(available):
-            out[r] = available[r - 1] / factorial
+        if r <= len(f.derivs):
+            out[r] = f.derivs[r - 1].real / math.factorial(r)
         else:
             tail = derivative(tail, 1)
-            out[r] = tail.values / factorial
+            out[r] = tail.values.real / math.factorial(r)
     return out
 
 
@@ -132,17 +132,22 @@ class HierarchyInput:
                 f"order {self.order} exceeds the supported maximum {MAX_ORDER}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        gap = float(self.energy - np.max(np.real(self.v_field.values)))
+        # the real-jet recursion drops imaginary parts, so refuse them here
+        inputs = {"V": self.v_field}
+        inputs.update((f"F''_{2 * k}", f) for k, f in enumerate(self.f_even, start=1))
+        for name, f in inputs.items():
+            if f.grid != self.v_field.grid:
+                raise ContractError(f"{name} sampled on a different grid")
+            if not np.all(np.isfinite(f.values)):
+                raise ContractError(f"{name} has non-finite samples")
+            if np.iscomplexobj(f.values) and float(np.max(np.abs(f.values.imag))) > 0:
+                raise ContractError(f"{name} must be real")
+        gap = float(self.energy - np.max(self.v_field.values.real))
         if gap <= 0.0:
             raise DomainError(
                 f"turning point on the domain: need E > max V, gap = {gap:.3e}")
         if not self.v_field.grid.contains(self.x_ref):
             raise DomainError(f"x_ref={self.x_ref} outside the grid")
-        for k, f in enumerate(self.f_even):
-            if f.grid != self.v_field.grid:
-                raise ContractError(f"F''_{2 * (k + 1)} sampled on a different grid")
-            if np.iscomplexobj(f.values) and float(np.max(np.abs(f.values.imag))) > 0:
-                raise ContractError(f"F''_{2 * (k + 1)} must be real")
 
     @property
     def grid(self) -> Grid:
@@ -158,13 +163,8 @@ class HierarchyInput:
 
     def v_jet(self, rows: int) -> np.ndarray:
         if self.potential is not None:
-            out = np.zeros((rows, self.grid.n), dtype=np.complex128)
-            factorial = 1.0
-            for r in range(rows):
-                if r:
-                    factorial *= r
-                out[r] = self.potential.derivative_samples(self.grid, r) / factorial
-            return out
+            return np.array([self.potential.derivative_samples(self.grid, r) / math.factorial(r)
+                             for r in range(rows)])
         return _field_jet(self.v_field, rows)
 
     def f_dd_jet(self, index: int, rows: int) -> np.ndarray | None:
@@ -183,7 +183,7 @@ class HierarchyInput:
 class HierarchySolution:
     """Coefficients P_0..P_K, their anchored antiderivatives S^0..S^K, and the
     parity audit (max real part of even coefficients, max imaginary part of
-    odd ones)."""
+    odd ones; zero by construction of the real jets)."""
 
     p_coeffs: tuple
     s_coeffs: tuple
@@ -207,38 +207,37 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
 
     e_minus_v = -inp.v_jet(rows)
     e_minus_v[0] += inp.energy
-    p = [1j * _jet_sqrt(e_minus_v)]
+    jets = [_jet_sqrt(e_minus_v)]  # R_j: P_j = i R_j for even j, P_j = R_j for odd j
+    two_r0 = 2.0 * jets[0]
 
     for nn in range(1, K + 1):
         avail = rows - nn
-        acc = np.zeros((avail, n), dtype=np.complex128)
+        # numerator of the recursion: acc for even nn, i * acc for odd nn
+        acc = np.zeros((avail, n))
         for i in range(1, nn):
-            term = _jet_mul(p[i], p[nn - i])
-            acc += term[:avail]
-        acc += _jet_shift(p[nn - 1])[:avail]
+            term = _jet_mul(jets[i], jets[nn - i], avail)
+            if nn % 2 == 0 and i % 2 == 0:  # (i R_i)(i R_{nn-i}) = -R_i R_{nn-i}
+                acc -= term
+            else:
+                acc += term
+        acc += np.arange(1, avail + 1)[:, None] * jets[nn - 1][1:]  # jet of R_{nn-1}'
         f_dd = inp.f_dd_jet(nn, avail)
         if f_dd is not None:
             acc += 2.0 * f_dd
-        p.append(_jet_div(-acc, 2.0 * p[0][:avail]))
+        # P_nn = -numerator / (2i R_0): i acc / (2 R_0) for even nn, -acc / (2 R_0) for odd
+        jets.append(_jet_div(-acc if nn % 2 else acc, two_r0[:avail]))
 
     p_fields = []
-    for j, jet in enumerate(p):
-        derivs = []
-        factorial = 1.0
-        for r in range(1, min(4, jet.shape[0])):
-            factorial *= r
-            derivs.append(jet[r] * factorial)
-        p_fields.append(ScalarField(inp.grid, jet[0], derivs=tuple(derivs)))
+    for j, jet in enumerate(jets):
+        samples = np.zeros((4, n), dtype=np.complex128)  # values and three derivatives
+        (samples.imag if j % 2 == 0 else samples.real)[:] = jet[:4] * _FACTORIALS
+        p_fields.append(ScalarField(inp.grid, samples[0], derivs=tuple(samples[1:])))
 
     s_fields = [antiderivative(f, inp.x_ref) for f in p_fields]
 
-    even_real = max(float(np.max(np.abs(f.values.real)))
-                    for f in p_fields[0::2])
-    odd_imag = 0.0
-    if K >= 1:
-        odd_imag = max(float(np.max(np.abs(f.values.imag)))
-                       for f in p_fields[1::2])
-    return HierarchySolution(tuple(p_fields), tuple(s_fields), (even_real, odd_imag))
+    parity = (np.max([np.max(np.abs(f.values.real)) for f in p_fields[0::2]]),
+              np.max([np.max(np.abs(f.values.imag)) for f in p_fields[1::2]], initial=0.0))
+    return HierarchySolution(tuple(p_fields), tuple(s_fields), tuple(map(float, parity)))
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,8 @@ class MasterReport:
     epsilon: float
 
     def max_per_order(self) -> float:
-        return max(float(np.max(np.abs(f.values))) for f in self.per_order)
+        """Largest |residual| over all orders; NaN if any order has one."""
+        return float(np.max([np.max(np.abs(f.values)) for f in self.per_order]))
 
 
 def master_residual(sol: HierarchySolution, hierarchy_input: HierarchyInput,
@@ -323,7 +323,7 @@ def hierarchy_checks(sol: HierarchySolution, hierarchy_input: HierarchyInput) ->
     the per-order master residual over |E| + max|V|, and the Schwarzian route
     to P_2 where it applies (order >= 2, F_2'' = 0)."""
     inp = hierarchy_input
-    checks = {"hierarchy_parity": max(sol.parity_report)}
+    checks = {"hierarchy_parity": float(np.max(sol.parity_report))}
     if sol.order >= 1:
         p0, p1 = sol.p_coeffs[0], sol.p_coeffs[1]
         identity = np.abs(p1.values + derivative(p0, 1).values / (2.0 * p0.values))

@@ -106,11 +106,14 @@ class TestValidation:
         ("uncertainty", "window", [-10, 1]),
         ("uncertainty", "window", [3, 2]),
         ("outputs", "directory", 5),
+        ("hierarchy", "f_even_files", ["nan_sample.csv"]),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"
         doc = base_config(out)
         (doc if section is None else doc[section])[key] = value
+        (tmp_path / "nan_sample.csv").write_text("f2_dd\n" + "0.0\n" * 128 + "nan\n"
+                                                 + "0.0\n" * 128)
         code = main(["all", "--config", write_config(tmp_path, doc)])
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")

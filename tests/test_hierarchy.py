@@ -6,9 +6,11 @@ import sympy as sp
 
 from qhjlab.duality import omega_for_norm
 from qhjlab.errors import ContractError, DomainError, TruncationError
-from qhjlab.fields import Grid, ScalarField
+from qhjlab.fields import Grid, ScalarField, antiderivative, derivative
 from qhjlab.hierarchy import (
     HierarchyInput,
+    HierarchySolution,
+    hierarchy_checks,
     master_residual,
     p2_schwarzian_check,
     reconstruct_modulus,
@@ -29,6 +31,155 @@ def symbolic_coefficients(v_expr, x, energy, order):
         acc += sp.diff(p[n - 1], x)
         p.append(sp.simplify(-acc / (2 * p[0])))
     return p
+
+
+# The former complex recursion, kept verbatim as the reference for the real
+# jets: complex128 jets of V and F'', products, divides and square roots.
+
+def _complex_jet_mul(a, b):
+    rows = min(a.shape[0], b.shape[0])
+    out = np.zeros((rows, a.shape[1]), dtype=np.complex128)
+    for r in range(rows):
+        for s in range(r + 1):
+            out[r] += a[s] * b[r - s]
+    return out
+
+
+def _complex_jet_div(a, b):
+    rows = min(a.shape[0], b.shape[0])
+    out = np.empty((rows, a.shape[1]), dtype=np.complex128)
+    out[0] = a[0] / b[0]
+    for r in range(1, rows):
+        acc = a[r].astype(np.complex128)
+        for s in range(1, r + 1):
+            acc = acc - b[s] * out[r - s]
+        out[r] = acc / b[0]
+    return out
+
+
+def _complex_jet_sqrt(a):
+    rows = a.shape[0]
+    out = np.empty((rows, a.shape[1]), dtype=np.complex128)
+    out[0] = np.sqrt(a[0])
+    for r in range(1, rows):
+        acc = a[r].astype(np.complex128)
+        for s in range(1, r):
+            acc = acc - out[s] * out[r - s]
+        out[r] = acc / (2.0 * out[0])
+    return out
+
+
+def _complex_jet_shift(a):
+    rows = a.shape[0] - 1
+    out = np.empty((rows, a.shape[1]), dtype=np.complex128)
+    for r in range(rows):
+        out[r] = (r + 1) * a[r + 1]
+    return out
+
+
+def _complex_field_jet(f, rows):
+    out = np.zeros((rows, f.grid.n), dtype=np.complex128)
+    out[0] = f.values
+    available = list(f.derivs)
+    factorial = 1.0
+    tail = ScalarField(f.grid, f.derivs[-1]) if f.derivs else f
+    for r in range(1, rows):
+        factorial *= r
+        if r <= len(available):
+            out[r] = available[r - 1] / factorial
+        else:
+            tail = derivative(tail, 1)
+            out[r] = tail.values / factorial
+    return out
+
+
+def _complex_v_jet(inp, rows):
+    if inp.potential is not None:
+        out = np.zeros((rows, inp.grid.n), dtype=np.complex128)
+        factorial = 1.0
+        for r in range(rows):
+            if r:
+                factorial *= r
+            out[r] = inp.potential.derivative_samples(inp.grid, r) / factorial
+        return out
+    return _complex_field_jet(inp.v_field, rows)
+
+
+def _complex_f_dd_jet(inp, index, rows):
+    if index % 2 == 1:
+        return None
+    k = index // 2 - 1
+    if k >= len(inp.f_even):
+        return None
+    return _complex_field_jet(inp.f_even[k], rows)
+
+
+def complex_recurse(inp):
+    """(P fields, S fields) of the former complex128 recursion."""
+    K = inp.order
+    rows = K + 4
+    n = inp.grid.n
+
+    e_minus_v = -_complex_v_jet(inp, rows)
+    e_minus_v[0] += inp.energy
+    p = [1j * _complex_jet_sqrt(e_minus_v)]
+
+    for nn in range(1, K + 1):
+        avail = rows - nn
+        acc = np.zeros((avail, n), dtype=np.complex128)
+        for i in range(1, nn):
+            term = _complex_jet_mul(p[i], p[nn - i])
+            acc += term[:avail]
+        acc += _complex_jet_shift(p[nn - 1])[:avail]
+        f_dd = _complex_f_dd_jet(inp, nn, avail)
+        if f_dd is not None:
+            acc += 2.0 * f_dd
+        p.append(_complex_jet_div(-acc, 2.0 * p[0][:avail]))
+
+    p_fields = []
+    for j, jet in enumerate(p):
+        derivs = []
+        factorial = 1.0
+        for r in range(1, min(4, jet.shape[0])):
+            factorial *= r
+            derivs.append(jet[r] * factorial)
+        p_fields.append(ScalarField(inp.grid, jet[0], derivs=tuple(derivs)))
+    return p_fields, [antiderivative(f, inp.x_ref) for f in p_fields]
+
+
+def _oracle_inputs():
+    cases = []
+    builtins = [("linear", Potential("linear"), Grid(-4.0, 1.5, 2049), 2.0, -1.0),
+                ("harmonic", Potential("harmonic"), Grid(-0.5, 0.5, 1025), 1.0, 0.1),
+                ("free", Potential("free"), Grid(0.0, 2.0 * np.pi, 1025), 1.0, 2.0)]
+    for name, potential, grid, energy, x_ref in builtins:
+        for order in (0, 1, 4, 8, 12):
+            cases.append(pytest.param(
+                HierarchyInput.from_potential(potential, grid, energy, order, 0.1, x_ref),
+                id=f"{name}-K{order}"))
+    grid = Grid(-2.0, 2.0, 1025)
+    cases.append(pytest.param(
+        HierarchyInput(v_field=ScalarField(grid, 0.3 * np.cos(grid.x)), energy=1.4,
+                       order=8, epsilon=0.1, x_ref=0.3), id="sampled-V-K8"))
+    f_even = (ScalarField(grid, 0.3 * np.cos(grid.x)),
+              ScalarField(grid, 0.05 * np.sin(2.0 * grid.x) * np.exp(-grid.x ** 2)))
+    cases.append(pytest.param(
+        HierarchyInput.from_potential(Potential("linear"), grid, 2.5, 6, 0.1, -0.5,
+                                      f_even=f_even), id="f_even-K6"))
+    return cases
+
+
+@pytest.mark.parametrize("inp", _oracle_inputs())
+def test_real_jets_equal_the_complex_recursion(inp):
+    p_ref, s_ref = complex_recurse(inp)
+    sol = recurse(inp)
+    for j, (p, ref) in enumerate(zip(sol.p_coeffs, p_ref)):
+        assert np.array_equal(p.values, ref.values), f"P_{j}"
+        assert len(p.derivs) == len(ref.derivs) == 3
+        for k, (d, d_ref) in enumerate(zip(p.derivs, ref.derivs), start=1):
+            assert np.array_equal(d, d_ref), f"P_{j} derivative {k}"
+    for j, (s, ref) in enumerate(zip(sol.s_coeffs, s_ref)):
+        assert np.array_equal(s.values, ref.values), f"S_{j}"
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +228,11 @@ class TestRecursion:
             assert np.max(np.abs(sol.p_coeffs[j].values - oracle)) < 1e-6, f"P_{j}"
 
     def test_parity_exact(self, linear_solution):
-        even_real, odd_imag = linear_solution.parity_report
-        assert even_real < 1e-12 and odd_imag < 1e-12
+        assert linear_solution.parity_report == (0.0, 0.0)
+        for j, p in enumerate(linear_solution.p_coeffs):
+            for samples in (p.values,) + p.derivs:
+                zero = samples.real if j % 2 == 0 else samples.imag
+                assert np.all(zero == 0.0) and not np.any(np.signbit(zero)), f"P_{j}"
 
     def test_antiderivatives_anchored(self, linear_solution, linear_input):
         from qhjlab.fields import interpolate
@@ -144,6 +298,20 @@ class TestRecursion:
         assert master_residual(sol, inp).max_per_order() < 1e-9
         assert p2_schwarzian_check(sol, inp) < 1e-5
 
+    @pytest.mark.parametrize("v_imag, f2_value, message", [
+        (1e-3, 0.0, "V must be real"),
+        (0.0, np.nan, "F''_2 has non-finite samples"),
+        (0.0, np.inf, "F''_2 has non-finite samples"),
+    ])
+    def test_complex_or_non_finite_input_rejected(self, v_imag, f2_value, message):
+        grid = Grid(-1.0, 1.0, 257)
+        v = ScalarField(grid, grid.x + 1j * v_imag * np.sin(grid.x))
+        f2 = np.zeros(grid.n)
+        f2[100] = f2_value
+        with pytest.raises(ContractError, match=message):
+            HierarchyInput(v_field=v, energy=2.0, order=2, epsilon=0.1, x_ref=0.0,
+                           f_even=(ScalarField(grid, f2),))
+
     def test_f_even_grid_mismatch(self):
         grid = Grid(-1.0, 1.0, 513)
         other = Grid(-1.0, 1.0, 257)
@@ -158,6 +326,16 @@ class TestMasterResidual:
         report = master_residual(linear_solution, linear_input)
         scale = abs(linear_input.energy) + np.max(np.abs(linear_input.v_field.values))
         assert report.max_per_order() / scale < 1e-9
+
+    def test_nan_in_one_coefficient_fails_the_checks(self, linear_solution, linear_input):
+        p = list(linear_solution.p_coeffs)
+        values = p[3].values.copy()
+        values[500] = np.nan
+        p[3] = ScalarField(p[3].grid, values, derivs=p[3].derivs)
+        planted = HierarchySolution(tuple(p), linear_solution.s_coeffs, (0.0, np.nan))
+        checks = hierarchy_checks(planted, linear_input)
+        assert np.isnan(checks["hierarchy_per_order"])
+        assert np.isnan(checks["hierarchy_parity"])
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_remainder_scales_at_next_order(self, linear_input, order):
