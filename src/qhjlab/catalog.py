@@ -32,8 +32,8 @@ SCAN_WINDOWS = {
 }
 
 # The scan rebuilds the pair at each hbar.  The harmonic grid is kept short so
-# the energy derivative of the re-solved family (anchored at x_min) does not
-# pick up the exponentially growing partner across the scan.
+# the energy derivative of the pair solved at each hbar (anchored at x_min)
+# does not pick up the exponentially growing partner across the scan.
 SCAN_GRIDS = {
     "free": DEFAULT_GRIDS["free"],
     "harmonic": (-0.5, 0.5, 1025),

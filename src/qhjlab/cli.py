@@ -226,8 +226,8 @@ class ScenarioConfig:
         kind = self.potential.kind
         if kind in ("free", "linear"):
             return "analytic"
-        # the closed form exists for the ground level only, so it cannot
-        # serve the E +/- dE re-solves of the time/uncertainty pipelines
+        # the closed form exists at the ground level only, so it has no
+        # energy derivative for the time/uncertainty pipelines
         if (kind == "harmonic" and self.uncertainty is None and not self.t_samples
                 and self.potential.is_ground_level(self.energy, self.constants)):
             return "analytic"

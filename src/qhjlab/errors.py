@@ -46,10 +46,6 @@ class DomainError(QhjLabError, ValueError):
     """Coordinate/window/value outside the valid domain (turning points included)."""
 
 
-class UnwrapError(QhjLabError, RuntimeError):
-    """Phase-unwrap branches could not be matched between related fields."""
-
-
 class TruncationError(QhjLabError, ValueError):
     """Requested expansion order exceeds what the grid can support."""
 

@@ -22,20 +22,22 @@ curvature -hbar^2 R''/2mR of the polar amplitude R = |S0'|^{-1/2}) and the
 stationary Hamilton-Jacobi residual is reported with the potential term
 obtained both from V - E and from the Schwarzian of exp(2i S0/hbar).
 
-Time enters as the energy derivative of S0, differenced across the pairs at
-E +/- dE of one :class:`EnergyFamily` (solved once, from identical initial
-data); trajectories invert t(q) on monotone windows.
+Time enters as the energy derivative t = dS0/dE, taken exactly from the
+pair's energy derivatives (psi_E, psi_dual_E), which solve the variational
+equation -eps^2 u_E'' + (V - E) u_E = u from zero initial data (see
+:mod:`qhjlab.schrodinger`).  So does dp/dE, and dQ/dE through the Schwarzian
+formula.  :class:`EnergyFamily` holds one pair per scenario, solved once;
+trajectories invert t(q) on monotone windows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, UnwrapError
+from .errors import CapabilityError, ContractError
 from .fields import ScalarField, derivative, schwarzian, unwrap_phase, NODE_TOL
 from .schrodinger import Scenario, SolutionPair
 
@@ -71,21 +73,27 @@ def _require_real_pair(pair: SolutionPair):
         raise ContractError(f"microstate formulas need a real pair, got kind={pair.kind!r}")
 
 
+def _jet(f: ScalarField) -> tuple:
+    """Samples of ``f`` and its attached x-derivatives of orders 1 and 2."""
+    return (f.values,) + f.derivs[:2]
+
+
+def _components(psi: ScalarField, chi: ScalarField, params: MicrostateParams):
+    """Jets of a = chi + l2 psi and b = l1 psi, with |chi - i l psi|^2 = a^2 + b^2."""
+    a = [c + params.ell2 * s for c, s in zip(_jet(chi), _jet(psi))]
+    b = [params.ell1 * s for s in _jet(psi)]
+    return a, b
+
+
 def _denominator(pair: SolutionPair, params: MicrostateParams):
     """|psi_dual - i l psi|^2 with first/second derivatives when available."""
-    psi, chi = pair.psi, pair.psi_dual
-    a = chi.values + params.ell2 * psi.values
-    b = params.ell1 * psi.values
-    d = a * a + b * b
-    if len(psi.derivs) >= 2 and len(chi.derivs) >= 2:
-        da = chi.derivs[0] + params.ell2 * psi.derivs[0]
-        db = params.ell1 * psi.derivs[0]
-        d2a = chi.derivs[1] + params.ell2 * psi.derivs[1]
-        d2b = params.ell1 * psi.derivs[1]
-        d1 = 2.0 * (a * da + b * db)
-        d2 = 2.0 * (da * da + a * d2a + db * db + b * d2b)
-        return d, d1, d2
-    return d, None, None
+    a, b = _components(pair.psi, pair.psi_dual, params)
+    d = a[0] * a[0] + b[0] * b[0]
+    if len(a) < 3:
+        return d, None, None
+    d1 = 2.0 * (a[0] * a[1] + b[0] * b[1])
+    d2 = 2.0 * (a[1] * a[1] + a[0] * a[2] + b[1] * b[1] + b[0] * b[2])
+    return d, d1, d2
 
 
 def beta_field(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
@@ -264,44 +272,76 @@ class TrajectoryResult:
 
 
 def _monotone_segments(t: np.ndarray):
-    """Maximal index ranges on which t is strictly monotone."""
-    dt = np.diff(t)
-    segments = []
-    start = 0
-    sign = 0.0
-    for i, d in enumerate(dt):
-        s = np.sign(d)
-        if s == 0.0:
-            if i > start:
-                segments.append((start, i + 1))
-            start, sign = i + 1, 0.0
-            continue
-        if sign == 0.0:
-            sign = s
-        elif s != sign:
-            segments.append((start, i + 1))
-            start, sign = i, s
-    if start < len(t) - 1:
-        segments.append((start, len(t)))
-    return segments
+    """Maximal index ranges on which t is strictly monotone.
+
+    Each run of equal nonzero signs of diff(t) over differences lo..hi-1
+    spans the samples lo..hi; a reversal sample ends one range and starts the
+    next, and a zero step belongs to no range.
+    """
+    s = np.sign(np.diff(t))
+    if s.size == 0:
+        return []
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size)
+    keep = s[starts] != 0.0
+    return list(zip(starts[keep].tolist(), (ends[keep] + 1).tolist()))
+
+
+def _energy_derivatives(ms: Microstate):
+    """(dp/dE with dp'/dE and dp''/dE attached, dS0/dE, dQ/dE) of ``ms``, exact in E.
+
+    With a = psi_dual + l2 psi and b = l1 psi the momentum is p = c/d, with
+    c = hbar l1 Omega and d = a^2 + b^2.  The pair's energy derivatives give
+    a_E, b_E and so d_E, d'_E, d''_E; differentiating p d = c, (p d)' = 0 and
+    (p d)'' = 0 in E then gives
+
+        p_E   = (c_E - p d_E) / d
+        p_E'  = -(p' d_E + p_E d' + p d'_E) / d
+        p_E'' = -(p'' d_E + 2 (p_E' d' + p' d'_E) + p_E d'' + p d''_E) / d.
+
+    Since S0 = hbar arg(a + i b) up to constants, dS0/dE = hbar (a b_E - b a_E)/d
+    = hbar l1 (psi_dual psi_E - psi psi_dual_E)/d.  dQ/dE is the E-derivative
+    of the Schwarzian formula Q = (hbar^2/4m)(p''/p - (3/2)(p'/p)^2), not of the
+    Hamilton-Jacobi identity, so that the two velocities of :func:`trajectory`
+    remain independent routes.
+    """
+    pair, params = ms.pair, ms.params
+    if pair.psi_e is None:
+        raise CapabilityError("this pair carries no energy derivative (the harmonic closed "
+                              "form exists at its ground level only); use method 'numeric'")
+    a, b = _components(pair.psi, pair.psi_dual, params)
+    a_e, b_e = _components(pair.psi_e, pair.psi_dual_e, params)
+    d, d1, d2 = _denominator(pair, params)
+    dd = 2.0 * (a[0] * a_e[0] + b[0] * b_e[0])
+    dd1 = 2.0 * (a_e[0] * a[1] + a[0] * a_e[1] + b_e[0] * b[1] + b[0] * b_e[1])
+    dd2 = 2.0 * (2.0 * (a[1] * a_e[1] + b[1] * b_e[1])
+                 + a_e[0] * a[2] + a[0] * a_e[2] + b_e[0] * b[2] + b[0] * b_e[2])
+
+    hbar, mass, l1 = pair.constants.hbar, pair.constants.mass, params.ell1
+    p, (p1, p2) = ms.p.values, ms.p.derivs
+    pe = (hbar * l1 * pair.omega_e - p * dd) / d
+    pe1 = -(p1 * dd + pe * d1 + p * dd1) / d
+    pe2 = -(p2 * dd + 2.0 * (pe1 * d1 + p1 * dd1) + pe * d2 + p * dd2) / d
+
+    psi, chi = pair.psi.values, pair.psi_dual.values
+    s0_e = hbar * l1 * (chi * pair.psi_e.values - psi * pair.psi_dual_e.values) / d
+    r = pe / p
+    q_e = 0.25 * hbar * hbar / mass * ((pe2 - p2 * r) - 3.0 * (p1 / p) * (pe1 - p1 * r)) / p
+    return ScalarField(pair.grid, pe, derivs=(pe1, pe2)), s0_e, q_e
 
 
 @dataclass(frozen=True)
 class EnergyFamily:
-    """One scenario's pairs at E and E +/- dE, each solved lazily and at most once.
+    """One scenario's pair at E, solved lazily and at most once, with its
+    microstate and their exact energy derivatives (:func:`_energy_derivatives`).
 
-    Keeps the pair and microstate at E, but of the pairs at E +/- dE only the
-    central differences of their microstates (dp/dE, dQ/dE, S0).  ``params``
-    may be None when only :attr:`pair` is used.
+    ``params`` may be None when only :attr:`pair` is used.  A harmonic
+    scenario solved by its closed form has no energy derivative; asking for
+    one raises :class:`CapabilityError`.
     """
 
     scenario: Scenario
     params: MicrostateParams | None = None
-    delta_e: float | None = None
-
-    def __post_init__(self):
-        if self.delta_e is None:
-            object.__setattr__(self, "delta_e", self.scenario.delta_e())
 
     @cached_property
     def pair(self) -> SolutionPair:
@@ -312,43 +352,26 @@ class EnergyFamily:
         return build_microstate(self.pair, self.params)
 
     @cached_property
-    def _differences(self):
-        """(dp/dE field, dQ/dE samples, S0(E + dE) - S0(E - dE) samples)."""
-        energy, de = self.scenario.energy, self.delta_e
-        ms_plus, ms_minus = (build_microstate(self.scenario.pair(e), self.params)
-                             for e in (energy + de, energy - de))
-        p_plus, p_minus = ms_plus.p, ms_minus.p
-        de_p = ScalarField(self.scenario.grid, (p_plus.values - p_minus.values) / (2.0 * de),
-                           derivs=tuple((dp - dm) / (2.0 * de)
-                                        for dp, dm in zip(p_plus.derivs, p_minus.derivs)))
-        de_q = (ms_plus.Q.values - ms_minus.Q.values) / (2.0 * de)
-        return de_p, de_q, ms_plus.S0.values - ms_minus.S0.values
+    def _derivatives(self):
+        return _energy_derivatives(self.microstate)
 
     @property
     def de_momentum(self) -> ScalarField:
-        """Central difference of the momentum field with respect to energy."""
-        return self._differences[0]
+        """dp/dE with dp'/dE and dp''/dE attached."""
+        return self._derivatives[0]
 
     def time_of_q(self, x_ref: float | None = None) -> ScalarField:
         """t(q) = dS0/dE gauged to t(x_ref) = 0; see :func:`time_of_q`."""
         grid = self.scenario.grid
         ref = grid.index_of(grid.x_min if x_ref is None else x_ref)
-        de_p, _, diff = self._differences
-        # align the unwrap branches; offsets come in steps of (hbar/2) * 2 pi
-        quantum = math.pi * self.scenario.constants.hbar
-        diff = diff - quantum * round(float(diff[ref]) / quantum)
-        if float(np.max(np.abs(diff))) >= 0.5 * quantum:
-            raise UnwrapError("unwrap branches of S0 at E +/- dE cannot be aligned; "
-                              "reduce delta_e or refine the grid")
-        t = diff / (2.0 * self.delta_e)
-        t = t - t[ref]
-        return ScalarField(grid, t, derivs=(de_p.values,) + de_p.derivs)
+        de_p, s0_e, _ = self._derivatives
+        return ScalarField(grid, s0_e - s0_e[ref], derivs=(de_p.values,) + de_p.derivs)
 
     def trajectory(self, t_samples, x_ref: float | None = None) -> TrajectoryResult:
         """The motion sampled at ``t_samples``; see :func:`trajectory`."""
         ms = self.microstate
         t = self.time_of_q(x_ref).values
-        de_p, de_q, _ = self._differences
+        de_p, _, de_q = self._derivatives
         m_q = self.scenario.constants.mass * (1.0 - de_q)
         # dp/dE may cross zero (stationary trajectory time); the reciprocal
         # velocity is genuinely infinite there
@@ -378,30 +401,28 @@ class EnergyFamily:
         return TrajectoryResult(monotone=monotone, segments=tuple(out_segments))
 
 
-def energy_derivative_of_momentum(scenario: Scenario, params: MicrostateParams,
-                                  delta_e: float | None = None) -> ScalarField:
-    """Central difference of the momentum field with respect to energy."""
-    return EnergyFamily(scenario, params, delta_e).de_momentum
+def energy_derivative_of_momentum(scenario: Scenario, params: MicrostateParams) -> ScalarField:
+    """dp/dE of the microstate, from the pair's exact energy derivatives."""
+    return EnergyFamily(scenario, params).de_momentum
 
 
 def time_of_q(scenario: Scenario, params: MicrostateParams,
-              delta_e: float | None = None, x_ref: float | None = None) -> ScalarField:
-    """Trajectory time t(q) = dS0/dE by central differencing, gauged to t(x_ref) = 0.
+              x_ref: float | None = None) -> ScalarField:
+    """Trajectory time t(q) = dS0/dE, gauged to t(x_ref) = 0 (x_ref defaults to x_min).
 
-    The pair is re-solved at E +/- dE from identical energy-independent
-    initial data; unwrap branches of the two phases are aligned before
-    differencing (a mismatch that alignment cannot absorb raises
-    :class:`UnwrapError`).  Carries dp/dE as its attached first derivative.
+    Exact in E: built from the pair's energy derivatives, which solve the
+    variational equation -eps^2 u_E'' + (V - E) u_E = u from zero initial
+    data.  Carries dp/dE, dp'/dE and dp''/dE as its attached derivatives.
     """
-    return EnergyFamily(scenario, params, delta_e).time_of_q(x_ref)
+    return EnergyFamily(scenario, params).time_of_q(x_ref)
 
 
 def trajectory(scenario: Scenario, params: MicrostateParams, t_samples,
-               delta_e: float | None = None, x_ref: float | None = None) -> TrajectoryResult:
+               x_ref: float | None = None) -> TrajectoryResult:
     """Invert t(q) on monotone windows and sample the motion at ``t_samples``.
 
     Reports the velocity through both exact routes, (dp/dE)^{-1} and p/m_Q
     with m_Q = m(1 - dQ/dE).  A non-monotone t(q) yields one entry per
     monotone segment and ``monotone=False``.
     """
-    return EnergyFamily(scenario, params, delta_e).trajectory(t_samples, x_ref)
+    return EnergyFamily(scenario, params).trajectory(t_samples, x_ref)

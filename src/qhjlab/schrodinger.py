@@ -16,6 +16,15 @@ leave the pair bitwise unchanged.  Steps are never composed across the grid
 from its neighbour, or the stencil-based Schrodinger residual amplifies the
 uncorrelated rounding by 1/h^2.
 
+Every pair except the harmonic ground pair also carries its energy
+derivative.  Differentiating the equation in E gives the variational equation
+
+    -eps^2 u_E'' + (V - E) u_E = u,   i.e.   u_E'' = g u_E - u / eps^2,
+
+with g = (V - E)/eps^2.  The numeric sweep integrates it next to the pair
+from zero initial data (the pair's initial data do not depend on E); closed
+forms differentiate through k(E) (free) or z(E) (Airy).
+
 All constructed fields carry sampled analytic derivatives: closed-form ones
 for analytic pairs, and model-consistent ones (u'' = (V - E) u / eps^2) for
 numeric pairs, so downstream residuals are limited by solution accuracy
@@ -152,6 +161,10 @@ class SolutionPair:
     (psi_dual = conj(psi)) feed the duality checks, anything else is
     "general".  ``wronskian`` is psi' psi_dual - psi psi_dual', constant for
     genuine solutions.
+
+    ``psi_e`` and ``psi_dual_e`` are the members' energy derivatives, each
+    with its first two x-derivatives attached, or None where the pair has no
+    energy derivative; ``omega_e`` is the energy derivative of the Wronskian.
     """
 
     psi: ScalarField
@@ -162,6 +175,9 @@ class SolutionPair:
     kind: str = "real"
     potential: Potential | None = None
     provenance: str = "analytic"
+    psi_e: ScalarField | None = None
+    psi_dual_e: ScalarField | None = None
+    omega_e: float = 0.0
 
     @property
     def grid(self) -> Grid:
@@ -247,7 +263,14 @@ def _free_pair(E, constants, grid):
     c, s = np.cos(k * x), np.sin(k * x)
     psi = ScalarField(grid, c, derivs=(-k * s, -k * k * c, k ** 3 * s))
     psi_dual = ScalarField(grid, s, derivs=(k * c, -k * k * s, -k ** 3 * c))
-    return psi, psi_dual, complex(-k)
+    # through k(E): dk/dE = k/(2E), and the Wronskian -k moves with it
+    k_e = 0.5 * k / E
+    kx = k * x
+    psi_e = ScalarField(grid, -k_e * x * s,
+                        derivs=(-k_e * (s + kx * c), -k_e * k * (2.0 * c - kx * s)))
+    psi_dual_e = ScalarField(grid, k_e * x * c,
+                             derivs=(k_e * (c - kx * s), -k_e * k * (2.0 * s + kx * c)))
+    return psi, psi_dual, complex(-k), (psi_e, psi_dual_e, -k_e)
 
 
 def _harmonic_ground_pair(potential, E, constants, grid):
@@ -273,7 +296,7 @@ def _harmonic_ground_pair(potential, E, constants, grid):
     d2v = -d2u * integral
     d3v = -(d3u * integral + d2u / (u * u))
     psi_dual = ScalarField(grid, v, derivs=(dv, d2v, d3v))
-    return psi, psi_dual, complex(1.0)
+    return psi, psi_dual, complex(1.0), (None, None, 0.0)
 
 
 def _airy_pair(potential, E, constants, grid):
@@ -287,7 +310,13 @@ def _airy_pair(potential, E, constants, grid):
             "Airy pair overflows on this grid; shrink the classically forbidden side")
     psi = ScalarField(grid, ai, derivs=(c * aip, c * c * z * ai, c ** 3 * (ai + z * aip)))
     psi_dual = ScalarField(grid, bi, derivs=(c * bip, c * c * z * bi, c ** 3 * (bi + z * bip)))
-    return psi, psi_dual, complex(-c / math.pi)
+    # through z(E): dz/dE = -c/g; the Wronskian -c/pi does not depend on E
+    z_e = -c / g
+    psi_e = ScalarField(grid, z_e * aip,
+                        derivs=(z_e * c * z * ai, z_e * c * c * (ai + z * aip)))
+    psi_dual_e = ScalarField(grid, z_e * bip,
+                             derivs=(z_e * c * z * bi, z_e * c * c * (bi + z * bip)))
+    return psi, psi_dual, complex(-c / math.pi), (psi_e, psi_dual_e, 0.0)
 
 
 def analytic_pair(potential: Potential, E: float, constants: PhysicalConstants,
@@ -295,21 +324,24 @@ def analytic_pair(potential: Potential, E: float, constants: PhysicalConstants,
     """Closed-form solution pair for the built-in potentials.
 
     free      -> (cos(kx), sin(kx)) with k = sqrt(E)/eps
-    harmonic  -> ground state and its reduction-of-order partner (E = eps*sqrt(kappa))
+    harmonic  -> ground state and its reduction-of-order partner (E = eps*sqrt(kappa));
+                 it exists at one energy only, so it carries no energy derivative
     linear    -> Airy pair (Ai, Bi) of the shifted/scaled argument
 
     Raises :class:`CapabilityError` for unsupported (kind, E) combinations.
     """
     if potential.kind == "free":
-        psi, psi_dual, w = _free_pair(E, constants, grid)
+        psi, psi_dual, w, energy_derivs = _free_pair(E, constants, grid)
     elif potential.kind == "harmonic":
-        psi, psi_dual, w = _harmonic_ground_pair(potential, E, constants, grid)
+        psi, psi_dual, w, energy_derivs = _harmonic_ground_pair(potential, E, constants, grid)
     elif potential.kind == "linear":
-        psi, psi_dual, w = _airy_pair(potential, E, constants, grid)
+        psi, psi_dual, w, energy_derivs = _airy_pair(potential, E, constants, grid)
     else:
         raise CapabilityError(f"no analytic pair for potential kind {potential.kind!r}")
+    psi_e, psi_dual_e, omega_e = energy_derivs
     pair = SolutionPair(psi, psi_dual, float(E), constants, w,
-                        kind="real", potential=potential, provenance="analytic")
+                        kind="real", potential=potential, provenance="analytic",
+                        psi_e=psi_e, psi_dual_e=psi_dual_e, omega_e=omega_e)
     return _validate_pair(pair)
 
 
@@ -318,10 +350,11 @@ def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, gri
     """Numeric pair from four real initial values (psi, psi', psiD, psiD') at x_min.
 
     Both members are integrated together with classic fixed-step RK4 on the
-    grid; the initial data carries no energy dependence, which is what the
-    energy differencing in the microstate module relies on.  Each step runs
-    on Python floats in the operation order of the vector update, which is
-    bitwise the numpy result at a tenth of its cost.
+    grid, and next to them their energy derivatives, which solve the
+    variational equation u_E'' = g u_E - u/eps^2 from zero initial data (the
+    initial data of the pair carry no energy dependence).  Each step runs on
+    Python floats; the pair's four components keep the operation order of the
+    vector update, which is bitwise the numpy result at a tenth of its cost.
     """
     ics = tuple(float(v) for v in ics)
     if len(ics) != 4:
@@ -336,30 +369,51 @@ def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, gri
     g_nodes = (potential.value(x) - E) / eps2
     g_mid = (potential.value(x[:-1] + 0.5 * h) - E) / eps2
 
-    # y + (h/6)(k1 + 2 k2 + 2 k3 + k4) per component of y = (psi, psi', psiD, psiD')
-    half, sixth = 0.5 * h, h / 6.0
+    # y + (h/6)(k1 + 2 k2 + 2 k3 + k4) per component of
+    # y = (psi, psi', psiD, psiD', psi_E, psi_E', psiD_E, psiD_E')
+    half, sixth, src = 0.5 * h, h / 6.0, 1.0 / eps2
     u, du, w, dw = ics
-    state = [ics]
+    ue = due = we = dwe = 0.0
+    state = [u, du, w, dw, ue, due, we, dwe]
+    extend = state.extend
     g_list = g_nodes.tolist()
     for g0, gm, g1 in zip(g_list, g_mid.tolist(), g_list[1:]):
         a1, b1, c1, d1 = du, g0 * u, dw, g0 * w
-        a2, b2, c2, d2 = du + half * b1, gm * (u + half * a1), dw + half * d1, gm * (w + half * c1)
-        a3, b3, c3, d3 = du + half * b2, gm * (u + half * a2), dw + half * d2, gm * (w + half * c2)
-        a4, b4, c4, d4 = du + h * b3, g1 * (u + h * a3), dw + h * d3, g1 * (w + h * c3)
+        e1, f1, k1, l1 = due, g0 * ue - src * u, dwe, g0 * we - src * w
+        u2, w2 = u + half * a1, w + half * c1
+        a2, b2, c2, d2 = du + half * b1, gm * u2, dw + half * d1, gm * w2
+        e2, f2 = due + half * f1, gm * (ue + half * e1) - src * u2
+        k2, l2 = dwe + half * l1, gm * (we + half * k1) - src * w2
+        u3, w3 = u + half * a2, w + half * c2
+        a3, b3, c3, d3 = du + half * b2, gm * u3, dw + half * d2, gm * w3
+        e3, f3 = due + half * f2, gm * (ue + half * e2) - src * u3
+        k3, l3 = dwe + half * l2, gm * (we + half * k2) - src * w3
+        u4, w4 = u + h * a3, w + h * c3
+        a4, b4, c4, d4 = du + h * b3, g1 * u4, dw + h * d3, g1 * w4
+        e4, f4 = due + h * f3, g1 * (ue + h * e3) - src * u4
+        k4, l4 = dwe + h * l3, g1 * (we + h * k3) - src * w4
         u, du, w, dw = (u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
                         du + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
                         w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
                         dw + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
-        state.append((u, du, w, dw))
+        ue, due, we, dwe = (ue + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4),
+                            due + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
+                            we + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                            dwe + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4))
+        extend((u, du, w, dw, ue, due, we, dwe))
 
     dv = potential.derivative_samples(grid, 1)
-    psi_v, dpsi, chi_v, dchi = np.array(state).T
+    # one flat list to one array: converting a list of tuples costs far more
+    psi_v, dpsi, chi_v, dchi, psi_ev, dpsi_e, chi_ev, dchi_e = np.array(state).reshape(-1, 8).T
     psi = ScalarField(grid, psi_v,
                       derivs=(dpsi, g_nodes * psi_v, (dv / eps2) * psi_v + g_nodes * dpsi))
     psi_dual = ScalarField(grid, chi_v,
                            derivs=(dchi, g_nodes * chi_v, (dv / eps2) * chi_v + g_nodes * dchi))
+    psi_e = ScalarField(grid, psi_ev, derivs=(dpsi_e, g_nodes * psi_ev - src * psi_v))
+    psi_dual_e = ScalarField(grid, chi_ev, derivs=(dchi_e, g_nodes * chi_ev - src * chi_v))
     pair = SolutionPair(psi, psi_dual, float(E), constants, complex(w0),
-                        kind="real", potential=potential, provenance="numeric")
+                        kind="real", potential=potential, provenance="numeric",
+                        psi_e=psi_e, psi_dual_e=psi_dual_e)
     return _validate_pair(pair, residual_tol=residual_tol)
 
 
@@ -438,9 +492,10 @@ def default_ics(potential: Potential, constants: PhysicalConstants, x_min: float
 
 @dataclass(frozen=True)
 class Scenario:
-    """A pair factory bound to (potential, constants, grid) that can re-solve
-    at shifted energies from identical, energy-independent initial data.
+    """A pair factory bound to (potential, constants, grid).
 
+    Numeric pairs start from the same energy-independent initial data at every
+    energy, which is what gives their energy derivatives zero initial data;
     ``ics=None`` means :func:`default_ics` at the scenario's constants.
     """
 
@@ -472,7 +527,3 @@ class Scenario:
         if self.potential.kind == "harmonic":
             energy = self.potential.ground_level(constants)
         return replace(self, constants=constants, energy=energy)
-
-    def delta_e(self) -> float:
-        """Default central-difference step in energy: relative with an absolute floor."""
-        return max(1e-5, 1e-5 * abs(self.energy))

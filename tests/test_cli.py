@@ -42,6 +42,12 @@ HARMONIC = {"potential": {"kind": "harmonic", "stiffness": 1.0}, "energy": 1.0,
             "hierarchy": {"order": 2, "epsilon": 0.1, "x_ref": 0.0}}
 
 
+# the shape of the harmonic-scan benchmark workload at small n: a generic
+# microstate with trajectory samples next to the hbar scan
+HARMONIC_SCAN = dict(HARMONIC, microstate={"alpha": 2.1, "ell1": 1.3, "ell2": -0.2,
+                                           "t_samples": [0.01, 0.05, 0.1]})
+
+
 def write_config(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -190,15 +196,17 @@ class TestRun:
         threaded = {p.name: p.read_bytes() for p in out.iterdir()}
         assert serial == threaded
 
-    @pytest.mark.parametrize("extra", [{}, HARMONIC], ids=["free", "harmonic"])
+    @pytest.mark.parametrize("extra", [{}, HARMONIC, HARMONIC_SCAN],
+                             ids=["free", "harmonic", "harmonic-scan"])
     def test_all_solves_each_pair_once(self, tmp_path, pair_solves, extra):
         out = tmp_path / "out"
         doc = base_config(out, **extra)
         assert main(["all", "--config", write_config(tmp_path, doc)]) == 0
-        # the pair at E and E +/- dE, then three solves at each of the four
-        # scan hbar values that differ from the configured one
-        assert len(pair_solves) == 15
-        assert len(set(pair_solves)) == 15
+        # one solve per scan hbar, the configured one (the pair at E) included
+        assert len(pair_solves) == 5
+        assert len(set(pair_solves)) == 5
+        assert sorted(key[3].hbar for key in pair_solves) == \
+            sorted(doc["uncertainty"]["hbar_scan"])
 
     @pytest.mark.parametrize("ics", [None, [0.9, 0.4, 0.1, 1.2]], ids=["default", "given"])
     def test_scan_solves_keep_the_configured_ics(self, tmp_path, pair_solves, ics):

@@ -1,14 +1,17 @@
 """Microstate fields: phase factor, momentum, quantum potential, time, motion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qhjlab import catalog
-from qhjlab.errors import ContractError
-from qhjlab.fields import Grid, derivative
+from qhjlab.errors import CapabilityError, ContractError
+from qhjlab.fields import Grid, ScalarField, derivative
 from qhjlab.microstates import (
     EnergyFamily,
     MicrostateParams,
+    _energy_derivatives,
     _monotone_segments,
     beta_field,
     build_microstate,
@@ -233,28 +236,115 @@ class TestTimeOfQ:
             expected = -(free_grid.x - free_grid.x[0]) / (2.0 * np.sqrt(energy))
             assert np.max(np.abs(t.values - expected)) < 1e-9
 
-    def test_richardson_order_two(self, constants, free_grid):
-        sc = Scenario(Potential("harmonic"), constants, free_grid, 2.0,
-                      method="numeric", ics=(1.0, 0.0, 0.0, 1.0))
-        # shrink to a well-behaved window grid
-        g = Grid(-1.0, 1.0, 513)
-        sc = Scenario(Potential("harmonic"), constants, g, 2.0,
-                      method="numeric", ics=(1.0, 0.0, 0.0, 1.0))
-        ts = [time_of_q(sc, UNIT_ELL, delta_e=de).values for de in (4e-3, 2e-3, 1e-3)]
-        d1 = np.max(np.abs(ts[1] - ts[0]))
-        d2 = np.max(np.abs(ts[2] - ts[1]))
-        assert 3.0 < d1 / d2 < 5.0, f"ratio {d1 / d2}"
-
     def test_gauge_reference(self, constants, free_grid):
         t = time_of_q(free_scenario(constants, free_grid), UNIT_ELL, x_ref=np.pi)
         assert abs(t.values[free_grid.index_of(np.pi)]) < 1e-15
 
-    def test_unalignable_branches_rejected(self, constants, free_grid):
-        # an absurdly large energy step shifts the phase by more than a
-        # branch quantum across the grid; alignment must refuse
-        from qhjlab.errors import UnwrapError
-        with pytest.raises(UnwrapError):
-            time_of_q(free_scenario(constants, free_grid), UNIT_ELL, delta_e=0.9)
+    def test_attached_derivative_is_de_momentum(self):
+        family = EnergyFamily(catalog.linear_scenario(), GENERIC)
+        t, de_p = family.time_of_q(), family.de_momentum
+        assert np.array_equal(t.derivs[0], de_p.values)
+        assert all(np.array_equal(a, b) for a, b in zip(t.derivs[1:], de_p.derivs))
+        # t' = dp/dE: the stencil derivative of t agrees with the exact dp/dE
+        inner = t.grid.interior_slice(0.8)
+        fd = derivative(t, 1, use_attached=False).values
+        assert np.max(np.abs(fd - de_p.values)[inner]) / np.max(np.abs(de_p.values)) < 1e-8
+
+    def test_harmonic_closed_form_has_no_time(self, constants):
+        sc = Scenario(Potential("harmonic"), constants, Grid(-1.0, 1.0, 257), 1.0)
+        with pytest.raises(CapabilityError):
+            time_of_q(sc, UNIT_ELL)
+
+
+# A microstate with every constant generic, so that no E-derivative vanishes
+# identically (with ell = 1 the free momentum is constant and dQ/dE = 0).
+GENERIC = MicrostateParams(alpha=0.7, ell=1.5 + 0.2j)
+
+
+def differenced(scenario, params, de):
+    """t, dp/dE and dQ/dE by central differences of the microstates at E +/- dE,
+    from the same initial data; the unwrap branches of S0(E +/- dE) are aligned
+    at x_min, in steps of (hbar/2) 2 pi, before differencing."""
+    plus, minus = (build_microstate(scenario.pair(scenario.energy + sign * de), params)
+                   for sign in (1.0, -1.0))
+    diff = plus.S0.values - minus.S0.values
+    quantum = np.pi * scenario.constants.hbar
+    diff = diff - quantum * round(float(diff[0]) / quantum)
+    assert np.max(np.abs(diff)) < 0.5 * quantum, "unwrap branches cannot be aligned"
+    t = diff / (2.0 * de)
+    return (t - t[0], (plus.p.values - minus.p.values) / (2.0 * de),
+            (plus.Q.values - minus.Q.values) / (2.0 * de))
+
+
+def exact(pair, params):
+    """t (gauged to x_min), dp/dE and dQ/dE from the pair's energy derivatives."""
+    de_p, s0_e, de_q = _energy_derivatives(build_microstate(pair, params))
+    return s0_e - s0_e[0], de_p.values, de_q
+
+
+def assert_second_order(pair, scenario, params, de):
+    """Exact and differenced t, dp/dE and dQ/dE agree with a gap that falls by
+    4x when dE halves, the signature of the central difference's dE^2 error."""
+    want = exact(pair, params)
+    for name, ex, coarse, fine in zip(("t", "dp/dE", "dQ/dE"), want,
+                                      differenced(scenario, params, de),
+                                      differenced(scenario, params, 0.5 * de)):
+        scale = np.max(np.abs(fine))
+        gap, gap_half = np.max(np.abs(ex - coarse)) / scale, np.max(np.abs(ex - fine)) / scale
+        assert gap < 1e-3, f"{name}: relative gap {gap:.2e}"
+        assert 3.8 < gap / gap_half < 4.2, f"{name}: gap ratio {gap / gap_half:.3f}"
+
+
+ORACLE_CASES = {
+    "free-analytic": lambda: catalog.free_scenario(),
+    "linear-airy": lambda: catalog.linear_scenario(),
+    "harmonic-numeric-hbar1": lambda: catalog.harmonic_scenario(grid=Grid(-0.5, 0.5, 1025)),
+    "harmonic-numeric-hbar0.25":
+        lambda: catalog.harmonic_scenario(hbar=0.25, grid=Grid(-0.5, 0.5, 1025)),
+}
+
+
+def _negated(f):
+    return ScalarField(f.grid, -f.values, derivs=tuple(-d for d in f.derivs))
+
+
+def _zero(f):
+    return ScalarField(f.grid, np.zeros(f.grid.n), derivs=(np.zeros(f.grid.n),) * 2)
+
+
+# Defects planted in a correct pair; the oracle must catch each one.
+PLANTED = {
+    # without the -psi/eps^2 source the variational equation from zero
+    # initial data has only the zero solution
+    "no-source": ("harmonic-numeric-hbar1",
+                  lambda pr: replace(pr, psi_e=_zero(pr.psi_e), psi_dual_e=_zero(pr.psi_dual_e))),
+    "no-free-omega-e": ("free-analytic", lambda pr: replace(pr, omega_e=0.0)),
+    "flipped-psi-dual-e": ("linear-airy",
+                           lambda pr: replace(pr, psi_dual_e=_negated(pr.psi_dual_e))),
+}
+
+
+class TestExactEnergyDerivatives:
+    """The finite-difference route is the oracle of the exact derivatives."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_central_differences_converge_at_second_order(self, case):
+        sc = ORACLE_CASES[case]()
+        assert_second_order(sc.pair(), sc, GENERIC, 3e-3 * sc.energy)
+
+    @pytest.mark.parametrize("defect", list(PLANTED))
+    def test_planted_defect_fails_the_oracle(self, defect):
+        case, plant = PLANTED[defect]
+        sc = ORACLE_CASES[case]()
+        with pytest.raises(AssertionError):
+            assert_second_order(plant(sc.pair()), sc, GENERIC, 3e-3 * sc.energy)
+
+    def test_family_serves_the_exact_fields(self):
+        sc = ORACLE_CASES["harmonic-numeric-hbar1"]()
+        family = EnergyFamily(sc, GENERIC)
+        t, de_p, _ = exact(family.pair, GENERIC)
+        assert np.array_equal(family.time_of_q().values, t)
+        assert np.array_equal(family.de_momentum.values, de_p)
 
 
 class TestTrajectory:
@@ -297,6 +387,21 @@ class TestTrajectory:
         segments = _monotone_segments(t)
         assert segments == [(0, 3), (2, 5), (4, 7)]
 
+    def test_monotone_segments_match_the_loop(self):
+        rng = np.random.default_rng(11)
+        walks = [np.array([]), np.array([1.0]), np.array([1.0, 1.0]), np.array([0.0, 1.0]),
+                 np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]), np.zeros(5)]
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            steps = rng.choice([-1.0, 0.0, 1.0], size=n - 1, p=[0.4, 0.2, 0.4])
+            steps *= rng.uniform(0.5, 2.0, size=n - 1)
+            walks.append(np.concatenate(([0.0], np.cumsum(steps))))
+        # long monotone runs broken by single-sample reversals and plateaus
+        runs = np.linspace(0.0, 1.0, 60)
+        walks.append(np.concatenate((runs, runs[-2::-1][:1], runs[::-1], [0.0, 0.0], runs)))
+        for t in walks:
+            assert _monotone_segments(t) == monotone_segments_loop(t), t
+
     def test_non_monotone_time_reported_in_segments(self, constants):
         # inside the well at this energy dp/dE changes sign, so t(q) folds
         sc = Scenario(Potential("harmonic"), constants, Grid(-1.5, 1.5, 1025), 3.0,
@@ -319,9 +424,9 @@ class TestTrajectory:
 
 class TestEnergyFamily:
     @pytest.mark.parametrize("stage, solves", [
-        (lambda sc: time_of_q(sc, UNIT_ELL), 2),
-        (lambda sc: energy_derivative_of_momentum(sc, UNIT_ELL), 2),
-        (lambda sc: trajectory(sc, UNIT_ELL, t_samples=[-2.0, -1.0]), 3),
+        (lambda sc: time_of_q(sc, UNIT_ELL), 1),
+        (lambda sc: energy_derivative_of_momentum(sc, UNIT_ELL), 1),
+        (lambda sc: trajectory(sc, UNIT_ELL, t_samples=[-2.0, -1.0]), 1),
     ], ids=["time_of_q", "energy_derivative_of_momentum", "trajectory"])
     def test_solve_counts(self, pair_solves, stage, solves):
         stage(catalog.free_scenario())
@@ -329,17 +434,36 @@ class TestEnergyFamily:
         assert len(set(pair_solves)) == solves
 
     def test_consumers_share_three_solves(self, pair_solves):
+        # time_of_q, trajectory and de_momentum share the one solve at E
         sc = catalog.free_scenario()
         family = EnergyFamily(sc, UNIT_ELL)
         t = family.time_of_q()
         family.trajectory([-2.0, -1.0])
         assert family.microstate.pair is family.pair
-        assert len(pair_solves) == 3
+        assert len(pair_solves) == 1
         assert np.array_equal(t.values, time_of_q(sc, UNIT_ELL).values)
         assert np.array_equal(family.de_momentum.values,
                               energy_derivative_of_momentum(sc, UNIT_ELL).values)
 
-    def test_delta_e_defaults_to_scenario_step(self):
-        sc = catalog.free_scenario(energy=4.0)
-        assert EnergyFamily(sc).delta_e == sc.delta_e()
-        assert EnergyFamily(sc, delta_e=1e-3).delta_e == 1e-3
+
+def monotone_segments_loop(t):
+    """The former per-sample loop of ``_monotone_segments``, kept as its oracle."""
+    dt = np.diff(t)
+    segments = []
+    start = 0
+    sign = 0.0
+    for i, d in enumerate(dt):
+        s = np.sign(d)
+        if s == 0.0:
+            if i > start:
+                segments.append((start, i + 1))
+            start, sign = i + 1, 0.0
+            continue
+        if sign == 0.0:
+            sign = s
+        elif s != sign:
+            segments.append((start, i + 1))
+            start, sign = i, s
+    if start < len(t) - 1:
+        segments.append((start, len(t)))
+    return segments

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qhjlab.errors import CapabilityError, DegeneracyError, DomainError
-from qhjlab.fields import Grid, ScalarField, interpolate
+from qhjlab.fields import Grid, ScalarField, derivative, interpolate
 from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual
 from qhjlab.schrodinger import (
     PhysicalConstants,
@@ -241,6 +241,44 @@ def _sweep_cases():
     }
 
 
+def _energy_derivative_cases():
+    unit = PhysicalConstants()
+    cases = {f"numeric-{name}": solve_pair(*args) for name, args in _sweep_cases().items()}
+    cases["analytic-free"] = analytic_pair(Potential("free"), 1.0, unit,
+                                           Grid(0.0, 2.0 * np.pi, 1025))
+    cases["analytic-linear"] = analytic_pair(Potential("linear"), 2.0, unit,
+                                             Grid(-4.0, 1.5, 1025))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["numeric-free", "numeric-harmonic-ground",
+                                  "numeric-harmonic-scan", "numeric-linear", "numeric-custom",
+                                  "analytic-free", "analytic-linear"])
+def test_energy_derivative_solves_the_variational_equation(case):
+    # -eps^2 u_E'' + (V - E) u_E = u, with u_E'' from stencils, independent of
+    # the attached second derivative; the attached one must agree with it
+    pair = _energy_derivative_cases()[case]
+    eps2 = pair.constants.epsilon ** 2
+    v = pair.potential.derivative_samples(pair.grid, 0)
+    inner = pair.grid.interior_slice(0.8)
+    for u, u_e in ((pair.psi, pair.psi_e), (pair.psi_dual, pair.psi_dual_e)):
+        d2 = derivative(u_e.bare(), 2).values
+        scale = np.max(np.abs(u.values))
+        residual = -eps2 * d2 + (v - pair.energy) * u_e.values - u.values
+        assert np.max(np.abs(residual[inner])) / scale < 1e-6
+        assert np.max(np.abs((d2 - u_e.derivs[1])[inner])) * eps2 / scale < 1e-6
+        d1 = derivative(u_e.bare(), 1).values
+        assert np.max(np.abs((d1 - u_e.derivs[0])[inner])) / np.max(np.abs(d1)) < 1e-6
+    if case.startswith("numeric"):
+        # zero initial data: the pair's initial values do not depend on E
+        assert (pair.psi_e.values[0], pair.psi_e.derivs[0][0]) == (0.0, 0.0)
+        assert pair.omega_e == 0.0
+
+
+def test_harmonic_ground_pair_has_no_energy_derivative(harmonic_pair):
+    assert harmonic_pair.psi_e is None and harmonic_pair.psi_dual_e is None
+
+
 @pytest.mark.parametrize("case", ["free", "harmonic-ground", "harmonic-scan", "linear", "custom"])
 def test_scalar_sweep_is_bitwise_the_numpy_loop(case):
     args = _sweep_cases()[case]
@@ -335,7 +373,3 @@ class TestScenario:
         sc = Scenario(Potential("free"), constants, free_grid, 1.0)
         pair = sc.pair(4.0)
         assert np.allclose(pair.psi.values, np.cos(2.0 * free_grid.x))
-
-    def test_delta_e_floor(self, constants, free_grid):
-        sc = Scenario(Potential("free"), constants, free_grid, 1e-3)
-        assert sc.delta_e() == pytest.approx(1e-5)
