@@ -6,7 +6,9 @@ runs the selected pipelines, and writes CSV tables plus a JSON report into
 the output directory.  Files are written atomically (temp file + rename) and
 reruns of the same config are byte-identical.  Every CSV number is written
 as ``%.17g`` (17 significant digits, so it reads back exactly); the format is
-fixed so that CSV bytes stay stable across versions.
+fixed so that CSV bytes stay stable across versions.  A column whose samples
+are bitwise equal is formatted once, with unchanged bytes; by the hierarchy's
+parity, half of the hierarchy.csv columns are +0 on every potential.
 
     qhjlab <subcommand> --config scenario.json [--out DIR] [--tol key=value]...
 
@@ -201,7 +203,9 @@ class ScenarioConfig:
         self.out_dir = outputs.get("directory", "out")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"field outputs.directory must be a string, got {self.out_dir!r}")
-        self.plots = bool(outputs.get("plots", False))
+        self.plots = outputs.get("plots", False)
+        if not isinstance(self.plots, bool):
+            raise ConfigError(f"field outputs.plots must be true or false, got {self.plots!r}")
 
         self.tolerances = {key: _tolerance(key, value, f"tolerances.{key}")
                            for key, value in _section(doc, "tolerances").items()}
@@ -282,7 +286,15 @@ def atomic_write(path: str, text: str):
 
 
 def write_csv(path: str, columns):
-    """columns: list of (name, 1-D array) of one length; complex split into re_/im_."""
+    """columns: list of (name, 1-D array) of one length; complex split into re_/im_.
+
+    A column whose samples all have the first sample's bit pattern (so +0.0,
+    -0.0 and NaN payloads stay apart) is formatted once, into the row
+    template; only the varying columns are stacked and formatted per row.
+    The bytes are those of formatting every cell.  The hierarchy's parity
+    makes half of the hierarchy.csv columns +0 on every potential, and 35 of
+    its 37 columns constant for the free particle at K = 8.
+    """
     names, arrays = [], []
     for name, arr in columns:
         arr = np.asarray(arr)
@@ -294,9 +306,19 @@ def write_csv(path: str, columns):
         else:
             names.append(name)
             arrays.append(arr)
-    table = np.stack(arrays, axis=1, dtype=np.float64)
-    row = ",".join(["%.17g"] * len(names)) + "\n"
+    cells, varying = [], []
+    for arr in arrays:
+        arr = np.asarray(arr, dtype=np.float64)
+        bits = arr.view(np.int64)
+        if len(bits) and np.all(bits == bits[0]):
+            cells.append("%.17g" % arr[0])  # %.17g never yields a '%'
+        else:
+            cells.append("%.17g")
+            varying.append(arr)
+    row = ",".join(cells) + "\n"
     lines = [",".join(names) + "\n"]
+    # with no varying column, rows of the empty tuple fill the constant template
+    table = np.stack(varying, axis=1) if varying else np.empty((len(arrays[0]), 0))
     for start in range(0, len(table), CSV_BLOCK_ROWS):
         lines.extend([row % tuple(r) for r in table[start:start + CSV_BLOCK_ROWS].tolist()])
     atomic_write(path, "".join(lines))

@@ -113,6 +113,7 @@ class TestValidation:
         ("uncertainty", "window", [3, 2]),
         ("outputs", "directory", 5),
         ("hierarchy", "f_even_files", ["nan_sample.csv"]),
+        ("outputs", "plots", "false"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"
@@ -403,20 +404,32 @@ class TestWriteCsv:
             return [EDGE_VALUES[(i + offset) % len(EDGE_VALUES)] for i in range(rows)]
         z = np.array(cycle(0), dtype=complex)
         z.imag = cycle(5)
+        imaginary = np.zeros(rows, dtype=complex)  # a structural zero, as in hierarchy.csv
+        imaginary.imag = np.linspace(0.0, 2.0, rows)
         return [("x", np.linspace(-1.0, 1.0, rows)),
                 ("z", z),
                 ("t", cycle(3)),  # a list of Python floats, as for trajectory.csv
                 ("flag", np.arange(rows) % 3 == 0),
-                ("k", np.arange(rows) - rows // 2)]
+                ("k", np.arange(rows) - rows // 2),
+                ("signed_zero", np.where(np.arange(rows) % 2 == 0, 0.0, -0.0)),  # must not fold
+                ("late", np.where(np.arange(rows) < CSV_BLOCK_ROWS, 0.5, 0.25)),
+                ("i", imaginary)] + TestWriteCsv.constant_columns(rows)
+
+    @staticmethod
+    def constant_columns(rows):
+        return [(name, np.full(rows, value)) for name, value in (
+            ("zero", 0.0), ("negative_zero", -0.0), ("nan", math.nan), ("inf", math.inf),
+            ("tenth", 0.1), ("off", False))]
 
     @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                       CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
     def test_bytes_equal_the_per_cell_loop(self, tmp_path, rows):
-        columns = self.columns(rows)
-        write_csv(str(tmp_path / "t.csv"), columns)
-        expected = per_cell_csv(columns).encode("utf-8")
-        assert (tmp_path / "t.csv").read_bytes() == expected
-        assert expected.count(b"\n") == rows + 1
+        # the second table has no varying column
+        for columns in (self.columns(rows), self.constant_columns(rows)):
+            write_csv(str(tmp_path / "t.csv"), columns)
+            expected = per_cell_csv(columns).encode("utf-8")
+            assert (tmp_path / "t.csv").read_bytes() == expected
+            assert expected.count(b"\n") == rows + 1
 
     @pytest.mark.parametrize("length", [4, 6])
     @pytest.mark.parametrize("dtype", [float, complex])

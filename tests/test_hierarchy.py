@@ -228,11 +228,21 @@ class TestRecursion:
             assert np.max(np.abs(sol.p_coeffs[j].values - oracle)) < 1e-6, f"P_{j}"
 
     def test_parity_exact(self, linear_solution):
-        assert linear_solution.parity_report == (0.0, 0.0)
-        for j, p in enumerate(linear_solution.p_coeffs):
-            for samples in (p.values,) + p.derivs:
-                zero = samples.real if j % 2 == 0 else samples.imag
-                assert np.all(zero == 0.0) and not np.any(np.signbit(zero)), f"P_{j}"
+        # hierarchy.csv writes these structural zeros as constant +0 columns
+        solutions = [("linear K=4", linear_solution)] + [
+            (f"{kind} K=8", recurse(HierarchyInput.from_potential(Potential(kind), grid, 1.0, 8,
+                                                                  0.1, grid.x_min)))
+            for kind, grid in (("linear", Grid(-2.0, 0.5, 1025)),
+                               ("harmonic", Grid(-0.5, 0.5, 1025)),
+                               ("free", Grid(0.0, 2.0 * np.pi, 1025)))]
+        for case, sol in solutions:
+            assert sol.parity_report == (0.0, 0.0), case
+            for j, (p, s) in enumerate(zip(sol.p_coeffs, sol.s_coeffs)):
+                for name, samples in [("P", p.values), ("S", s.values)] + [
+                        ("P", d) for d in p.derivs]:
+                    zero = samples.real if j % 2 == 0 else samples.imag
+                    assert np.all(zero == 0.0) and not np.any(np.signbit(zero)), \
+                        f"{case}: {name}_{j}"
 
     def test_antiderivatives_anchored(self, linear_solution, linear_input):
         from qhjlab.fields import interpolate
