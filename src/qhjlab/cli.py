@@ -8,7 +8,10 @@ reruns of the same config are byte-identical.  Every CSV number is written
 as ``%.17g`` (17 significant digits, so it reads back exactly); the format is
 fixed so that CSV bytes stay stable across versions.  A column whose samples
 are bitwise equal is formatted once, with unchanged bytes; by the hierarchy's
-parity, half of the hierarchy.csv columns are +0 on every potential.
+parity, half of the hierarchy.csv columns are +0 on every potential.  The
+other cells get their digits exactly in numpy (``_cell_words``); the values
+it cannot decide, such as exact ties at the 18th digit, go to Python's
+formatter, so the bytes are still those of ``"%.17g" % v``.
 
     qhjlab <subcommand> --config scenario.json [--out DIR] [--tol key=value]...
 
@@ -27,6 +30,7 @@ stages, looks up each check's tolerance and writes the files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -267,8 +271,205 @@ def load_config(path: str) -> ScenarioConfig:
 # Output helpers
 
 
-# Rows per .tolist() batch; the whole table as Python floats would cost memory.
-CSV_BLOCK_ROWS = 1024
+# Rows per formatted block.  The cell kernel holds about 100 bytes per cell in
+# temporaries; larger blocks raised peak memory and were no faster.
+CSV_BLOCK_ROWS = 512
+
+# Decimal exponents X = floor(log10|v|) of the cells the kernel formats: with
+# 1e-270 <= |v| <= 1e270, X and X +- 1 stay inside, and so do the carry
+# X + 1; every 10**(16 - X) and its pieces are normal floats.
+_X_MIN, _X_MAX = -272, 272
+_FIXED = range(-4, 17)  # the exponents %.17g writes in fixed notation, d.ddde+XX otherwise
+_TEN16, _TEN17 = 10 ** 16, 10 ** 17
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+
+def _words(texts):
+    """Byte strings of at most four bytes, NUL-padded, as native uint32 words."""
+    return np.array(texts, dtype="S4").view(np.uint32)
+
+
+@functools.cache
+def _cell_tables() -> dict:
+    """Tables of the cell kernel, built on first use.  Per-exponent tables are
+    indexed by X - _X_MIN, the digit table by a group of four digits plus
+    10000 times its form: as is, trailing zeros dropped, leading zeros dropped,
+    leading zeros dropped but for a units digit."""
+    exponents = range(_X_MIN, _X_MAX + 1)
+    hi, lo = [], []
+    for x in exponents:
+        # 10**k = hi + lo to about 2**-106: hi is 10**k rounded, lo the rounded
+        # remainder; int / int true division rounds correctly
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    big = hi * _SPLIT
+    hi_hi = big - (big - hi)
+    # digits of the 17-digit d before the point
+    n_int = np.array([max(x + 1, 0) if x in _FIXED else 1 for x in exponents])
+    group = np.arange(10000, dtype=np.int16)
+    chars = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
+    chars = chars.astype(np.uint8) + ord("0")
+    nonzero = chars != ord("0")
+    leading = np.logical_or.accumulate(nonzero, axis=1)
+    trailing = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    digits = np.concatenate([chars, chars * trailing, chars * leading, chars * leading])
+    digits[30000, 3] = ord("0")  # the units form writes 0 as "0"
+    middle, exp_head, exp_tail = [], [], []
+    for x in exponents:
+        zeros = b"0" * (-x - 1) if x in _FIXED else b""  # fixed notation below 0.1
+        middle += [zeros, b"." + zeros]                    # without, with a fraction
+        suffix = b"" if x in _FIXED else b"e%+03d" % x
+        exp_head.append(b"\0" + suffix[:3])  # its first byte is the 17th digit's
+        exp_tail.append(suffix[3:])
+    return {"hi": hi, "hi_hi": hi_hi, "hi_lo": hi - hi_hi, "lo": np.array(lo),
+            "n_int": n_int, "div": 10 ** (17 - n_int), "mul": 10 ** n_int,
+            "digits": digits.view(np.uint32).ravel(), "middle": _words(middle),
+            "exp_head": _words(exp_head), "exp_tail": _words(exp_tail),
+            "last": _words([b"%d" % d if d else b"" for d in range(10)]),
+            "minus": _words([b"-"])[0]}
+
+
+def _scaled(a, i, t):
+    """(base, f): a * 10**(16 - X) = base + f with 0 <= f < 1, to within 1e-14.
+
+    p = fl(a * hi) is an integer (>= 2**53); Dekker's two-product gives its
+    exact rounding error ((a_hi hi_hi - p) + a_hi hi_lo + a_lo hi_hi) + a_lo hi_lo,
+    summed in that order, and a * lo carries the rest.  In place, to keep the
+    temporaries of a block few.
+    """
+    p = a * t["hi"][i]
+    a_hi = a * _SPLIT
+    a_lo = a_hi - a
+    a_hi -= a_lo  # the upper 26 bits of a
+    np.subtract(a, a_hi, out=a_lo)
+    hi_hi, hi_lo = t["hi_hi"][i], t["hi_lo"][i]
+    rest = a_hi * hi_hi
+    rest -= p
+    a_hi *= hi_lo
+    rest += a_hi
+    hi_hi *= a_lo
+    rest += hi_hi
+    a_lo *= hi_lo
+    rest += a_lo
+    del a_hi, a_lo, hi_hi, hi_lo
+    rest += a * t["lo"][i]
+    whole = np.floor(rest)
+    rest -= whole
+    base = p.astype(np.int64)
+    base += whole.astype(np.int64)
+    return base, rest
+
+
+def _groups(n, count):
+    """The last ``count`` base-10**4 digits of the int64 array ``n``, last first."""
+    out = []
+    for _ in range(count):
+        quotient = n // 10000
+        out.append(n - quotient * 10000)
+        n = quotient
+    return out
+
+
+def _digits(values, t):
+    """(d, i, undecided): |v| rounds to d * 10**(X - 16), d a 17-digit int64
+    and i = X - _X_MIN, for every cell but those at the indices ``undecided``."""
+    a = np.abs(values)
+    decided = (a >= 1e-270) & (a <= 1e270)  # false for NaN
+    np.copyto(a, 1.0, where=~decided)
+    i = np.floor(np.log10(a)).astype(np.int64) - _X_MIN
+    base, frac = _scaled(a, i, t)
+    low, high = base < _TEN16, base >= _TEN17
+    redo = np.flatnonzero(low | high)  # log10 rounded across a power of ten
+    if redo.size:
+        i[redo] += high[redo].astype(np.int64) - low[redo]
+        base[redo], frac[redo] = _scaled(a[redo], i[redo], t)
+        decided[redo] &= (base[redo] >= _TEN16) & (base[redo] < _TEN17)
+    decided &= np.abs(frac - 0.5) >= 1e-9
+    base += frac > 0.5
+    carry = base == _TEN17  # rounded up to the next power of ten
+    base[carry] = _TEN16
+    np.add(i, 1, out=i, where=carry)
+    undecided = np.flatnonzero(~decided)
+    base[undecided] = _TEN16  # a stand-in, blanked by the caller
+    i[undecided] = -_X_MIN
+    return base, i, undecided
+
+
+def _cell_words(values):
+    """``"%.17g" % v`` of a 1-D float64 array, decided in numpy.
+
+    Returns (words, undecided): row r of the uint32 array ``words`` holds
+    cell r's ASCII bytes padded with NUL bytes anywhere; Python's formatter
+    wrote the cells at the indices ``undecided``.
+
+    The 17 significant digits are d = round(|v| 10**(16 - X)), X the decimal
+    exponent, from a double-double product within 1e-14.  That decides d
+    unless the fraction lies within 1e-9 of 1/2, where %.17g may round an
+    exact tie half to even: those cells, +-0, NaN, +-inf, subnormals and
+    |v| outside [1e-270, 1e270] are undecided.  A row holds a sign, the
+    integer digits right aligned, a point and up to three zeros, 17 fraction
+    digits left aligned and an exponent suffix; leading and trailing zeros
+    come out as NUL through the digit table, so dropping NUL bytes yields %g.
+    """
+    t = _cell_tables()
+    d, i, undecided = _digits(values, t)
+    div = t["div"][i]
+    whole = d // div
+    frac = (d - whole * div) * t["mul"][i]  # the digits after the point, left aligned in 17
+    del d, div
+    negative = np.signbit(values)
+    negative[undecided] = False
+    sign = bool(negative.any())
+    # words: the integer digits (the first byte left for '-'), the point and
+    # zeros, four groups of fraction digits, the 17th digit and the exponent
+    n = -(-(max(int(t["n_int"][i].max()), 1) + sign) // 4)
+    exponent = not (int(i.min()) + _X_MIN in _FIXED and int(i.max()) + _X_MIN in _FIXED)
+    words = np.empty((len(values), n + 6 + exponent), np.uint32)
+    for j, g in enumerate(_groups(whole, n)):
+        np.add(g, 30000 if j == 0 else 20000, out=g, where=whole < 10 ** (4 * j + 4))
+        words[:, n - 1 - j] = t["digits"][g]
+    if sign:
+        words[:, 0] += negative * t["minus"]
+    words[:, n] = t["middle"][2 * i + (frac != 0)]
+    head = frac // 10
+    last = frac - head * 10
+    tail = t["last"][last]
+    if exponent:
+        tail += t["exp_head"][i]
+        words[:, n + 6] = t["exp_tail"][i]
+    words[:, n + 5] = tail
+    zeros_after = last == 0
+    for j, g in zip((3, 2, 1, 0), _groups(head, 4)):
+        zero = g == 0
+        np.add(g, 10000, out=g, where=zeros_after)
+        words[:, n + 1 + j] = t["digits"][g]
+        zeros_after &= zero
+    if undecided.size:  # a row holds at least 28 bytes, %.17g at most 24
+        texts = np.array([b"%.17g" % v for v in values[undecided].tolist()],
+                         dtype=f"S{4 * words.shape[1]}")
+        words[undecided] = texts.view(np.uint32).reshape(len(undecided), -1)
+    return words, undecided
+
+
+def _csv_block(block, pieces):
+    """CSV rows of a (rows, k) block of varying cells with NUL bytes left in:
+    pieces[0], cell 0, pieces[1], ..., cell k - 1, pieces[k] on each row."""
+    parts = [pieces[0]]
+    if block.shape[1]:
+        cells = _cell_words(block.ravel())[0].view(np.uint8).reshape(len(block), block.shape[1], -1)
+        for j, piece in enumerate(pieces[1:]):
+            parts += [cells[:, j], piece]
+    text = bytearray(len(block) * sum(part.shape[-1] for part in parts))
+    rows = np.frombuffer(text, np.uint8).reshape(len(block), -1)
+    col = 0
+    for part in parts:
+        rows[:, col:col + part.shape[-1]] = part
+        col += part.shape[-1]
+    return text
 
 
 def atomic_write(path: str, text: str):
@@ -288,12 +489,14 @@ def atomic_write(path: str, text: str):
 def write_csv(path: str, columns):
     """columns: list of (name, 1-D array) of one length; complex split into re_/im_.
 
-    A column whose samples all have the first sample's bit pattern (so +0.0,
-    -0.0 and NaN payloads stay apart) is formatted once, into the row
-    template; only the varying columns are stacked and formatted per row.
-    The bytes are those of formatting every cell.  The hierarchy's parity
-    makes half of the hierarchy.csv columns +0 on every potential, and 35 of
-    its 37 columns constant for the free particle at K = 8.
+    Every number is written as ``"%.17g" % v``.  A column whose samples all
+    have the first sample's bit pattern (so +0.0, -0.0 and NaN payloads stay
+    apart) is formatted once, into the row template; the hierarchy's parity
+    makes half of the hierarchy.csv columns +0 on every potential.  The
+    varying cells are formatted CSV_BLOCK_ROWS rows at a time by
+    ``_cell_words``, which computes the digits exactly in numpy and leaves the
+    values it cannot decide to Python's formatter; the NUL bytes padding each
+    cell are dropped from the finished block.
     """
     names, arrays = [], []
     for name, arr in columns:
@@ -315,13 +518,17 @@ def write_csv(path: str, columns):
         else:
             cells.append("%.17g")
             varying.append(arr)
-    row = ",".join(cells) + "\n"
+    # the row template's text before, between and after the varying cells
+    pieces = [np.frombuffer(piece.encode("ascii"), np.uint8)
+              for piece in (",".join(cells) + "\n").split("%.17g")]
     lines = [",".join(names) + "\n"]
-    # with no varying column, rows of the empty tuple fill the constant template
     table = np.stack(varying, axis=1) if varying else np.empty((len(arrays[0]), 0))
     for start in range(0, len(table), CSV_BLOCK_ROWS):
-        lines.extend([row % tuple(r) for r in table[start:start + CSV_BLOCK_ROWS].tolist()])
-    atomic_write(path, "".join(lines))
+        block = _csv_block(table[start:start + CSV_BLOCK_ROWS], pieces)
+        lines.append(block.translate(None, b"\0").decode("ascii"))
+    text = "".join(lines)
+    del lines  # released before atomic_write encodes the text
+    atomic_write(path, text)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ the accuracy of the underlying closed forms rather than of the stencils.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,9 +48,13 @@ class Grid:
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.n - 1)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.x_min + np.arange(self.n) * self.h
+        """The sample coordinates, computed once per grid; read-only, as every
+        field on the grid shares them."""
+        x = self.x_min + np.arange(self.n) * self.h
+        x.flags.writeable = False
+        return x
 
     def refined(self) -> "Grid":
         """Grid with halved spacing and the same endpoints (shares every old sample)."""

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, TruncationError
-from .fields import Grid, ScalarField, antiderivative, derivative, schwarzian
+from .fields import Grid, ScalarField, antiderivative, derivative
 from .schrodinger import Potential
 
 MAX_ORDER = 12  # third-derivative noise of sampled inputs dominates beyond this
@@ -298,9 +298,18 @@ def master_residual(sol: HierarchySolution, hierarchy_input: HierarchyInput,
 def p2_schwarzian_check(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> float:
     """Max discrepancy between the recursion P_2 and {S^0; x} / (4 P_0).
 
-    The comparison path rebuilds S^0 by quadrature of P_0 alone and takes the
-    Schwarzian with stencils, so the two routes share no derivative machinery.
-    Only valid when the first correction F_2'' vanishes.
+    With F_2'' = 0 and P_1 = -P_0'/(2 P_0) the recursion gives
+
+        P_1^2 + P_1' = (3/4) (P_0'/P_0)^2 - P_0''/(2 P_0),
+        P_2 = -(P_1^2 + P_1') / (2 P_0) = [P_0''/P_0 - (3/2) (P_0'/P_0)^2] / (4 P_0),
+
+    and as S^0' = P_0 the bracket is the Schwarzian {S^0; x} of
+    f''' / f' - (3/2) (f'' / f')^2 with f = S^0.  The comparison takes P_0' and
+    P_0'' with stencils on the bare P_0 samples, where the recursion
+    differentiates jets, so the two routes share no derivative machinery and
+    no quadrature of P_0 enters.  P_0 = i sqrt(E - V) does not vanish on the
+    classically allowed domain.  Only valid when the first correction F_2''
+    vanishes.
     """
     if sol.order < 2:
         raise ValueError("need the expansion at least to order 2")
@@ -308,8 +317,10 @@ def p2_schwarzian_check(sol: HierarchySolution, hierarchy_input: HierarchyInput)
         raise ContractError("the Schwarzian form of P_2 requires F_2'' = 0")
 
     p0 = sol.p_coeffs[0]
-    s0_bare = ScalarField(p0.grid, antiderivative(p0.bare(), hierarchy_input.x_ref).values)
-    alt = schwarzian(s0_bare).values / (4.0 * p0.values)
+    bare = p0.bare()
+    ratio1 = derivative(bare, 1).values / p0.values
+    ratio2 = derivative(bare, 2).values / p0.values
+    alt = (ratio2 - 1.5 * ratio1 * ratio1) / (4.0 * p0.values)
     return float(np.max(np.abs(sol.p_coeffs[2].values - alt)))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qhjlab import schrodinger
 from qhjlab.fields import Grid
@@ -55,3 +56,10 @@ def pair_solves(monkeypatch):
 
         monkeypatch.setattr(schrodinger, name, counted)
     return keys
+
+
+# Property tests draw the same examples on every run, with no time limit per
+# example, so the suite stays deterministic and bounded.
+settings.register_profile("qhjlab", derandomize=True, deadline=None, max_examples=200,
+                          database=None)
+settings.load_profile("qhjlab")

@@ -2,12 +2,14 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from qhjlab.cli import CSV_BLOCK_ROWS, DEFAULT_TOLERANCES, SCHEMA_VERSION, load_config, main, \
-    write_csv
+from qhjlab.cli import CSV_BLOCK_ROWS, DEFAULT_TOLERANCES, SCHEMA_VERSION, _cell_words, \
+    load_config, main, write_csv
 from qhjlab.errors import ConfigError
 from qhjlab.schrodinger import Potential, default_ics
 
@@ -413,6 +415,10 @@ class TestWriteCsv:
                 ("k", np.arange(rows) - rows // 2),
                 ("signed_zero", np.where(np.arange(rows) % 2 == 0, 0.0, -0.0)),  # must not fold
                 ("late", np.where(np.arange(rows) < CSV_BLOCK_ROWS, 0.5, 0.25)),
+                # a later block needs a sign, 17 integer digits and an exponent
+                ("wide", np.where(np.arange(rows) < CSV_BLOCK_ROWS, 0.5,
+                                  np.where(np.arange(rows) % 2, -1.2345678901234567e+100,
+                                           -12345678901234568.0))),
                 ("i", imaginary)] + TestWriteCsv.constant_columns(rows)
 
     @staticmethod
@@ -422,7 +428,9 @@ class TestWriteCsv:
             ("tenth", 0.1), ("off", False))]
 
     @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                                      CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
+                                      CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS - 1,
+                                      2 * CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 1,
+                                      4 * CSV_BLOCK_ROWS + 1])
     def test_bytes_equal_the_per_cell_loop(self, tmp_path, rows):
         # the second table has no varying column
         for columns in (self.columns(rows), self.constant_columns(rows)):
@@ -438,6 +446,110 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match=rf"column 'bad' has {length} rows, expected 5"):
             write_csv(str(tmp_path / "t.csv"), columns)
         assert not (tmp_path / "t.csv").exists()
+
+
+def cell_texts(values):
+    """What ``_cell_words`` writes for each value, NUL bytes dropped."""
+    words = _cell_words(np.asarray(values, dtype=np.float64))[0]
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in words]
+
+
+def percent_g(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def powers_of_ten():
+    """10**k as parsed, and its neighbours one ulp away, for every k a float reaches."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+def half_ties():
+    """m / 4 with odd m in [4e15, 9e15]: exact ties at the 18th digit, both signs."""
+    m = np.arange(4 * 10 ** 15 + 1, 9 * 10 ** 15, 2 * 10 ** 12 + 2, dtype=np.int64)
+    ties = np.concatenate([[4000000000000001], m, [8999999999999999]]) / 4.0
+    return np.concatenate([ties, -ties])
+
+
+def carries():
+    """Values whose 17 digits round up to the next power of ten, and near misses."""
+    return np.array([float(f"{sign}9.9999999999999999e{k}") for sign in "+-"
+                     for k in range(-300, 301, 7)]
+                    + [float(f"9.99999999999999{d}e{k}") for d in range(80, 100, 3)
+                       for k in (-5, -4, 15, 16, 17)])
+
+
+EDGE_LISTS = {
+    "powers_of_ten": powers_of_ten(),
+    "half_ties": half_ties(),
+    "carries": carries(),
+    "dyadic_grid": np.linspace(-0.5, 0.5, 4097),
+    "largest": np.array([np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny,
+                         1e270, 1e-270, np.nextafter(1e270, np.inf),
+                         np.nextafter(1e-270, 0.0), 1e16, 1e17, 123456789012345678.0,
+                         9.999999999999998e16, 0.00012345678901234567, 1.2345678901234567e-5]),
+}
+
+
+def undecidable(v: float) -> bool:
+    """True where the kernel may leave a value to Python's formatter: not a
+    float in [1e-270, 1e270], or its 18th digit within 1e-9 of a tie, or it lies
+    within 1e-9 units of the 17th digit of a power of ten, where a product
+    rounded either way may put the decimal exponent on either side."""
+    a = abs(v)
+    if not 1e-270 <= a <= 1e270:
+        return True
+    exact = Fraction(a)
+    x = 0
+    while exact >= Fraction(10) ** (x + 1):
+        x += 1
+    while exact < Fraction(10) ** x:
+        x -= 1
+    scaled = exact * Fraction(10) ** (16 - x)  # in [10**16, 10**17)
+    near = Fraction(1, 10 ** 9)
+    return (abs(scaled - int(scaled) - Fraction(1, 2)) < near
+            or scaled - 10 ** 16 < near or 10 ** 17 - scaled < near)
+
+
+class TestCellKernel:
+    """``_cell_words`` writes the bytes of ``"%.17g" % v`` and leaves to
+    Python only the values it cannot decide."""
+
+    @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.int64).view(np.float64)
+        assert cell_texts(values) == percent_g(values)
+        undecided = set(_cell_words(values)[1].tolist())
+        assert all(undecidable(v) for v in values[sorted(undecided)].tolist())
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_any_float(self, values):
+        assert cell_texts(values) == percent_g(values)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_LISTS))
+    def test_edge_values(self, name):
+        values = EDGE_LISTS[name]
+        assert cell_texts(values) == percent_g(values)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_LISTS))
+    def test_only_undecidable_values_fall_back(self, name):
+        values = EDGE_LISTS[name]
+        undecided = _cell_words(values)[1]
+        assert all(undecidable(v) for v in values[undecided].tolist())
+
+    def test_ties_are_left_to_python(self):
+        # %.17g rounds an exact tie half to even: 1000000000000000.25 -> ...0.2
+        ties = half_ties()
+        assert set(_cell_words(ties)[1].tolist()) == set(range(len(ties)))
+        assert cell_texts([4000000000000001 / 4])[0] == "1000000000000000.2"
+
+    def test_carry_to_the_next_power(self):
+        values = EDGE_LISTS["powers_of_ten"]
+        carried = [v for v, text in zip(values.tolist(), percent_g(values))
+                   if text.startswith("1e") and Fraction(v) < Fraction(text)]
+        assert carried  # some floats below 10**k print as 1e+k
+        assert cell_texts(carried) == percent_g(carried)
 
 
 @pytest.mark.xfail(strict=True, reason="no resolution guard before the hbar scan (ROADMAP D5)")

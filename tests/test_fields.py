@@ -40,6 +40,15 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(1.0, 0.0, 64)
 
+    def test_samples_computed_once_and_read_only(self):
+        g = Grid(-1.5, 2.5, 257)
+        assert g.x is g.x
+        expected = g.x_min + np.arange(g.n) * g.h
+        assert np.array_equal(g.x.view(np.int64), expected.view(np.int64))
+        with pytest.raises(ValueError):
+            g.x[0] = 0.0
+        assert g == Grid(-1.5, 2.5, 257) and hash(g) == hash(Grid(-1.5, 2.5, 257))
+
     def test_refined_shares_samples(self):
         g = Grid(0.0, 1.0, 33)
         r = g.refined()

@@ -384,6 +384,27 @@ class TestSchwarzianCorrection:
         inp = HierarchyInput.from_potential(Potential("harmonic"), grid, 5.0, 2, 0.1, 0.0)
         assert p2_schwarzian_check(recurse(inp), inp) < 1e-5
 
+    @pytest.mark.parametrize("defect", ["shifted", "without_three_halves"])
+    def test_planted_defect_fails(self, linear_solution, linear_input, defect):
+        p = list(linear_solution.p_coeffs)
+        p0 = p[0]
+        if defect == "shifted":
+            planted = p[2].values + 1e-4
+        else:  # P_0''/(4 P_0^2): the Schwarzian route without its -(3/2)(P_0'/P_0)^2
+            planted = p0.derivs[1] / (4.0 * p0.values ** 2)
+        p[2] = ScalarField(p[2].grid, planted)
+        sol = HierarchySolution(tuple(p), linear_solution.s_coeffs, linear_solution.parity_report)
+        assert p2_schwarzian_check(sol, linear_input) > 1e-5
+
+    def test_workload_grids(self):
+        # K = 4 on 4097 and K = 12 on 16385 samples, as perfbench runs them
+        for potential, energy, grid, order, bound in (
+                (Potential("harmonic"), 1.0, Grid(-0.5, 0.5, 4097), 4, 1e-7),
+                (Potential("linear"), 2.0, Grid(-4.0, 1.5, 16385), 12, 1e-7),
+                (Potential("free"), 1.0, Grid(0.0, 2.0 * np.pi, 16385), 8, 0.0)):
+            inp = HierarchyInput.from_potential(potential, grid, energy, order, 0.1, grid.x_min)
+            assert p2_schwarzian_check(recurse(inp), inp) <= bound
+
     def test_requires_vanishing_first_correction(self):
         grid = Grid(-1.0, 1.0, 513)
         f2 = ScalarField(grid, np.full(grid.n, 0.1))
