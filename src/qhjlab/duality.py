@@ -13,9 +13,8 @@ resolvent equation
     eps^2 Xi''' - 2 V' Xi + 4 (E - V) Xi' = 0,
 
 which is also what the prepotential form and the free-energy (AKQ-type) form
-reduce to.  The remaining entry points cover the general inverse-quadratic
-phase-derivative solution of the stationary Hamilton-Jacobi equation and the
-norm-fixing scale factor omega.
+reduce to.  The remaining entry points cover the modulus-momentum and
+Legendre identities and the norm-fixing scale factor omega.
 """
 
 from __future__ import annotations
@@ -51,13 +50,11 @@ class FreeEnergy:
     """Free energy F0 of the hierarchy side, tied to the potential by F0'' = -V/2.
 
     ``f0_dd`` stores -V/2 exactly (the construction identity); ``f0`` is its
-    double antiderivative.  ``higher`` holds the optional even-order
-    corrections F2, F4, ... as sampled fields.
+    double antiderivative.
     """
 
     f0: ScalarField
     f0_dd: ScalarField
-    higher: tuple = ()
 
     @classmethod
     def from_potential(cls, potential: Potential, grid, x_ref: float) -> "FreeEnergy":
@@ -133,22 +130,11 @@ def _chain_derivatives(prep: Prepotential):
     return fd, pd
 
 
-def dual_derivative_residual(prep: Prepotential, via: str = "psi") -> ScalarField:
-    """|dF/dpsi - conj(psi)| (via='psi') or |dF/dpsi^2 - conj(psi)/2psi| (via='psi_sq').
-
-    The psi-derivative is realized on the coordinate grid through the chain
-    rule dF/dpsi = F_X / psi_X.
-    """
+def dual_derivative_residual(prep: Prepotential) -> ScalarField:
+    """|dF/dpsi - conj(psi)|, with the psi-derivative realized on the
+    coordinate grid through the chain rule dF/dpsi = F_X / psi_X."""
     (f1, _, _), (p1, _, _) = _chain_derivatives(prep)
-    if via == "psi":
-        target = prep.pair.psi_dual.values
-        resid = f1 / p1 - target
-    elif via == "psi_sq":
-        xi1 = derivative(prep.xi["psi_sq"], 1).values
-        resid = f1 / xi1 - prep.phi.values
-    else:
-        raise ValueError(f"via must be 'psi' or 'psi_sq', got {via!r}")
-    return ScalarField(prep.pair.grid, np.abs(resid))
+    return ScalarField(prep.pair.grid, np.abs(f1 / p1 - prep.pair.psi_dual.values))
 
 
 def prepotential_ode_residual(prep: Prepotential, v_field: ScalarField,
@@ -207,13 +193,14 @@ def gd_relative(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: f
     return float(np.max(np.abs(resid.values))) / gd_scale(xi, v_field, energy, epsilon)
 
 
-def prepotential_gd_residual(prep: Prepotential, v_field: ScalarField, energy: float,
-                             printed_form: bool = False) -> ScalarField:
-    """The resolvent equation written in terms of the prepotential.
+def prepotential_gd_residual(prep: Prepotential, v_field: ScalarField,
+                             energy: float) -> ScalarField:
+    """The resolvent equation written in terms of the prepotential,
 
-    The consistent form multiplies 4(E - V) by (F' + 1/(i eps)); the
-    ``printed_form`` flag evaluates the variant with (F + 1/(i eps)) instead,
-    kept only for comparison (it is not solved by genuine pairs).
+        eps^2 F''' - 2 V' (F + X/(i eps)) + 4 (E - V) (F' + 1/(i eps)) = 0,
+
+    half the psi*conj(psi) resolvent residual.  The variant with F in place
+    of F' in the last factor is not solved by genuine pairs.
     """
     eps = prep.epsilon
     grid = prep.pair.grid
@@ -223,27 +210,25 @@ def prepotential_gd_residual(prep: Prepotential, v_field: ScalarField, energy: f
     v = v_field.values
     dv = derivative(v_field, 1).values
     shifted = f.values + grid.x / (1j * eps)
-    last = (f.values if printed_form else f1) + 1.0 / (1j * eps)
-    resid = eps ** 2 * f3 - 2.0 * dv * shifted + 4.0 * (energy - v) * last
+    resid = eps ** 2 * f3 - 2.0 * dv * shifted + 4.0 * (energy - v) * (f1 + 1.0 / (1j * eps))
     return ScalarField(grid, resid)
 
 
 def akq_residual(prep: Prepotential, fe: FreeEnergy, energy: float,
-                 v_field: ScalarField | None = None) -> ScalarField:
+                 v_field: ScalarField) -> ScalarField:
     """Residual of the free-energy form of the resolvent equation
 
         eps^2 F''' + (F' + 1/(i eps)) (8 F0'' + 4 E) + 4 F0''' (F + X/(i eps)) = 0.
 
-    With F0'' = -V/2 this reduces algebraically to the direct form; passing
-    ``v_field`` enforces that pairing.
+    With F0'' = -V/2 this reduces algebraically to the direct form; a ``fe``
+    that breaks that pairing with ``v_field`` raises :class:`ContractError`.
     """
-    if v_field is not None:
-        scale = max(float(np.max(np.abs(v_field.values))), 1.0)
-        mismatch = float(np.max(np.abs(fe.f0_dd.values + 0.5 * v_field.values)))
-        if mismatch > 1e-12 * scale:
-            raise ContractError(
-                f"free energy is inconsistent with the potential: "
-                f"max |F0'' + V/2| = {mismatch:.3e}")
+    scale = max(float(np.max(np.abs(v_field.values))), 1.0)
+    mismatch = float(np.max(np.abs(fe.f0_dd.values + 0.5 * v_field.values)))
+    if mismatch > 1e-12 * scale:
+        raise ContractError(
+            f"free energy is inconsistent with the potential: "
+            f"max |F0'' + V/2| = {mismatch:.3e}")
     eps = prep.epsilon
     grid = prep.pair.grid
     f1 = derivative(prep.F, 1).values
@@ -254,69 +239,6 @@ def akq_residual(prep: Prepotential, fe: FreeEnergy, energy: float,
              + (f1 + 1.0 / (1j * eps)) * (8.0 * f0dd + 4.0 * energy)
              + 4.0 * f0ddd * (prep.F.values + grid.x / (1j * eps)))
     return ScalarField(grid, resid)
-
-
-@dataclass(frozen=True)
-class SprimeReport:
-    """Phase derivative s' from the inverse quadratic form, plus its residual
-    in the third-order stationary Hamilton-Jacobi equation."""
-
-    s_prime: ScalarField
-    residual: ScalarField
-    quadratic_form: ScalarField
-
-
-def wkb_general_sprime(pair: SolutionPair, a: complex, b: complex, c: complex) -> SprimeReport:
-    """s' = sqrt(2m) / (a psi^2 + b conj(psi)^2 + c psi conj(psi)) and the residual
-
-        (s')^2 - 2m(E - V) + (hbar^2/2) {s; x}.
-
-    The quadratic form must be real and node-free on the grid (b = conj(a) and
-    real c make it real).  The residual vanishes only for the combinations that
-    match the pair normalization (c^2 - 4ab = 1 for a pair scaled to W = 2i/eps);
-    rescaling (a, b, c) rescales s' but drops out of any derived microstate.
-    """
-    if pair.kind != "conjugate":
-        raise ContractError("wkb_general_sprime expects a conjugate pair")
-    if pair.potential is None:
-        raise ContractError("pair must carry its potential for the residual")
-    grid = pair.grid
-    psi, psibar = pair.psi, pair.psi_dual
-
-    q0 = a * psi.values ** 2 + b * psibar.values ** 2 + c * psi.values * psibar.values
-    scale = float(np.max(np.abs(q0)))
-    if float(np.max(np.abs(q0.imag))) > 1e-12 * scale:
-        raise ContractError(
-            "quadratic form is not real; use b = conj(a) and real c")
-    q = q0.real
-    bad = np.flatnonzero(np.abs(q) <= NODE_TOL * scale)
-    if bad.size:
-        raise SingularFieldError(
-            f"quadratic form vanishes at {bad.size} sample(s), first at index "
-            f"{bad[0]} (x={grid.x[bad[0]]:.6g})", indices=bad)
-
-    p1, pb1 = psi.derivs[0], psibar.derivs[0]
-    p2, pb2 = psi.derivs[1], psibar.derivs[1]
-    q1 = (2.0 * a * psi.values * p1 + 2.0 * b * psibar.values * pb1
-          + c * (p1 * psibar.values + psi.values * pb1)).real
-    q2 = (2.0 * a * (p1 ** 2 + psi.values * p2)
-          + 2.0 * b * (pb1 ** 2 + psibar.values * pb2)
-          + c * (p2 * psibar.values + 2.0 * p1 * pb1 + psi.values * pb2)).real
-
-    mass = pair.constants.mass
-    hbar = pair.constants.hbar
-    root = math.sqrt(2.0 * mass)
-    s1 = root / q
-    s2 = -root * q1 / q ** 2
-    s3 = root * (2.0 * q1 ** 2 - q * q2) / q ** 3
-    schw = s3 / s1 - 1.5 * (s2 / s1) ** 2
-
-    v = pair.potential.derivative_samples(grid, 0)
-    resid = s1 ** 2 - 2.0 * mass * (pair.energy - v) + 0.5 * hbar ** 2 * schw
-    return SprimeReport(
-        s_prime=ScalarField(grid, s1, derivs=(s2, s3)),
-        residual=ScalarField(grid, resid),
-        quadratic_form=ScalarField(grid, q, derivs=(q1, q2)))
 
 
 def omega_for_norm(modulus_sq: ScalarField) -> float:
@@ -372,7 +294,7 @@ def duality_checks(prep: Prepotential) -> dict:
     for variant, xi in prep.xi.items():
         checks[f"gd_{variant}"] = gd_relative(xi, v_field, pair.energy, eps)
     fe = FreeEnergy.from_potential(pair.potential, grid, grid.x_min)
-    akq = akq_residual(prep, fe, pair.energy, v_field=v_field)
+    akq = akq_residual(prep, fe, pair.energy, v_field)
     direct = prepotential_gd_residual(prep, v_field, pair.energy)
     scale = gd_scale(prep.xi["psi_psibar"], v_field, pair.energy, eps)
     checks["akq_matches_direct"] = float(np.max(np.abs(akq.values - direct.values))) / scale

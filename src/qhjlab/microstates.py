@@ -71,6 +71,8 @@ class MicrostateParams:
 def _require_real_pair(pair: SolutionPair):
     if pair.kind != "real":
         raise ContractError(f"microstate formulas need a real pair, got kind={pair.kind!r}")
+    if min(len(pair.psi.derivs), len(pair.psi_dual.derivs)) < 2:
+        raise ContractError("microstate formulas need psi' and psi'' attached to both members")
 
 
 def _jet(f: ScalarField) -> tuple:
@@ -86,11 +88,9 @@ def _components(psi: ScalarField, chi: ScalarField, params: MicrostateParams):
 
 
 def _denominator(pair: SolutionPair, params: MicrostateParams):
-    """|psi_dual - i l psi|^2 with first/second derivatives when available."""
+    """|psi_dual - i l psi|^2 with its first and second derivatives."""
     a, b = _components(pair.psi, pair.psi_dual, params)
     d = a[0] * a[0] + b[0] * b[0]
-    if len(a) < 3:
-        return d, None, None
     d1 = 2.0 * (a[0] * a[1] + b[0] * b[1])
     d2 = 2.0 * (a[1] * a[1] + a[0] * a[2] + b[1] * b[1] + b[0] * b[2])
     return d, d1, d2
@@ -116,8 +116,6 @@ def momentum(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
     c = hbar * params.ell1 * pair.omega
     d, d1, d2 = _denominator(pair, params)
     p = c / d
-    if d1 is None:
-        return ScalarField(pair.grid, p)
     dp = -c * d1 / (d * d)
     d2p = c * (2.0 * d1 * d1 - d * d2) / (d * d * d)
     return ScalarField(pair.grid, p, derivs=(dp, d2p))
@@ -126,12 +124,11 @@ def momentum(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
 def hamilton_principal(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
     """Principal function S0 = (hbar/2)(alpha + theta) with theta the unwrapped
     phase of beta; carries (p, p', p'') as attached derivatives."""
-    return _principal(pair, params, beta_field(pair, params), momentum(pair, params))
+    return _principal(pair, params, momentum(pair, params))
 
 
-def _principal(pair: SolutionPair, params: MicrostateParams, beta: ScalarField,
-               p: ScalarField) -> ScalarField:
-    theta = unwrap_phase(beta)
+def _principal(pair: SolutionPair, params: MicrostateParams, p: ScalarField) -> ScalarField:
+    theta = unwrap_phase(beta_field(pair, params))
     values = pair.constants.hbar * (ALPHA_SLOPE * params.alpha + 0.5 * theta.values)
     return ScalarField(pair.grid, values, derivs=(p.values,) + p.derivs)
 
@@ -146,17 +143,15 @@ class QuantumPotentialReport:
 
 
 def quantum_potential(ms: "Microstate") -> QuantumPotentialReport:
-    """Q via (hbar^2/4m){S0; x} and via -hbar^2 R''/2mR with R = |S0'|^{-1/2}."""
+    """Q via (hbar^2/4m){S0; x}, as :func:`build_microstate` stores it, and via
+    -hbar^2 R''/2mR with R = |S0'|^{-1/2}."""
     hbar = ms.pair.constants.hbar
     mass = ms.pair.constants.mass
-    q_schw = 0.25 * hbar * hbar / mass * schwarzian(ms.S0).values
-
     r = ScalarField(ms.pair.grid, np.abs(ms.p.values) ** -0.5)
     r2 = derivative(r, 2).values
     q_amp = -0.5 * hbar * hbar / mass * r2 / r.values
-    disc = float(np.max(np.abs(q_schw - q_amp)))
-    return QuantumPotentialReport(ScalarField(ms.pair.grid, q_schw),
-                                  ScalarField(ms.pair.grid, q_amp), disc)
+    disc = float(np.max(np.abs(ms.Q.values - q_amp)))
+    return QuantumPotentialReport(ms.Q, ScalarField(ms.pair.grid, q_amp), disc)
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,6 @@ class Microstate:
     params: MicrostateParams
     pair: SolutionPair
     w: ScalarField            # psi_dual/psi, NaN-masked at nodes of psi
-    beta: ScalarField
     S0: ScalarField
     p: ScalarField
     Q: ScalarField
@@ -182,22 +176,18 @@ class Microstate:
 def build_microstate(pair: SolutionPair, params: MicrostateParams) -> Microstate:
     """Assemble every microstate field for (pair, params)."""
     _require_real_pair(pair)
-    if pair.potential is None:
-        raise ContractError("pair must carry its potential to form the residual fields")
-
     psi = pair.psi.values
     mask = np.abs(psi) > NODE_TOL * float(np.max(np.abs(psi)))
     w_vals = np.where(mask, pair.psi_dual.values / np.where(mask, psi, 1.0), np.nan)
     w = ScalarField(pair.grid, w_vals)
 
-    beta = beta_field(pair, params)
     p = momentum(pair, params)
-    s0 = _principal(pair, params, beta, p)
+    s0 = _principal(pair, params, p)
     hbar, mass = pair.constants.hbar, pair.constants.mass
     q = 0.25 * hbar * hbar / mass * schwarzian(s0).values
     v = pair.potential.derivative_samples(pair.grid, 0)
     mfw = ScalarField(pair.grid, v - pair.energy)
-    return Microstate(params, pair, w, beta, s0, p, ScalarField(pair.grid, q), mfw)
+    return Microstate(params, pair, w, s0, p, ScalarField(pair.grid, q), mfw)
 
 
 @dataclass(frozen=True)
@@ -218,20 +208,12 @@ def qshje_residual(ms: Microstate) -> QshjeReport:
     res_pot = kinetic + ms.mfW.values + ms.Q.values
 
     g_vals = np.exp(2j / hbar * ms.S0.values)
-    if ms.S0.derivs:
-        c = 2j / hbar
-        p, dp, d2p = ms.S0.derivs[0], None, None
-        if len(ms.S0.derivs) >= 3:
-            dp, d2p = ms.S0.derivs[1], ms.S0.derivs[2]
-        g1 = c * p * g_vals
-        if dp is not None:
-            g2 = c * (dp * g_vals + p * g1)
-            g3 = c * (d2p * g_vals + 2.0 * dp * g1 + p * g2)
-            g = ScalarField(ms.pair.grid, g_vals, derivs=(g1, g2, g3))
-        else:
-            g = ScalarField(ms.pair.grid, g_vals, derivs=(g1,))
-    else:
-        g = ScalarField(ms.pair.grid, g_vals)
+    c = 2j / hbar
+    p, dp, d2p = ms.S0.derivs
+    g1 = c * p * g_vals
+    g2 = c * (dp * g_vals + p * g1)
+    g3 = c * (d2p * g_vals + 2.0 * dp * g1 + p * g2)
+    g = ScalarField(ms.pair.grid, g_vals, derivs=(g1, g2, g3))
     w_schw = np.real(-0.25 * hbar * hbar / mass * schwarzian(g).values)
     res_schw = kinetic + w_schw + ms.Q.values
     mismatch = float(np.max(np.abs(w_schw - ms.mfW.values)))

@@ -146,9 +146,9 @@ class Potential:
             f = derivative(f, 1)
         return np.asarray(f.values, dtype=float)
 
-    def field(self, grid: Grid, n_derivs: int = 3) -> ScalarField:
-        """V on ``grid`` with derivative samples of orders 1..n_derivs attached."""
-        derivs = tuple(self.derivative_samples(grid, k) for k in range(1, n_derivs + 1))
+    def field(self, grid: Grid) -> ScalarField:
+        """V on ``grid`` with derivative samples of orders 1..3 attached."""
+        derivs = tuple(self.derivative_samples(grid, k) for k in (1, 2, 3))
         return ScalarField(grid, self.derivative_samples(grid, 0), derivs=derivs)
 
 
@@ -156,11 +156,11 @@ class Potential:
 class SolutionPair:
     """Two linearly independent solutions (psi, psi_dual) at a common energy.
 
-    ``kind`` distinguishes the variants the checks rely on: "real" pairs feed
-    the microstate formulas (psi_dual/psi real), "conjugate" pairs
-    (psi_dual = conj(psi)) feed the duality checks, anything else is
-    "general".  ``wronskian`` is psi' psi_dual - psi psi_dual', constant for
-    genuine solutions.
+    ``kind`` is "real" for pairs that feed the microstate formulas
+    (psi_dual/psi real) and "conjugate" for pairs (psi_dual = conj(psi)) that
+    feed the duality checks.  ``wronskian`` is psi' psi_dual - psi psi_dual',
+    constant for genuine solutions.  Both members carry their x-derivatives
+    of orders 1..3, and ``potential`` is the V they solve with.
 
     ``psi_e`` and ``psi_dual_e`` are the members' energy derivatives, each
     with its first two x-derivatives attached, or None where the pair has no
@@ -172,8 +172,8 @@ class SolutionPair:
     energy: float
     constants: PhysicalConstants
     wronskian: complex
+    potential: Potential
     kind: str = "real"
-    potential: Potential | None = None
     provenance: str = "analytic"
     psi_e: ScalarField | None = None
     psi_dual_e: ScalarField | None = None
@@ -206,13 +206,13 @@ class SolutionPair:
 
         u = self.psi if member == "psi" else self.psi_dual
         eps = self.constants.epsilon
-        v = self.potential.derivative_samples(self.grid, 0) if self.potential else 0.0
+        v = self.potential.derivative_samples(self.grid, 0)
         d2 = derivative(u, 2, use_attached=use_attached).values
         return ScalarField(self.grid, -eps * eps * d2 + (v - self.energy) * u.values)
 
     def residual_scale(self) -> float:
         """Reference magnitude for relative residual checks."""
-        v = self.potential.derivative_samples(self.grid, 0) if self.potential else 0.0
+        v = self.potential.derivative_samples(self.grid, 0)
         scale = 0.0
         for u in (self.psi, self.psi_dual):
             scale = max(scale, float(np.max(np.abs((v - self.energy) * u.values))))
@@ -233,15 +233,15 @@ class SolutionPair:
                 "wronskian_drift": self.wronskian_drift()}
 
 
-def _validate_pair(pair: SolutionPair, residual_tol=None, wronskian_tol=None) -> SolutionPair:
+def _validate_pair(pair: SolutionPair) -> SolutionPair:
     if abs(pair.wronskian) == 0:
         raise DegeneracyError("pair has zero Wronskian: members are linearly dependent")
     both = np.abs(pair.psi.values) ** 2 + np.abs(pair.psi_dual.values) ** 2
     if float(np.min(both)) <= 0.0:
         raise DegeneracyError("psi and psi_dual vanish simultaneously at some sample")
 
-    residual_tol = RESIDUAL_TOL[pair.provenance] if residual_tol is None else residual_tol
-    wronskian_tol = WRONSKIAN_TOL[pair.provenance] if wronskian_tol is None else wronskian_tol
+    residual_tol = RESIDUAL_TOL[pair.provenance]
+    wronskian_tol = WRONSKIAN_TOL[pair.provenance]
     diagnostics = {"schrodinger_residual": pair.relative_residual(pair.provenance == "analytic"),
                    "wronskian_drift": pair.wronskian_drift()}
     if diagnostics["schrodinger_residual"] > residual_tol:
@@ -346,7 +346,7 @@ def analytic_pair(potential: Potential, E: float, constants: PhysicalConstants,
 
 
 def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, grid: Grid,
-               ics, residual_tol=None) -> SolutionPair:
+               ics) -> SolutionPair:
     """Numeric pair from four real initial values (psi, psi', psiD, psiD') at x_min.
 
     Both members are integrated together with classic fixed-step RK4 on the
@@ -414,12 +414,10 @@ def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, gri
     pair = SolutionPair(psi, psi_dual, float(E), constants, complex(w0),
                         kind="real", potential=potential, provenance="numeric",
                         psi_e=psi_e, psi_dual_e=psi_dual_e)
-    return _validate_pair(pair, residual_tol=residual_tol)
+    return _validate_pair(pair)
 
 
-def _scaled_field(f: ScalarField, s: complex) -> ScalarField:
-    if s.imag == 0.0:
-        s = s.real
+def _scaled_field(f: ScalarField, s: float) -> ScalarField:
     return ScalarField(f.grid, s * f.values, derivs=tuple(s * d for d in f.derivs))
 
 
@@ -443,7 +441,9 @@ def normalize_wronskian(pair: SolutionPair, target: complex | None = None) -> So
     ``target=None`` means 2i/eps, the convention the duality checks assume for
     conjugate pairs.  Scaling both members by the same square root leaves every
     derived microstate untouched; for conjugate pairs a negative real ratio is
-    absorbed by swapping the members so conjugacy survives.
+    absorbed by swapping the members so conjugacy survives.  A target that
+    needs a non-real scale factor would break the pair's kind and raises
+    :class:`ContractError`.
     """
     if abs(pair.wronskian) == 0:
         raise DegeneracyError("cannot normalize a zero Wronskian")
@@ -461,15 +461,13 @@ def normalize_wronskian(pair: SolutionPair, target: complex | None = None) -> So
         ratio = -ratio
 
     s = np.sqrt(complex(ratio))
-    kind = pair.kind
     if abs(s.imag) > 1e-14 * abs(s):
-        if pair.kind in ("real", "conjugate"):
-            kind = "general"
-    else:
-        s = complex(s.real)
-    return SolutionPair(_scaled_field(psi, s), _scaled_field(psi_dual, s),
+        raise ContractError(
+            f"rescaling a {pair.kind} pair from Wronskian {w} to {target} needs the "
+            f"non-real factor {s}")
+    return SolutionPair(_scaled_field(psi, s.real), _scaled_field(psi_dual, s.real),
                         pair.energy, pair.constants, target,
-                        kind=kind, potential=pair.potential, provenance=pair.provenance)
+                        kind=pair.kind, potential=pair.potential, provenance=pair.provenance)
 
 
 def default_ics(potential: Potential, constants: PhysicalConstants, x_min: float) -> tuple:

@@ -117,9 +117,7 @@ class ScanReport:
     pq_midpoints: tuple
     et_midpoints: tuple
     pq_slope: float
-    pq_intercept: float
     et_slope: float
-    et_intercept: float
 
     def checks(self) -> dict:
         """{check name: |slope - 1|} for both products."""
@@ -127,9 +125,8 @@ class ScanReport:
                 "uncertainty_et_slope": abs(self.et_slope - 1.0)}
 
 
-def _loglog_fit(x, y):
-    slope, intercept = np.polyfit(np.log(np.asarray(x)), np.log(np.asarray(y)), 1)
-    return float(slope), float(intercept)
+def _loglog_slope(x, y) -> float:
+    return float(np.polyfit(np.log(np.asarray(x)), np.log(np.asarray(y)), 1)[0])
 
 
 def scan_hbars(hbar_list) -> list:
@@ -162,7 +159,5 @@ def hbar_scaling_scan(family: EnergyFamily, window, hbar_list,
                                    de_momentum=at_h.de_momentum))
     pq_mid = [r.product_pq_midpoint for r in reports]
     et_mid = [r.product_et_midpoint for r in reports]
-    pq_slope, pq_icept = _loglog_fit(hbars, pq_mid)
-    et_slope, et_icept = _loglog_fit(hbars, et_mid)
     return ScanReport(tuple(hbars), tuple(pq_mid), tuple(et_mid),
-                      pq_slope, pq_icept, et_slope, et_icept)
+                      _loglog_slope(hbars, pq_mid), _loglog_slope(hbars, et_mid))

@@ -188,17 +188,6 @@ class TestRun:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, base_config(out))
-        monkeypatch.delenv("QHJLAB_THREADS", raising=False)
-        assert main(["all", "--config", cfg]) == 0
-        serial = {p.name: p.read_bytes() for p in out.iterdir()}
-        monkeypatch.setenv("QHJLAB_THREADS", "4")
-        assert main(["all", "--config", cfg]) == 0
-        threaded = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert serial == threaded
-
     @pytest.mark.parametrize("extra", [{}, HARMONIC, HARMONIC_SCAN],
                              ids=["free", "harmonic", "harmonic-scan"])
     def test_all_solves_each_pair_once(self, tmp_path, pair_solves, extra):

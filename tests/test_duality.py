@@ -1,15 +1,19 @@
-"""Prepotential identities, resolvent residuals, phase solutions, norm scaling."""
+"""Prepotential identities, resolvent residuals, the s' oracle, norm scaling."""
 
 import numpy as np
 import pytest
 
-from qhjlab.errors import ContractError, DomainError, SingularFieldError
+from qhjlab import duality
+from qhjlab.catalog import builtin_scenario
+from qhjlab.cli import DEFAULT_TOLERANCES
+from qhjlab.errors import ContractError, DomainError
 from qhjlab.duality import (
     FreeEnergy,
     Prepotential,
     akq_residual,
     build_prepotential,
     dual_derivative_residual,
+    duality_checks,
     gd_residual,
     gd_scale,
     legendre_residual,
@@ -17,10 +21,9 @@ from qhjlab.duality import (
     omega_for_norm,
     prepotential_gd_residual,
     prepotential_ode_residual,
-    wkb_general_sprime,
 )
-from qhjlab.fields import Grid, ScalarField
-from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual
+from qhjlab.fields import Grid, ScalarField, derivative
+from qhjlab.microstates import MicrostateParams, build_microstate, momentum, qshje_residual
 from qhjlab.schrodinger import (
     Potential,
     SolutionPair,
@@ -63,6 +66,18 @@ def strip(prep):
                         xi={k: v.bare() for k, v in prep.xi.items()})
 
 
+def printed_gd_residual(prep, v_field, energy):
+    """The prepotential resolvent form with F in place of F' in the 4(E - V)
+    term: a planted defect that genuine pairs do not solve."""
+    eps, grid, f = prep.epsilon, prep.pair.grid, prep.F
+    f3 = derivative(f, 3).values
+    dv = derivative(v_field, 1).values
+    shifted = f.values + grid.x / (1j * eps)
+    last = f.values + 1.0 / (1j * eps)
+    resid = eps ** 2 * f3 - 2.0 * dv * shifted + 4.0 * (energy - v_field.values) * last
+    return ScalarField(grid, resid)
+
+
 class TestBuildPrepotential:
     def test_free_closed_form(self, free_prep, free_grid):
         assert np.max(np.abs(free_prep.F.values.real - 0.5)) < 1e-14
@@ -95,9 +110,6 @@ class TestBuildPrepotential:
 class TestDualDerivative:
     def test_free_exact(self, free_prep):
         assert np.max(dual_derivative_residual(free_prep).values) < 1e-10
-
-    def test_free_phi_form(self, free_prep):
-        assert np.max(dual_derivative_residual(free_prep, via="psi_sq").values) < 1e-10
 
     def test_numeric_harmonic_combination(self, harmonic_numeric_conjugate):
         prep = build_prepotential(harmonic_numeric_conjugate)
@@ -190,7 +202,7 @@ class TestGelfandDickey:
     def test_printed_variant_differs(self, free_prep, free_grid):
         v = Potential("free").field(free_grid)
         corrected = prepotential_gd_residual(free_prep, v, 1.0)
-        printed = prepotential_gd_residual(free_prep, v, 1.0, printed_form=True)
+        printed = printed_gd_residual(free_prep, v, 1.0)
         assert np.max(np.abs(corrected.values)) < 1e-10
         assert np.max(np.abs(printed.values)) > 1.0
 
@@ -198,8 +210,16 @@ class TestGelfandDickey:
 class TestAkq:
     def test_free_reduces_to_direct(self, free_prep, free_grid):
         fe = FreeEnergy.from_potential(Potential("free"), free_grid, 0.0)
-        resid = akq_residual(free_prep, fe, 1.0)
+        resid = akq_residual(free_prep, fe, 1.0, Potential("free").field(free_grid))
         assert np.max(np.abs(resid.values)) < 1e-12
+
+    def test_printed_form_fails_the_check(self, free_prep, monkeypatch):
+        # planted defect: the check compares the free-energy form with the
+        # direct one, so the printed direct form must push it over its bound
+        bound = DEFAULT_TOLERANCES["akq_matches_direct"]
+        assert duality_checks(free_prep)["akq_matches_direct"] < bound
+        monkeypatch.setattr(duality, "prepotential_gd_residual", printed_gd_residual)
+        assert duality_checks(free_prep)["akq_matches_direct"] > bound
 
     def test_linear_with_airy_pair(self, airy_conjugate, airy_grid, constants):
         prep = build_prepotential(airy_conjugate)
@@ -231,38 +251,48 @@ class TestAkq:
         assert np.max(np.abs(back.values[4:-4] - fe.f0_dd.values[4:-4])) < 1e-7
 
 
+def sprime_error(name, ell, c_factor=1.0):
+    """Max relative gap between |p| of the (ell) microstate on built-in ``name``
+    and s' = sqrt(2m) / (a psi^2 + b conj(psi)^2 + c psi conj(psi)) on its
+    normalized conjugate pair psi.
+
+    (a, b = conj(a), c) is fitted to the microstate denominator
+    |psi_dual - i ell psi_real|^2 and scaled to c^2 - 4ab = 1; ``c_factor``
+    then multiplies c.
+    """
+    pair = builtin_scenario(name).pair()
+    p = momentum(pair, MicrostateParams(ell=ell)).values
+    ell, u = complex(ell), pair.psi.values
+    den = (pair.psi_dual.values + ell.imag * u) ** 2 + (ell.real * u) ** 2
+    psi = normalize_wronskian(make_conjugate(pair)).psi.values
+    # real unknowns (Re a, Im a, c): the form is 2 Re(a psi^2) + c |psi|^2
+    sq, mod2 = psi ** 2, np.abs(psi) ** 2
+    basis = np.column_stack([2.0 * sq.real, -2.0 * sq.imag, mod2])
+    (a_re, a_im, c), *_ = np.linalg.lstsq(basis, den, rcond=None)
+    a = complex(a_re, a_im)
+    scale = 1.0 / np.sqrt(c * c - 4.0 * abs(a) ** 2)
+    a, b, c = scale * a, scale * a.conjugate(), scale * c * c_factor
+    s_prime = np.sqrt(2.0 * pair.constants.mass) / (a * sq + b * np.conj(sq) + c * mod2)
+    return float(np.max(np.abs(s_prime - np.abs(p)) / np.abs(p)))
+
+
+ELLS = [1.0, 1.7 + 0.3j, -0.8 - 0.4j]
+
+
 class TestWkbGeneralSprime:
-    def test_unit_mixed_coefficient(self, free_conjugate):
-        report = wkb_general_sprime(free_conjugate, 0.0, 0.0, 1.0)
-        assert np.max(np.abs(report.s_prime.values - 1.0)) < 1e-12
-        assert np.max(np.abs(report.residual.values)) < 1e-10
+    """The inverse-quadratic form of s' is the microstate momentum in other
+    coordinates; kept as an oracle for :func:`qhjlab.microstates.momentum`."""
 
-    def test_scaling_covariance(self, free_conjugate, constants):
-        # s' scales as 1/c; the product |psi|^2 s' stays constant either way
-        r1 = wkb_general_sprime(free_conjugate, 0.0, 0.0, 1.0)
-        r2 = wkb_general_sprime(free_conjugate, 0.0, 0.0, 2.0)
-        assert np.max(np.abs(r2.s_prime.values - 0.5 * r1.s_prime.values)) < 1e-14
-        mod2 = np.abs(free_conjugate.psi.values) ** 2
-        for rep, c in ((r1, 1.0), (r2, 2.0)):
-            prod = mod2 * rep.s_prime.values
-            assert np.max(np.abs(prod - prod[0])) < 1e-9
-        # the microstate built on the same scaled wave function is untouched,
-        # so the scale never reaches the trajectory equation
-        assert np.max(np.abs(r2.residual.values + 0.75)) < 1e-10  # fixed offset, not 0
+    @pytest.mark.parametrize("ell", ELLS)
+    @pytest.mark.parametrize("name", ["free", "linear"])
+    def test_matches_microstate_momentum(self, name, ell):
+        assert sprime_error(name, ell) < 1e-12
 
-    def test_normalization_constraint(self, free_conjugate):
-        # c^2 - 4ab = 1 singles out the combinations that actually solve the
-        # third-order phase equation
-        solving = wkb_general_sprime(free_conjugate, 0.6, 0.6, np.sqrt(1.0 + 4 * 0.36))
-        assert np.max(np.abs(solving.residual.values)) < 1e-9
-
-    def test_constructed_zero_rejected(self, free_conjugate):
-        with pytest.raises(SingularFieldError):
-            wkb_general_sprime(free_conjugate, 0.5, 0.5, 0.0)  # denominator cos(2X)
-
-    def test_complex_form_rejected(self, free_conjugate):
-        with pytest.raises(ContractError):
-            wkb_general_sprime(free_conjugate, 1.0, 0.0, 0.0)
+    @pytest.mark.parametrize("ell", ELLS)
+    @pytest.mark.parametrize("name", ["free", "linear"])
+    def test_planted_defect_fails(self, name, ell):
+        # c off by 1e-6 breaks c^2 - 4ab = 1, and the match with it
+        assert sprime_error(name, ell, c_factor=1.0 + 1e-6) > 1e-12
 
     def test_phase_derivative_cross_check(self, free_conjugate, constants):
         # independent route: R^2 s' from hbar * d/dx arg(psi) matches sqrt(2m)/c

@@ -87,6 +87,11 @@ class TestMomentum:
         p = momentum(free_pair, UNIT_ELL)
         assert np.max(np.abs(p.values + 1.0)) < 1e-14  # -sqrt(2mE)
 
+    def test_pair_without_attached_derivatives_rejected(self, free_pair):
+        bare = replace(free_pair, psi=free_pair.psi.bare(), psi_dual=free_pair.psi_dual.bare())
+        with pytest.raises(ContractError):
+            momentum(bare, UNIT_ELL)
+
     def test_direction_flag(self, free_pair, harmonic_pair):
         assert build_microstate(free_pair, UNIT_ELL).direction == -1
         assert build_microstate(harmonic_pair, UNIT_ELL).direction == 1

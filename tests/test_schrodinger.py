@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qhjlab.errors import CapabilityError, DegeneracyError, DomainError
+from qhjlab.errors import CapabilityError, ContractError, DegeneracyError, DomainError
 from qhjlab.fields import Grid, ScalarField, derivative, interpolate
 from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual
 from qhjlab.schrodinger import (
@@ -157,11 +157,12 @@ class TestSolvePair:
         with pytest.raises(DegeneracyError):
             solve_pair(Potential("free"), 1.0, constants, free_grid, (1.0, 0.0, 2.0, 0.0))
 
-    def test_accuracy_failure_carries_diagnostics(self, constants, free_grid):
+    def test_accuracy_failure_carries_diagnostics(self, constants, free_grid, monkeypatch):
+        from qhjlab import schrodinger
         from qhjlab.errors import AccuracyError
+        monkeypatch.setitem(schrodinger.RESIDUAL_TOL, "numeric", 1e-30)
         with pytest.raises(AccuracyError) as err:
-            solve_pair(Potential("free"), 1.0, constants, free_grid,
-                       (1.0, 0.0, 0.0, 1.0), residual_tol=1e-30)
+            solve_pair(Potential("free"), 1.0, constants, free_grid, (1.0, 0.0, 0.0, 1.0))
         assert "schrodinger_residual" in err.value.diagnostics
         assert "wronskian_drift" in err.value.diagnostics
 
@@ -324,6 +325,12 @@ class TestNormalizeWronskian:
         broken = replace(free_pair, wronskian=0.0j)
         with pytest.raises(DegeneracyError):
             normalize_wronskian(broken)
+
+    @pytest.mark.parametrize("factor", [-1.0, 1j])
+    def test_non_real_scale_factor_rejected(self, free_pair, factor):
+        # a real pair rescaled by sqrt(-1) or sqrt(i) would stop being real
+        with pytest.raises(ContractError):
+            normalize_wronskian(free_pair, free_pair.wronskian * factor)
 
 
 class TestScenario:
