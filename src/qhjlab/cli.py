@@ -30,6 +30,7 @@ stages, looks up each check's tolerance and writes the files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -472,18 +473,26 @@ def _csv_block(block, pieces):
     return text
 
 
-def atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """Binary file in path's directory that replaces path when the block ends;
+    an error inside the block removes it and leaves path as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qhjlab-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path: str, text: str):
+    with _atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def write_csv(path: str, columns):
@@ -496,7 +505,8 @@ def write_csv(path: str, columns):
     varying cells are formatted CSV_BLOCK_ROWS rows at a time by
     ``_cell_words``, which computes the digits exactly in numpy and leaves the
     values it cannot decide to Python's formatter; the NUL bytes padding each
-    cell are dropped from the finished block.
+    cell are dropped from the finished block, which is written to the
+    temporary file that replaces ``path`` once the last block is in.
     """
     names, arrays = [], []
     for name, arr in columns:
@@ -521,14 +531,12 @@ def write_csv(path: str, columns):
     # the row template's text before, between and after the varying cells
     pieces = [np.frombuffer(piece.encode("ascii"), np.uint8)
               for piece in (",".join(cells) + "\n").split("%.17g")]
-    lines = [",".join(names) + "\n"]
     table = np.stack(varying, axis=1) if varying else np.empty((len(arrays[0]), 0))
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = _csv_block(table[start:start + CSV_BLOCK_ROWS], pieces)
-        lines.append(block.translate(None, b"\0").decode("ascii"))
-    text = "".join(lines)
-    del lines  # released before atomic_write encodes the text
-    atomic_write(path, text)
+    with _atomic_file(path) as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = _csv_block(table[start:start + CSV_BLOCK_ROWS], pieces)
+            fh.write(block.translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from .errors import ContractError, DomainError, SingularFieldError
 from .fields import NODE_TOL, ScalarField, antiderivative, derivative
 from .schrodinger import Potential, SolutionPair
 
-XI_VARIANTS = ("psi_psibar", "psi_sq", "psibar_sq")
-
 
 @dataclass(frozen=True)
 class Prepotential:

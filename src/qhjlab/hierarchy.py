@@ -20,12 +20,14 @@ a sub-grid reproduces the restriction of the full-grid output to rounding.
 For real V and F'' each coefficient is one real jet R_j, with P_j = i R_j for
 even j and P_j = R_j for odd j: the recursion keeps this parity (i*i = -1 in a
 product of even coefficients, and dividing by 2 P_0 = 2i R_0 swaps real and
-imaginary), so it holds by construction.  Each real step does the IEEE
-operations of complex arithmetic on the nonzero component, in the same order;
-divisions multiply by the divisor's reciprocal, as numpy's complex divide
-(Smith's algorithm) does, so the coefficients equal a complex recursion's bit
-for bit.  The antiderivatives S^j (anchored at x_ref) reconstruct the squared
-modulus through |psi|^2 = omega * exp(2 sum_j eps^{2j} S^{2j+1}).
+imaginary), so it holds by construction.  The products P_i P_{n-i} and
+P_{n-i} P_i are one jet, so each pair is summed once and doubled, and each jet
+row of the sum and of the division by 2 P_0 is one reduction.  The
+coefficients and their derivatives lie within 16 normwise ulp of a complex
+recursion summed term by term, and within 32 of a 40-digit run of the
+recursion from the same float64 jets of V and F''.  The antiderivatives S^j
+(anchored at x_ref, formed on first read) reconstruct the squared modulus
+through |psi|^2 = omega * exp(2 sum_j eps^{2j} S^{2j+1}).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,30 +50,10 @@ _FACTORIALS = np.array([[1.0], [1.0], [2.0], [6.0]])  # r! for jet rows 0..3
 # ---------------------------------------------------------------------------
 # Truncated Taylor jets: real arrays of shape (rows, n) holding f^(r)/r! per sample.
 
-def _jet_mul(a, b, rows):
-    """First ``rows`` rows of the jet of a*b, row r summed over s = 0..r in order
-    (from a[0] b[r], not 0 + a[0] b[r]; recurse adds it to a +0, which erases the
-    only difference, the sign of an exact zero)."""
-    out = np.empty((rows, a.shape[1]))
-    for r in range(rows):
-        row = out[r]
-        np.multiply(a[0], b[r], out=row)
-        for s in range(1, r + 1):
-            row += a[s] * b[r - s]
-    return out
-
-
-def _jet_div(a, b):
-    """Jet of a/b, each row scaled by the reciprocal 1/b[0] (b[0] must not vanish)."""
-    scl = 1.0 / b[0]
-    out = np.empty_like(a)
-    np.multiply(a[0], scl, out=out[0])
-    for r in range(1, a.shape[0]):
-        acc = a[r] - b[1] * out[r - 1]
-        for s in range(2, r + 1):
-            acc -= b[s] * out[r - s]
-        np.multiply(acc, scl, out=out[r])
-    return out
+def _pair_sum(a, b, r):
+    """Row r of sum_i a_i * b_i over stacks of jets, as one reduction over (i, s):
+    sum of a[i, s] b[i, r - s] for s = 0..r, from +0."""
+    return np.einsum("isx,isx->x", a[:, :r + 1], b[:, r::-1])
 
 
 def _jet_sqrt(a):
@@ -181,17 +164,22 @@ class HierarchyInput:
 
 @dataclass(frozen=True)
 class HierarchySolution:
-    """Coefficients P_0..P_K, their anchored antiderivatives S^0..S^K, and the
+    """Coefficients P_0..P_K, the anchor x_ref of their antiderivatives, and the
     parity audit (max real part of even coefficients, max imaginary part of
     odd ones; zero by construction of the real jets)."""
 
     p_coeffs: tuple
-    s_coeffs: tuple
+    x_ref: float
     parity_report: tuple
 
     @property
     def order(self) -> int:
         return len(self.p_coeffs) - 1
+
+    @cached_property
+    def s_coeffs(self) -> tuple:
+        """S^0..S^K, the antiderivatives of P_0..P_K anchored at x_ref, formed on first read."""
+        return tuple(antiderivative(f, self.x_ref) for f in self.p_coeffs)
 
 
 def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
@@ -203,41 +191,48 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
     inp = hierarchy_input
     K = inp.order
     rows = K + 4
-    n = inp.grid.n
 
     e_minus_v = -inp.v_jet(rows)
     e_minus_v[0] += inp.energy
-    jets = [_jet_sqrt(e_minus_v)]  # R_j: P_j = i R_j for even j, P_j = R_j for odd j
-    two_r0 = 2.0 * jets[0]
+    # R_j in jets[j, :rows - j]: P_j = i R_j for even j, P_j = R_j for odd j.
+    # Rows are formed in order and a row not formed yet reads +0.
+    jets = np.zeros((K + 1, rows, inp.grid.n))
+    jets[0] = _jet_sqrt(e_minus_v)
+    scl = 1.0 / (2.0 * jets[0, 0])
+    neg_scl = -scl
 
     for nn in range(1, K + 1):
-        avail = rows - nn
-        # numerator of the recursion: acc for even nn, i * acc for odd nn
-        acc = np.zeros((avail, n))
-        for i in range(1, nn):
-            term = _jet_mul(jets[i], jets[nn - i], avail)
-            if nn % 2 == 0 and i % 2 == 0:  # (i R_i)(i R_{nn-i}) = -R_i R_{nn-i}
-                acc -= term
-            else:
-                acc += term
-        acc += np.arange(1, avail + 1)[:, None] * jets[nn - 1][1:]  # jet of R_{nn-1}'
-        f_dd = inp.f_dd_jet(nn, avail)
-        if f_dd is not None:
-            acc += 2.0 * f_dd
-        # P_nn = -numerator / (2i R_0): i acc / (2 R_0) for even nn, -acc / (2 R_0) for odd
-        jets.append(_jet_div(-acc if nn % 2 else acc, two_r0[:avail]))
+        # Row r of sum_{0<=i<=nn} P_i P_{nn-i} + P_{nn-1}' + 2 F_nn'' vanishes.
+        # P_i P_{nn-i} and P_{nn-i} P_i are one jet, R_i R_{nn-i} with sign -1 when
+        # i and nn are even, so each pair i < nn - i is summed once and doubled.
+        # The pair i = 0 holds the unknown row R_nn[r], whose own term reads +0;
+        # solving for it divides by 2 P_0 = 2i R_0, with sign -1 for odd nn.
+        m = (nn - 1) // 2
+        f_dd = inp.f_dd_jet(nn, rows - nn)
+        for r in range(rows - nn):
+            if nn % 2:
+                acc = 2.0 * _pair_sum(jets[0:m + 1], jets[nn:nn - m - 1:-1], r)
+            else:  # the middle square i = nn/2 joins the pairs of its parity
+                h = nn // 2
+                odd = 2.0 * _pair_sum(jets[1:m + 1:2], jets[nn - 1:h:-2], r)
+                even = 2.0 * _pair_sum(jets[0:m + 1:2], jets[nn:h:-2], r)
+                middle = _pair_sum(jets[h:h + 1], jets[h:h + 1], r)
+                odd, even = (odd + middle, even) if h % 2 else (odd, even + middle)
+                acc = odd - even
+            acc += (r + 1) * jets[nn - 1, r + 1]  # jet of R_{nn-1}'
+            if f_dd is not None:
+                acc += 2.0 * f_dd[r]
+            np.multiply(acc, neg_scl if nn % 2 else scl, out=jets[nn, r])
 
     p_fields = []
-    for j, jet in enumerate(jets):
-        samples = np.zeros((4, n), dtype=np.complex128)  # values and three derivatives
-        (samples.imag if j % 2 == 0 else samples.real)[:] = jet[:4] * _FACTORIALS
+    for j in range(K + 1):
+        samples = np.zeros((4, inp.grid.n), dtype=np.complex128)  # values and three derivatives
+        (samples.imag if j % 2 == 0 else samples.real)[:] = jets[j, :4] * _FACTORIALS
         p_fields.append(ScalarField(inp.grid, samples[0], derivs=tuple(samples[1:])))
-
-    s_fields = [antiderivative(f, inp.x_ref) for f in p_fields]
 
     parity = (np.max([np.max(np.abs(f.values.real)) for f in p_fields[0::2]]),
               np.max([np.max(np.abs(f.values.imag)) for f in p_fields[1::2]], initial=0.0))
-    return HierarchySolution(tuple(p_fields), tuple(s_fields), tuple(map(float, parity)))
+    return HierarchySolution(tuple(p_fields), inp.x_ref, tuple(map(float, parity)))
 
 
 @dataclass(frozen=True)
@@ -266,7 +261,7 @@ def master_residual(sol: HierarchySolution, hierarchy_input: HierarchyInput,
     K = sol.order
     grid = inp.grid
     p_vals = [f.values for f in sol.p_coeffs]
-    dp_vals = [derivative(f, 1).values for f in sol.p_coeffs]
+    dp_vals = [f.derivs[0] for f in sol.p_coeffs]  # attached by recurse
 
     per_order = []
     for nn in range(K + 1):

@@ -240,18 +240,17 @@ def _validate_pair(pair: SolutionPair) -> SolutionPair:
     if float(np.min(both)) <= 0.0:
         raise DegeneracyError("psi and psi_dual vanish simultaneously at some sample")
 
-    residual_tol = RESIDUAL_TOL[pair.provenance]
-    wronskian_tol = WRONSKIAN_TOL[pair.provenance]
     diagnostics = {"schrodinger_residual": pair.relative_residual(pair.provenance == "analytic"),
                    "wronskian_drift": pair.wronskian_drift()}
-    if diagnostics["schrodinger_residual"] > residual_tol:
-        raise AccuracyError(
-            f"Schrodinger residual {diagnostics['schrodinger_residual']:.3e} "
-            f"exceeds tolerance {residual_tol:.1e}", diagnostics=diagnostics)
-    if diagnostics["wronskian_drift"] > wronskian_tol:
-        raise AccuracyError(
-            f"Wronskian drift {diagnostics['wronskian_drift']:.3e} exceeds "
-            f"tolerance {wronskian_tol:.1e}", diagnostics=diagnostics)
+    for name, label, tol in (("schrodinger_residual", "Schrodinger residual", RESIDUAL_TOL),
+                             ("wronskian_drift", "Wronskian drift", WRONSKIAN_TOL)):
+        value, tol = diagnostics[name], tol[pair.provenance]
+        if math.isnan(value):  # overflowed samples; NaN compares false with any bound
+            raise AccuracyError(f"{label} is NaN: the pair has non-finite samples",
+                                diagnostics=diagnostics)
+        if value > tol:
+            raise AccuracyError(f"{label} {value:.3e} exceeds tolerance {tol:.1e}",
+                                diagnostics=diagnostics)
     return pair
 
 

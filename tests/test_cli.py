@@ -267,6 +267,26 @@ class TestRun:
         doc["hierarchy"] = {"order": 4, "epsilon": 0.1, "x_ref": 0.0}
         assert main(["all", "--config", write_config(tmp_path, doc)]) == 0
 
+    def test_report_forms_no_antiderivative_of_the_expansion(self, tmp_path, monkeypatch):
+        # the S_j are formed where they are read: hierarchy.csv, not report
+        from qhjlab import hierarchy
+        anchors = []
+
+        def counted(f, x_ref, _original=hierarchy.antiderivative):
+            anchors.append(x_ref)
+            return _original(f, x_ref)
+
+        monkeypatch.setattr(hierarchy, "antiderivative", counted)
+        doc = base_config(tmp_path / "out", potential={"kind": "linear", "slope": 1.0},
+                          energy=2.0, grid={"x_min": -4.0, "x_max": 1.5, "n": 1025})
+        del doc["uncertainty"]
+        doc["hierarchy"] = {"order": 4, "epsilon": 0.1, "x_ref": 0.0}
+        cfg = write_config(tmp_path, doc)
+        assert main(["report", "--config", cfg]) == 0
+        assert anchors == []
+        assert main(["hierarchy", "--config", cfg]) == 0
+        assert anchors == [0.0] * 5
+
     def test_harmonic_uncertainty_scan(self, tmp_path):
         # auto method must fall back to the numeric family (the closed form
         # covers the ground level only, which the E +/- dE re-solves leave)
@@ -313,6 +333,20 @@ class TestRun:
         del doc["uncertainty"]
         code = main(["hierarchy", "--config", write_config(tmp_path, doc)])
         assert code == 1
+
+    def test_overflowed_pair_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = base_config(out, constants={"hbar": 0.01, "mass": 0.5},
+                          potential={"kind": "linear", "slope": 1.0}, energy=-50.0,
+                          grid={"x_min": 0.0, "x_max": 20.0, "n": 4097},
+                          solver={"method": "numeric"})
+        del doc["uncertainty"], doc["hierarchy"]
+        with np.errstate(all="ignore"):
+            code = main(["solve", "--config", write_config(tmp_path, doc)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: Schrodinger residual is NaN: the pair has non-finite samples\n"
+        assert not out.exists()
 
     def test_trajectory_table_written(self, tmp_path):
         out = tmp_path / "out"
@@ -427,6 +461,27 @@ class TestWriteCsv:
             expected = per_cell_csv(columns).encode("utf-8")
             assert (tmp_path / "t.csv").read_bytes() == expected
             assert expected.count(b"\n") == rows + 1
+
+    def test_error_between_blocks_keeps_the_old_file(self, tmp_path, monkeypatch):
+        # blocks stream into a temporary file that replaces the CSV only at the end
+        from qhjlab import cli
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old\n")
+        formatted = []
+
+        def fail_second(block, pieces):
+            if formatted:
+                raise RuntimeError("disk full")
+            formatted.append(len(block))
+            return real_block(block, pieces)
+
+        real_block = cli._csv_block
+        monkeypatch.setattr(cli, "_csv_block", fail_second)
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_csv(str(path), [("x", np.arange(2 * CSV_BLOCK_ROWS, dtype=float))])
+        assert formatted == [CSV_BLOCK_ROWS]
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     @pytest.mark.parametrize("length", [4, 6])
     @pytest.mark.parametrize("dtype", [float, complex])

@@ -166,6 +166,16 @@ class TestSolvePair:
         assert "schrodinger_residual" in err.value.diagnostics
         assert "wronskian_drift" in err.value.diagnostics
 
+    def test_overflowed_pair_rejected(self):
+        # E = -50 lies far below the slope on [0, 20]: at hbar 0.01 the sweep
+        # overflows, and the NaN diagnostics must fail, not pass
+        constants = PhysicalConstants(hbar=0.01, mass=0.5)
+        from qhjlab.errors import AccuracyError
+        with np.errstate(all="ignore"), pytest.raises(AccuracyError, match="NaN") as err:
+            solve_pair(Potential("linear"), -50.0, constants, Grid(0.0, 20.0, 4097),
+                       (1.0, 0.0, 0.0, 1.0))
+        assert np.isnan(err.value.diagnostics["schrodinger_residual"])
+
     def test_ics_are_energy_independent(self, constants, free_grid):
         ics = (1.0, 0.0, 0.0, 1.0)
         pairs = [solve_pair(Potential("free"), e, constants, free_grid, ics)
