@@ -150,6 +150,56 @@ def complex_recurse(inp):
     return p_fields, [antiderivative(f, inp.x_ref) for f in p_fields]
 
 
+# The pair-symmetric recursion in complex128, summed term by term: each pair
+# P_i P_{nn-i}, i < nn - i, once and doubled, the pair i = 0 holding the unknown
+# row (which reads 0 until formed), and for even nn the pairs of odd and even i
+# summed apart with the middle square in its own group; then a multiply by
+# 1 / (2 P_0).  The real jets do the same IEEE operations on the nonzero
+# component, so the two agree bit for bit.
+
+def _complex_pair_sum(a, b, r):
+    out = np.zeros(a.shape[2], dtype=np.complex128)
+    for i in range(a.shape[0]):
+        for s in range(r + 1):
+            out += a[i, s] * b[i, r - s]
+    return out
+
+
+def complex_pair_recurse(inp):
+    """(P fields, S fields) of the pair-symmetric recursion in complex128."""
+    K = inp.order
+    rows = K + 4
+
+    e_minus_v = -_complex_v_jet(inp, rows)
+    e_minus_v[0] += inp.energy
+    p = np.zeros((K + 1, rows, inp.grid.n), dtype=np.complex128)
+    p[0] = 1j * _complex_jet_sqrt(e_minus_v)
+    inv = 1.0 / (2.0 * p[0, 0])
+
+    for nn in range(1, K + 1):
+        m = (nn - 1) // 2
+        f_dd = _complex_f_dd_jet(inp, nn, rows - nn)
+        for r in range(rows - nn):
+            if nn % 2:
+                acc = 2.0 * _complex_pair_sum(p[0:m + 1], p[nn:nn - m - 1:-1], r)
+            else:
+                h = nn // 2
+                odd = 2.0 * _complex_pair_sum(p[1:m + 1:2], p[nn - 1:h:-2], r)
+                even = 2.0 * _complex_pair_sum(p[0:m + 1:2], p[nn:h:-2], r)
+                middle = _complex_pair_sum(p[h:h + 1], p[h:h + 1], r)
+                odd, even = (odd + middle, even) if h % 2 else (odd, even + middle)
+                acc = odd + even
+            acc += (r + 1) * p[nn - 1, r + 1]
+            if f_dd is not None:
+                acc += 2.0 * f_dd[r]
+            p[nn, r] = -acc * inv
+
+    factorials = np.array([[1.0], [1.0], [2.0], [6.0]])
+    p_fields = [ScalarField(inp.grid, jet[0], derivs=tuple(jet[1:]))
+                for jet in p[:, :4] * factorials]
+    return p_fields, [antiderivative(f, inp.x_ref) for f in p_fields]
+
+
 def _oracle_inputs():
     cases = []
     builtins = [("linear", Potential("linear"), Grid(-4.0, 1.5, 2049), 2.0, -1.0),
@@ -189,6 +239,20 @@ def real_rows(field, j):
     """Samples of P_j and its three derivatives as the real jet R_j's scaled rows."""
     part = (lambda z: z.imag) if j % 2 == 0 else (lambda z: z.real)
     return [part(field.values)] + [part(d) for d in field.derivs]
+
+
+@pytest.mark.parametrize("inp", _oracle_inputs())
+def test_real_jets_equal_the_complex_recursion(inp):
+    p_ref, s_ref = complex_pair_recurse(inp)
+    sol = recurse(inp)
+    assert len(sol.p_coeffs) == len(p_ref) == inp.order + 1
+    for j, (p, ref) in enumerate(zip(sol.p_coeffs, p_ref)):
+        assert np.array_equal(p.values, ref.values), f"P_{j}"
+        assert len(p.derivs) == len(ref.derivs) == 3
+        for k, (d, d_ref) in enumerate(zip(p.derivs, ref.derivs), start=1):
+            assert np.array_equal(d, d_ref), f"P_{j} derivative {k}"
+    for j, (s, ref) in enumerate(zip(sol.s_coeffs, s_ref)):
+        assert np.array_equal(s.values, ref.values), f"S_{j}"
 
 
 @pytest.mark.parametrize("inp", _oracle_inputs())
