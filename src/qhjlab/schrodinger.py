@@ -21,9 +21,14 @@ derivative.  Differentiating the equation in E gives the variational equation
 
     -eps^2 u_E'' + (V - E) u_E = u,   i.e.   u_E'' = g u_E - u / eps^2,
 
-with g = (V - E)/eps^2.  The numeric sweep integrates it next to the pair
-from zero initial data (the pair's initial data do not depend on E); closed
-forms differentiate through k(E) (free) or z(E) (Airy).
+with g = (V - E)/eps^2.  Closed forms differentiate through k(E) (free) or
+z(E) (Airy).  A numeric pair's initial data do not depend on E, so its u_E
+has zero data at x_min, and variation of parameters over the pair itself
+gives it.  With w0 = psi' psiD - psi psiD' (the sign of ``wronskian``) and
+A = int psi u, B = int psiD u from x_min, y = (psiD A - psi B)/(eps^2 w0) has
+y' = (psiD' A - psi' B)/(eps^2 w0), since the terms from the moving limit
+cancel, and y'' = g y + (psi psiD' - psi' psiD) u/(eps^2 w0) = g y - u/eps^2;
+A = B = 0 at x_min, so y = u_E.
 
 All constructed fields carry sampled analytic derivatives: closed-form ones
 for analytic pairs, and model-consistent ones (u'' = (V - E) u / eps^2) for
@@ -349,11 +354,25 @@ def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, gri
     """Numeric pair from four real initial values (psi, psi', psiD, psiD') at x_min.
 
     Both members are integrated together with classic fixed-step RK4 on the
-    grid, and next to them their energy derivatives, which solve the
-    variational equation u_E'' = g u_E - u/eps^2 from zero initial data (the
-    initial data of the pair carry no energy dependence).  Each step runs on
-    Python floats; the pair's four components keep the operation order of the
-    vector update, which is bitwise the numpy result at a tenth of its cost.
+    grid.  Each step runs on Python floats; the four components keep the
+    operation order of the vector update, which is bitwise the numpy result
+    at a tenth of its cost.
+
+    The energy derivatives come from the Green's function (module docstring),
+    with w0 = psi' psiD - psi psiD' at x_min and integrals from x_min by
+    :func:`fields.antiderivative` over psi^2, psi psiD and psiD^2:
+
+        psi_E  = (psiD int psi^2   - psi int psi psiD) / (eps^2 w0),
+        psiD_E = (psiD int psi psiD - psi int psiD^2)  / (eps^2 w0),
+
+    the same with psi', psiD' in front for their x-derivatives, and
+    u_E'' = g u_E - u/eps^2.  Swapping the members flips w0 and both
+    numerators exactly, so it swaps the energy derivatives.  The products
+    grow as |psi|^3 and overflow once |psi| passes about 1e103 (psi^2 past
+    1.3e154); they cancel to the size of psi_E, losing about
+    log10(psi^2/|w0|) digits, a loss the Wronskian drift bound caps, as its
+    own products cancel the same way.  Non-finite swept samples or energy
+    derivatives raise :class:`AccuracyError` before any field is built.
     """
     ics = tuple(float(v) for v in ics)
     if len(ics) != 4:
@@ -368,42 +387,48 @@ def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, gri
     g_nodes = (potential.value(x) - E) / eps2
     g_mid = (potential.value(x[:-1] + 0.5 * h) - E) / eps2
 
-    # y + (h/6)(k1 + 2 k2 + 2 k3 + k4) per component of
-    # y = (psi, psi', psiD, psiD', psi_E, psi_E', psiD_E, psiD_E')
-    half, sixth, src = 0.5 * h, h / 6.0, 1.0 / eps2
+    # y + (h/6)(k1 + 2 k2 + 2 k3 + k4) per component of y = (psi, psi', psiD, psiD')
+    half, sixth = 0.5 * h, h / 6.0
     u, du, w, dw = ics
-    ue = due = we = dwe = 0.0
-    state = [u, du, w, dw, ue, due, we, dwe]
+    state = [u, du, w, dw]
     extend = state.extend
     g_list = g_nodes.tolist()
     for g0, gm, g1 in zip(g_list, g_mid.tolist(), g_list[1:]):
         a1, b1, c1, d1 = du, g0 * u, dw, g0 * w
-        e1, f1, k1, l1 = due, g0 * ue - src * u, dwe, g0 * we - src * w
         u2, w2 = u + half * a1, w + half * c1
         a2, b2, c2, d2 = du + half * b1, gm * u2, dw + half * d1, gm * w2
-        e2, f2 = due + half * f1, gm * (ue + half * e1) - src * u2
-        k2, l2 = dwe + half * l1, gm * (we + half * k1) - src * w2
         u3, w3 = u + half * a2, w + half * c2
         a3, b3, c3, d3 = du + half * b2, gm * u3, dw + half * d2, gm * w3
-        e3, f3 = due + half * f2, gm * (ue + half * e2) - src * u3
-        k3, l3 = dwe + half * l2, gm * (we + half * k2) - src * w3
         u4, w4 = u + h * a3, w + h * c3
         a4, b4, c4, d4 = du + h * b3, g1 * u4, dw + h * d3, g1 * w4
-        e4, f4 = due + h * f3, g1 * (ue + h * e3) - src * u4
-        k4, l4 = dwe + h * l3, g1 * (we + h * k3) - src * w4
         u, du, w, dw = (u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
                         du + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
                         w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
                         dw + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
-        ue, due, we, dwe = (ue + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4),
-                            due + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
-                            we + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                            dwe + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4))
-        extend((u, du, w, dw, ue, due, we, dwe))
+        extend((u, du, w, dw))
+
+    # one flat list to one array: converting a list of tuples costs far more
+    swept = np.array(state).reshape(-1, 4).T
+    if not np.isfinite(swept).all():
+        diagnostics = {"schrodinger_residual": math.nan, "wronskian_drift": math.nan}
+        raise AccuracyError("Schrodinger residual is NaN: the pair has non-finite samples",
+                            diagnostics=diagnostics)
+    psi_v, dpsi, chi_v, dchi = swept
+    with np.errstate(all="ignore"):
+        i_pp, i_pc, i_cc = (antiderivative(ScalarField(grid, a * b), grid.x_min).values
+                            for a, b in ((psi_v, psi_v), (psi_v, chi_v), (chi_v, chi_v)))
+        scale = eps2 * w0
+        e_lanes = np.array([(chi_v * i_pp - psi_v * i_pc) / scale,
+                            (dchi * i_pp - dpsi * i_pc) / scale,
+                            (chi_v * i_pc - psi_v * i_cc) / scale,
+                            (dchi * i_pc - dpsi * i_cc) / scale])
+    if not np.isfinite(e_lanes).all():
+        big = max(np.max(np.abs(psi_v)), np.max(np.abs(chi_v)))
+        raise AccuracyError(f"energy derivative overflows: max |psi|, |psiD| = {big:.3e}")
+    psi_ev, dpsi_e, chi_ev, dchi_e = e_lanes
 
     dv = potential.derivative_samples(grid, 1)
-    # one flat list to one array: converting a list of tuples costs far more
-    psi_v, dpsi, chi_v, dchi, psi_ev, dpsi_e, chi_ev, dchi_e = np.array(state).reshape(-1, 8).T
+    src = 1.0 / eps2
     psi = ScalarField(grid, psi_v,
                       derivs=(dpsi, g_nodes * psi_v, (dv / eps2) * psi_v + g_nodes * dpsi))
     psi_dual = ScalarField(grid, chi_v,

@@ -348,6 +348,22 @@ class TestRun:
             "error: Schrodinger residual is NaN: the pair has non-finite samples\n"
         assert not out.exists()
 
+    def test_overflowed_pair_prints_one_error_line(self, tmp_path):
+        import subprocess
+        import sys
+
+        out = tmp_path / "out"
+        doc = base_config(out, constants={"hbar": 0.01, "mass": 0.5},
+                          potential={"kind": "linear", "slope": 1.0}, energy=-50.0,
+                          grid={"x_min": 0.0, "x_max": 20.0, "n": 4097},
+                          solver={"method": "numeric"})
+        del doc["uncertainty"], doc["hierarchy"]
+        cfg = write_config(tmp_path, doc)
+        proc = subprocess.run([sys.executable, "-m", "qhjlab.cli", "solve", "--config", cfg],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: Schrodinger residual is NaN: the pair has non-finite samples\n"
+
     def test_trajectory_table_written(self, tmp_path):
         out = tmp_path / "out"
         doc = base_config(out)

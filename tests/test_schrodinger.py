@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qhjlab.errors import CapabilityError, ContractError, DegeneracyError, DomainError
 from qhjlab.fields import Grid, ScalarField, derivative, interpolate
@@ -176,6 +177,14 @@ class TestSolvePair:
                        (1.0, 0.0, 0.0, 1.0))
         assert np.isnan(err.value.diagnostics["schrodinger_residual"])
 
+    def test_overflowed_energy_derivative_rejected(self):
+        # a finite sweep up to |psi| ~ 1e109, whose Green's function products
+        # (of size |psi|^3) overflow: refused without a numpy warning
+        from qhjlab.errors import AccuracyError
+        with pytest.raises(AccuracyError, match="energy derivative overflows"):
+            solve_pair(Potential("linear"), -50.0, PhysicalConstants(hbar=0.1),
+                       Grid(0.0, 3.5, 4097), (1.0, 0.0, 0.0, 1.0))
+
     def test_ics_are_energy_independent(self, constants, free_grid):
         ics = (1.0, 0.0, 0.0, 1.0)
         pairs = [solve_pair(Potential("free"), e, constants, free_grid, ics)
@@ -229,6 +238,50 @@ def numpy_step_loop(potential, E, constants, grid, ics):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         state[i + 1] = y
     return state
+
+
+def variational_step_loop(potential, E, constants, grid, ics):
+    """The former eight-lane scalar sweep of ``solve_pair``, kept as the
+    reference for its energy derivatives: (n, 4) states
+    (psi_E, psi_E', psiD_E, psiD_E') integrated by RK4 next to the pair from
+    zero initial data, which makes them the exact E-derivative of the swept
+    pair."""
+    eps2 = constants.epsilon ** 2
+    x = grid.x
+    h = grid.h
+    g_nodes = (potential.value(x) - E) / eps2
+    g_mid = (potential.value(x[:-1] + 0.5 * h) - E) / eps2
+
+    half, sixth, src = 0.5 * h, h / 6.0, 1.0 / eps2
+    u, du, w, dw = (float(v) for v in ics)
+    ue = due = we = dwe = 0.0
+    state = [ue, due, we, dwe]
+    g_list = g_nodes.tolist()
+    for g0, gm, g1 in zip(g_list, g_mid.tolist(), g_list[1:]):
+        a1, b1, c1, d1 = du, g0 * u, dw, g0 * w
+        e1, f1, k1, l1 = due, g0 * ue - src * u, dwe, g0 * we - src * w
+        u2, w2 = u + half * a1, w + half * c1
+        a2, b2, c2, d2 = du + half * b1, gm * u2, dw + half * d1, gm * w2
+        e2, f2 = due + half * f1, gm * (ue + half * e1) - src * u2
+        k2, l2 = dwe + half * l1, gm * (we + half * k1) - src * w2
+        u3, w3 = u + half * a2, w + half * c2
+        a3, b3, c3, d3 = du + half * b2, gm * u3, dw + half * d2, gm * w3
+        e3, f3 = due + half * f2, gm * (ue + half * e2) - src * u3
+        k3, l3 = dwe + half * l2, gm * (we + half * k2) - src * w3
+        u4, w4 = u + h * a3, w + h * c3
+        a4, b4, c4, d4 = du + h * b3, g1 * u4, dw + h * d3, g1 * w4
+        e4, f4 = due + h * f3, g1 * (ue + h * e3) - src * u4
+        k4, l4 = dwe + h * l3, g1 * (we + h * k3) - src * w4
+        u, du, w, dw = (u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                        du + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+                        w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
+                        dw + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+        ue, due, we, dwe = (ue + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4),
+                            due + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
+                            we + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                            dwe + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4))
+        state.extend((ue, due, we, dwe))
+    return np.array(state).reshape(-1, 4)
 
 
 def _sweep_cases():
@@ -390,3 +443,57 @@ class TestScenario:
         sc = Scenario(Potential("free"), constants, free_grid, 1.0)
         pair = sc.pair(4.0)
         assert np.allclose(pair.psi.values, np.cos(2.0 * free_grid.x))
+
+
+SWEEP_CASES = ["free", "harmonic-ground", "harmonic-scan", "linear", "custom"]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_energy_derivative_matches_the_variational_sweep(case):
+    # The RK4 lanes are the exact E-derivative of the discrete sweep, the
+    # Green's function integrates the swept pair: two O(h^4) routes to u_E,
+    # which agree to RK4's relative step error (h k)^4 with k = max sqrt|g|
+    # (measured 1.5e-8 on the n=257 free case, 4.4e-14 at n=4097 hbar=1/16)
+    potential, E, constants, grid, ics = args = _sweep_cases()[case]
+    pair = solve_pair(*args)
+    expected = variational_step_loop(*args)
+    k = np.sqrt(np.max(np.abs(potential.value(grid.x) - E))) / constants.epsilon
+    tol = 0.1 * (grid.h * k) ** 4
+    got = (pair.psi_e.values, pair.psi_e.derivs[0], pair.psi_dual_e.values, pair.psi_dual_e.derivs[0])
+    for column, values in enumerate(got):
+        ref = expected[:, column]
+        assert np.max(np.abs(values - ref)) / np.max(np.abs(ref)) < tol, f"lane {column}"
+
+
+def _fields(pair):
+    return [a for f in (pair.psi, pair.psi_dual, pair.psi_e, pair.psi_dual_e)
+            for a in (f.values,) + f.derivs]
+
+
+@pytest.mark.parametrize("case", ["free", "custom"])
+@settings(max_examples=50)
+@given(ics=st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+def test_swapping_the_members_swaps_the_energy_derivatives(case, ics):
+    # the lanes share their formulas, w0 changes sign exactly and psi psiD is
+    # psiD psi, so the swap is exact; only the zero at x_min may change sign
+    assume(abs(ics[1] * ics[2] - ics[0] * ics[3]) > 0.25)
+    potential, E, constants, grid, _ = _sweep_cases()[case]
+    pair = solve_pair(potential, E, constants, grid, ics)
+    swapped = solve_pair(potential, E, constants, grid, ics[2:] + ics[:2])
+    assert swapped.wronskian == -pair.wronskian
+    for a, b in ((pair.psi_e, swapped.psi_dual_e), (pair.psi_dual_e, swapped.psi_e)):
+        for u, v in zip((a.values,) + a.derivs, (b.values,) + b.derivs):
+            assert np.array_equal(u.view(np.int64)[1:], v.view(np.int64)[1:])
+            assert u[0] == v[0]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+@settings(max_examples=10)
+@given(m=st.integers(-60, 60))
+def test_scaling_the_data_by_a_power_of_two_scales_every_sample(case, m):
+    potential, E, constants, grid, ics = _sweep_cases()[case]
+    pair = solve_pair(potential, E, constants, grid, ics)
+    scaled = solve_pair(potential, E, constants, grid, tuple(2.0 ** m * c for c in ics))
+    assert scaled.wronskian == 4.0 ** m * pair.wronskian
+    for u, v in zip(_fields(pair), _fields(scaled)):
+        assert np.array_equal(2.0 ** m * u, v)
