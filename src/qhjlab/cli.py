@@ -188,6 +188,9 @@ class ScenarioConfig:
             hbar_scan = _numbers(section.get("hbar_scan", []), "uncertainty.hbar_scan")
             if hbar_scan:  # an empty list runs no scan
                 _construct("uncertainty.hbar_scan", uncertainty.scan_hbars, hbar_scan)
+                for hbar in hbar_scan:  # the constants the scan builds at each hbar
+                    _construct("uncertainty.hbar_scan", PhysicalConstants, hbar=hbar,
+                               mass=self.constants.mass)
             self.uncertainty = {"delta_alpha": delta_alpha, "window": tuple(window),
                                 "hbar_scan": hbar_scan}
 
@@ -198,7 +201,7 @@ class ScenarioConfig:
             if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
                 raise ConfigError("field hierarchy.f_even_files must be a list of file names")
             self.hierarchy = _construct(
-                "hierarchy", hierarchy.HierarchyInput.from_potential, self.potential, self.grid,
+                "hierarchy", hierarchy.HierarchyInput, self.potential, self.grid,
                 self.energy, _need(section, "order", "hierarchy", int),
                 _need(section, "epsilon", "hierarchy", float),
                 _number(section.get("x_ref", self.grid.x_min), "hierarchy.x_ref"),

@@ -17,6 +17,11 @@ jets (value plus scaled derivatives at every grid point), so the derivative
 appearing at each order is exact given the derivatives of V, and rerunning on
 a sub-grid reproduces the restriction of the full-grid output to rounding.
 
+The input is one :class:`Potential` on a grid; V and each F'' enter as jets by
+one route, the derivatives a field carries (closed forms for a built-in V)
+and stencils beyond.  ``master_residual`` collects the master relation by
+powers of eps for the checks; ``master_remainder`` sums it at a given eps.
+
 For real V and F'' each coefficient is one real jet R_j, with P_j = i R_j for
 even j and P_j = R_j for odd j: the recursion keeps this parity (i*i = -1 in a
 product of even coefficients, and dividing by 2 P_0 = 2i R_0 swaps real and
@@ -79,7 +84,7 @@ def _field_jet(f: ScalarField, rows: int) -> np.ndarray:
     for r in range(1, rows):
         if r <= len(f.derivs):
             out[r] = f.derivs[r - 1].real / math.factorial(r)
-        else:
+        elif tail.values.any():  # the rows stay +0 once a derivative vanishes
             tail = derivative(tail, 1)
             out[r] = tail.values.real / math.factorial(r)
     return out
@@ -90,23 +95,23 @@ def _field_jet(f: ScalarField, rows: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HierarchyInput:
-    """Potential samples, energy, truncation order and expansion bookkeeping.
+    """A potential on a grid, energy, truncation order and expansion bookkeeping.
 
     The domain must stay classically allowed: E - V >= gap > 0 everywhere
     (the leading coefficient i*sqrt(E - V) degenerates at a turning point).
     ``f_even`` holds the optional corrections F_2'', F_4'', ... as sampled
-    fields; odd-index corrections vanish identically.  When ``potential`` is
-    given, high-order derivatives of V come from its closed form instead of
-    repeated stencils.
+    fields; odd-index corrections vanish identically.  ``epsilon`` is the
+    expansion parameter of :func:`master_remainder` and
+    :func:`reconstruct_modulus`; its powers up to ``order`` must be floats.
     """
 
-    v_field: ScalarField
+    potential: Potential
+    grid: Grid
     energy: float
     order: int
     epsilon: float
     x_ref: float
     f_even: tuple = ()
-    potential: Potential | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "f_even", tuple(self.f_even))
@@ -117,49 +122,37 @@ class HierarchyInput:
                 f"order {self.order} exceeds the supported maximum {MAX_ORDER}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        try:
+            self.epsilon ** self.order
+        except OverflowError:
+            raise ValueError(f"epsilon {self.epsilon} has no finite power {self.order}") from None
         # the real-jet recursion drops imaginary parts, so refuse them here
-        inputs = {"V": self.v_field}
-        inputs.update((f"F''_{2 * k}", f) for k, f in enumerate(self.f_even, start=1))
-        for name, f in inputs.items():
-            if f.grid != self.v_field.grid:
+        for k, f in enumerate(self.f_even, start=1):
+            name = f"F''_{2 * k}"
+            if f.grid != self.grid:
                 raise ContractError(f"{name} sampled on a different grid")
             if not np.all(np.isfinite(f.values)):
                 raise ContractError(f"{name} has non-finite samples")
             if np.iscomplexobj(f.values) and float(np.max(np.abs(f.values.imag))) > 0:
                 raise ContractError(f"{name} must be real")
-        gap = float(self.energy - np.max(self.v_field.values.real))
+        gap = float(self.energy - np.max(self.v_field.values))
         if gap <= 0.0:
             raise DomainError(
                 f"turning point on the domain: need E > max V, gap = {gap:.3e}")
-        if not self.v_field.grid.contains(self.x_ref):
+        if not self.grid.contains(self.x_ref):
             raise DomainError(f"x_ref={self.x_ref} outside the grid")
 
-    @property
-    def grid(self) -> Grid:
-        return self.v_field.grid
-
-    @classmethod
-    def from_potential(cls, potential: Potential, grid: Grid, energy: float,
-                       order: int, epsilon: float, x_ref: float,
-                       f_even=()) -> "HierarchyInput":
-        return cls(v_field=potential.field(grid), energy=energy, order=order,
-                   epsilon=epsilon, x_ref=x_ref, f_even=tuple(f_even),
-                   potential=potential)
-
-    def v_jet(self, rows: int) -> np.ndarray:
-        if self.potential is not None:
-            return np.array([self.potential.derivative_samples(self.grid, r) / math.factorial(r)
-                             for r in range(rows)])
-        return _field_jet(self.v_field, rows)
+    @cached_property
+    def v_field(self) -> ScalarField:
+        """V on the grid with its first three derivatives attached."""
+        return self.potential.field(self.grid)
 
     def f_dd_jet(self, index: int, rows: int) -> np.ndarray | None:
         """Jet of F''_index (None when the correction vanishes identically)."""
         if index == 0:
-            return -0.5 * self.v_jet(rows)
-        if index % 2 == 1:
-            return None
+            return -0.5 * _field_jet(self.v_field, rows)
         k = index // 2 - 1
-        if k >= len(self.f_even):
+        if index % 2 or k >= len(self.f_even):
             return None
         return _field_jet(self.f_even[k], rows)
 
@@ -194,7 +187,7 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
     K = inp.order
     rows = K + 4
 
-    e_minus_v = -inp.v_jet(rows)
+    e_minus_v = -_field_jet(inp.v_field, rows)
     e_minus_v[0] += inp.energy
     # R_j in jets[j, :rows - j]: P_j = i R_j for even j, P_j = R_j for odd j.
     # Rows are formed in order and a row not formed yet reads +0.
@@ -237,59 +230,41 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
     return HierarchySolution(tuple(p_fields), inp.x_ref, tuple(map(float, parity)))
 
 
-@dataclass(frozen=True)
-class MasterReport:
-    """Per-order residual fields of the master relation plus the numeric
-    remainder of the truncated sum at a concrete epsilon."""
-
-    per_order: tuple
-    remainder: ScalarField
-    epsilon: float
-
-    def max_per_order(self) -> float:
-        """Largest |residual| over all orders; NaN if any order has one."""
-        return float(np.max([np.max(np.abs(f.values)) for f in self.per_order]))
-
-
-def master_residual(sol: HierarchySolution, hierarchy_input: HierarchyInput,
-                    epsilon: float | None = None) -> MasterReport:
-    """Collect the master relation by powers of eps and evaluate the remainder.
-
-    Orders 0..K must vanish identically (they restate the recursion); the
-    full numeric sum at the given eps is left with an O(eps^{K+1}) remainder.
-    """
+def master_residual(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> tuple:
+    """The master relation collected by powers of eps: one residual field per
+    order 0..K.  Each restates the recursion, so each must vanish."""
     inp = hierarchy_input
-    eps = inp.epsilon if epsilon is None else float(epsilon)
-    K = sol.order
-    grid = inp.grid
     p_vals = [f.values for f in sol.p_coeffs]
-    dp_vals = [f.derivs[0] for f in sol.p_coeffs]  # attached by recurse
-
     per_order = []
-    for nn in range(K + 1):
-        acc = np.zeros(grid.n, dtype=np.complex128)
-        for i in range(max(0, nn - K), min(nn, K) + 1):
+    for nn in range(sol.order + 1):
+        acc = np.zeros(inp.grid.n, dtype=np.complex128)
+        for i in range(nn + 1):
             acc += p_vals[i] * p_vals[nn - i]
         if nn >= 1:
-            acc += dp_vals[nn - 1]
+            acc += sol.p_coeffs[nn - 1].derivs[0]  # attached by recurse
         f_dd = inp.f_dd_jet(nn, 1)
         if f_dd is not None:
             acc += 2.0 * f_dd[0]
         if nn == 0:
             acc += inp.energy
-        per_order.append(ScalarField(grid, acc))
+        per_order.append(ScalarField(inp.grid, acc))
+    return tuple(per_order)
 
-    p_sum = np.zeros(grid.n, dtype=np.complex128)
-    dp_sum = np.zeros(grid.n, dtype=np.complex128)
-    f_sum = np.zeros(grid.n, dtype=np.complex128)
-    for j in range(K + 1):
-        p_sum += eps ** j * p_vals[j]
-        dp_sum += eps ** j * dp_vals[j]
+
+def master_remainder(sol: HierarchySolution, hierarchy_input: HierarchyInput,
+                     epsilon: float | None = None) -> ScalarField:
+    """(sum eps^j P_j)^2 + eps sum eps^j P_j' + 2 sum eps^j F_j'' + E at a given eps
+    (default: the input's), which the truncation leaves at O(eps^{K+1})."""
+    inp = hierarchy_input
+    eps = inp.epsilon if epsilon is None else float(epsilon)
+    p_sum, dp_sum, f_sum = np.zeros((3, inp.grid.n), dtype=np.complex128)
+    for j, p in enumerate(sol.p_coeffs):
+        p_sum += eps ** j * p.values
+        dp_sum += eps ** j * p.derivs[0]
         f_dd = inp.f_dd_jet(j, 1)
         if f_dd is not None:
             f_sum += eps ** j * f_dd[0]
-    remainder = p_sum * p_sum + eps * dp_sum + 2.0 * f_sum + inp.energy
-    return MasterReport(tuple(per_order), ScalarField(grid, remainder), eps)
+    return ScalarField(inp.grid, p_sum * p_sum + eps * dp_sum + 2.0 * f_sum + inp.energy)
 
 
 def p2_schwarzian_check(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> float:
@@ -338,7 +313,8 @@ def hierarchy_checks(sol: HierarchySolution, hierarchy_input: HierarchyInput) ->
         p1_scale = max(float(np.max(np.abs(p1.values))), 1.0)
         checks["hierarchy_p1_identity"] = float(np.max(identity)) / p1_scale
     scale = abs(inp.energy) + float(np.max(np.abs(inp.v_field.values)))
-    checks["hierarchy_per_order"] = master_residual(sol, inp).max_per_order() / scale
+    worst = np.max([np.max(np.abs(f.values)) for f in master_residual(sol, inp)])
+    checks["hierarchy_per_order"] = float(worst) / scale  # NaN if any order has one
     if sol.order >= 2 and _f2_vanishes(inp):
         checks["hierarchy_p2_schwarzian"] = p2_schwarzian_check(sol, inp)
     return checks

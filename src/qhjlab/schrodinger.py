@@ -39,6 +39,7 @@ rather than by stencils.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,8 +50,9 @@ from .errors import (
     CapabilityError,
     ContractError,
     DegeneracyError,
+    DomainError,
 )
-from .fields import Grid, ScalarField, antiderivative, interpolate
+from .fields import Grid, ScalarField, antiderivative, derivative, interpolate
 
 POTENTIAL_KINDS = ("free", "linear", "harmonic", "custom")
 
@@ -70,6 +72,9 @@ class PhysicalConstants:
     def __post_init__(self):
         if not (self.hbar > 0 and self.mass > 0):
             raise ValueError(f"hbar and mass must be positive, got {self.hbar}, {self.mass}")
+        eps2 = self.epsilon * self.epsilon  # pairs divide by it
+        if not sys.float_info.min <= eps2 <= sys.float_info.max:
+            raise ValueError(f"eps^2 = hbar^2/(2 mass) = {eps2:.3e} is not a positive normal float")
 
     @property
     def epsilon(self) -> float:
@@ -95,8 +100,14 @@ class Potential:
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}; expected one of {POTENTIAL_KINDS}")
-        if self.kind == "custom" and self.samples is None:
-            raise ValueError("custom potential needs a sampled field")
+        if self.kind == "custom":
+            if self.samples is None:
+                raise ValueError("custom potential needs a sampled field")
+            values = self.samples.values  # every consumer reads V as real floats
+            if not np.all(np.isfinite(values)):
+                raise ContractError("V has non-finite samples")
+            if np.iscomplexobj(values):
+                raise ContractError("V must be real")
         if self.kind == "harmonic" and self.stiffness <= 0:
             raise ValueError("harmonic potential needs stiffness > 0")
         if self.kind == "linear" and self.slope == 0:
@@ -140,16 +151,12 @@ class Potential:
                 return 2.0 * self.stiffness * x
             return np.full(grid.n, 2.0 * self.stiffness) if order == 2 else np.zeros(grid.n)
         # custom: attached derivatives first, finite differences beyond
-        from .fields import derivative
-
         if self.samples.grid != grid:
             raise ContractError("custom potential sampled on a different grid")
         f = self.samples
-        if order == 0:
-            return np.asarray(f.values, dtype=float)
         for _ in range(order):
             f = derivative(f, 1)
-        return np.asarray(f.values, dtype=float)
+        return f.values
 
     def field(self, grid: Grid) -> ScalarField:
         """V on ``grid`` with derivative samples of orders 1..3 attached."""
@@ -207,8 +214,6 @@ class SolutionPair:
 
     def schrodinger_residual(self, member: str = "psi", use_attached: bool = True) -> ScalarField:
         """-eps^2 u'' + (V - E) u for the requested member."""
-        from .fields import derivative
-
         u = self.psi if member == "psi" else self.psi_dual
         eps = self.constants.epsilon
         v = self.potential.derivative_samples(self.grid, 0)
@@ -263,10 +268,14 @@ def _free_pair(E, constants, grid):
     if E <= 0:
         raise CapabilityError(f"free analytic pair needs E > 0, got E={E}")
     k = math.sqrt(E) / constants.epsilon
+    try:
+        k3 = k ** 3
+    except OverflowError:
+        raise CapabilityError(f"free pair wavenumber k = {k:.3e} has no finite cube") from None
     x = grid.x
     c, s = np.cos(k * x), np.sin(k * x)
-    psi = ScalarField(grid, c, derivs=(-k * s, -k * k * c, k ** 3 * s))
-    psi_dual = ScalarField(grid, s, derivs=(k * c, -k * k * s, -k ** 3 * c))
+    psi = ScalarField(grid, c, derivs=(-k * s, -k * k * c, k3 * s))
+    psi_dual = ScalarField(grid, s, derivs=(k * c, -k * k * s, -k3 * c))
     # through k(E): dk/dE = k/(2E), and the Wronskian -k moves with it
     k_e = 0.5 * k / E
     kx = k * x
@@ -501,7 +510,8 @@ def default_ics(potential: Potential, constants: PhysicalConstants, x_min: float
     rather than at x_min, since anchoring at the boundary would make the
     denominator field swing over ~e^{2 a x^2} and starve the momentum of
     dynamic range at small hbar; the orientation gives Wronskian +1, as the
-    analytic pair.  Otherwise (1, 0, 0, 1).
+    analytic pair; data that are not finite floats raise :class:`DomainError`.
+    Otherwise (1, 0, 0, 1).
     """
     if potential.kind != "harmonic":
         return (1.0, 0.0, 0.0, 1.0)
@@ -509,7 +519,11 @@ def default_ics(potential: Potential, constants: PhysicalConstants, x_min: float
     u0 = math.exp(-0.5 * a * x_min * x_min)
     du0 = -a * x_min * u0
     i0 = 0.5 * math.sqrt(math.pi / a) * float(special.erfi(math.sqrt(a) * x_min))
-    return (u0, du0, -u0 * i0, -du0 * i0 - 1.0 / u0)
+    ics = (u0, du0, -u0 * i0, -du0 * i0 - 1.0 / u0) if u0 > 0.0 else (u0, math.inf)
+    if not all(map(math.isfinite, ics)):
+        raise DomainError(f"harmonic initial data at x_min = {x_min} are not finite: "
+                          f"exp(-a x_min^2/2) = {u0:.3e} with a = {a:.3e}")
+    return ics
 
 
 @dataclass(frozen=True)

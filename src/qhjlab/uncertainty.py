@@ -99,6 +99,9 @@ def delta_chain(ms: Microstate, delta_alpha: float, window,
     if de_momentum is not None:
         weight = np.abs(de_momentum.values[mask]) / abs_p
         w_min, w_max = float(np.min(weight)), float(np.max(weight))
+        if w_min == 0.0:
+            raise DomainError(f"the time weight |dp/dE|/|p| vanishes in the window {window}, "
+                              "so the time-side products are unbounded")
         delta_t = (delta_s0 * w_min, delta_s0 * w_max)
         product_et = (delta_s0 * w_min / w_max, delta_s0 * w_max / w_min)
 

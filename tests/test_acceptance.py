@@ -13,7 +13,7 @@ import numpy as np
 from qhjlab.catalog import SCAN_WINDOWS, free_scenario, scan_family
 from qhjlab.duality import build_prepotential, duality_checks, gd_relative, omega_for_norm
 from qhjlab.fields import Grid, ScalarField, derivative
-from qhjlab.hierarchy import HierarchyInput, master_residual, p2_schwarzian_check, recurse
+from qhjlab.hierarchy import HierarchyInput, master_remainder, p2_schwarzian_check, recurse
 from qhjlab.microstates import MicrostateParams, build_microstate, microstate_checks, \
     qshje_residual, time_of_q, trajectory
 from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair, \
@@ -128,7 +128,7 @@ def test_criterion_5_duality_identities():
 def test_criterion_6_hierarchy_recursion():
     grid = Grid(-2.0, 1.5, 1025)
     potential = Potential("linear")
-    inp = HierarchyInput.from_potential(potential, grid, 2.0, 4, 0.1, 0.0)
+    inp = HierarchyInput(potential, grid, 2.0, 4, 0.1, 0.0)
     sol = recurse(inp)
     x = grid.x
 
@@ -147,17 +147,17 @@ def test_criterion_6_hierarchy_recursion():
 
     worst_slope = 0.0
     for order in (2, 4):
-        inp_k = HierarchyInput.from_potential(potential, grid, 2.0, order, 0.1, 0.0)
+        inp_k = HierarchyInput(potential, grid, 2.0, order, 0.1, 0.0)
         sol_k = recurse(inp_k)
         eps_values = (0.1, 0.05, 0.025)
-        remainders = [np.max(np.abs(master_residual(sol_k, inp_k, e).remainder.values))
+        remainders = [np.max(np.abs(master_remainder(sol_k, inp_k, e).values))
                       for e in eps_values]
         slope = np.polyfit(np.log(eps_values), np.log(remainders), 1)[0]
         worst_slope = max(worst_slope, abs(slope - (order + 1)))
     report(6, "master remainder scaling exponent", worst_slope, 0.3)
 
     start = time.perf_counter()
-    recurse(HierarchyInput.from_potential(potential, grid, 2.0, 6, 0.1, 0.0))
+    recurse(HierarchyInput(potential, grid, 2.0, 6, 0.1, 0.0))
     report(6, "order-6 runtime (seconds)", time.perf_counter() - start, 5.0)
 
 
@@ -166,7 +166,7 @@ def test_criterion_7_schwarzian_correction():
     for potential, energy, grid in (
             (Potential("linear"), 2.0, Grid(-2.0, 1.5, 1025)),
             (Potential("harmonic"), 5.0, Grid(-1.0, 1.0, 1025))):
-        inp = HierarchyInput.from_potential(potential, grid, energy, 2, 0.1, 0.0)
+        inp = HierarchyInput(potential, grid, energy, 2, 0.1, 0.0)
         worst = max(worst, p2_schwarzian_check(recurse(inp), inp))
     report(7, "second correction vs Schwarzian route", worst, 1e-5)
 

@@ -1,12 +1,18 @@
 """Config validation, pipeline wiring, file formats and determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qhjlab.cli import CSV_BLOCK_ROWS, DEFAULT_TOLERANCES, SCHEMA_VERSION, _cell_words, \
     load_config, main, write_csv
@@ -136,6 +142,77 @@ class TestValidation:
         assert code == 2
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["qshje_potential"]["tolerance"] == 1e-30
+
+
+def kind_config(out_dir, kind):
+    """base_config moved to a classically allowed scenario of the built-in ``kind``."""
+    if kind == "harmonic":
+        return base_config(out_dir, **copy.deepcopy(HARMONIC))
+    doc = base_config(out_dir)
+    if kind == "linear":
+        doc.update(potential={"kind": "linear", "slope": 1.0}, energy=2.0,
+                   grid={"x_min": -4.0, "x_max": 1.5, "n": 257})
+        del doc["uncertainty"]  # its window lies off this grid
+    return doc
+
+
+class TestExtremeScales:
+    """Scales at the ends of the float range end in one error line or a
+    report, never in a traceback; a RuntimeWarning fails these tests too
+    (pyproject's filterwarnings)."""
+
+    @pytest.mark.parametrize("kind, path, value", [
+        ("free", "energy", 1e300),
+        ("linear", "constants.hbar", 1e-200),
+        ("harmonic", "constants.hbar", 1e-200),
+        ("harmonic", "constants.mass", 1e300),
+        ("free", "uncertainty.hbar_scan", [1e300, 1e200, 1e100, 1.0]),
+        ("free", "uncertainty.hbar_scan", [1e-300, 1e-200, 1e-100, 1.0]),
+        ("free", "hierarchy.epsilon", 1e308),
+    ])
+    def test_one_error_line(self, tmp_path, capsys, kind, path, value):
+        out = tmp_path / "out"
+        doc = kind_config(out, kind)
+        *parents, key = path.split(".")
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        assert main(["all", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("error:", "config error:")) and err.count("\n") == 1, err
+        if err.startswith("config error:"):
+            assert not out.exists()
+
+    @settings(max_examples=150)
+    @given(kind=st.sampled_from(["free", "linear", "harmonic"]),
+           exponents=st.tuples(*[st.floats(-300.0, 300.0)] * 4))
+    def test_any_scale_exits_cleanly(self, kind, exponents):
+        # log10 of hbar, mass, energy and the slope or stiffness; numpy may
+        # warn on such scales, as the command line would print, but any
+        # exception that escapes main is a traceback
+        hbar, mass, energy, shape = (10.0 ** e for e in exponents)
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = kind_config(os.path.join(tmp, "out"), kind)
+            doc["constants"] = {"hbar": hbar, "mass": mass}
+            doc["energy"] = energy
+            if kind != "free":
+                doc["potential"][{"linear": "slope", "harmonic": "stiffness"}[kind]] = shape
+            cfg = os.path.join(tmp, "scenario.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert main(["report", "--config", cfg]) in (0, 1, 2)
+
+    def test_vanishing_time_weight_is_an_error(self, tmp_path, capsys):
+        # found by the scale fuzz: at m = 10**30 a sample of |dp/dE|/|p| is 0
+        out = tmp_path / "out"
+        doc = kind_config(out, "free")
+        doc["constants"]["mass"] = 10.0 ** 29.768308378961024
+        assert main(["report", "--config", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.startswith("error: the time weight |dp/dE|/|p| vanishes")
 
 
 PAIR_CHECKS = {"schrodinger_residual", "wronskian_drift"}

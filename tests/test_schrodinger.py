@@ -39,6 +39,13 @@ class TestConstants:
         with pytest.raises(ValueError):
             PhysicalConstants(mass=-1.0)
 
+    @pytest.mark.parametrize("hbar, mass", [(1e-200, 0.5), (1e300, 0.5), (1.0, 1e-320),
+                                            (1e-154, 0.5)])
+    def test_eps_squared_must_be_a_normal_float(self, hbar, mass):
+        # eps^2 underflows to 0, overflows, or is subnormal
+        with pytest.raises(ValueError, match="not a positive normal float"):
+            PhysicalConstants(hbar=hbar, mass=mass)
+
 
 class TestPotential:
     def test_kinds_validated(self):
@@ -72,6 +79,19 @@ class TestPotential:
         assert abs(v.value(0.505) - np.cos(0.505)) < 1e-9
         d1 = v.derivative_samples(g, 1)
         assert np.max(np.abs(d1[4:-4] + np.sin(g.x)[4:-4])) < 1e-9
+
+    @pytest.mark.parametrize("values, message", [
+        (lambda x: np.cos(x) + 1e-3j * np.sin(x), "V must be real"),
+        (lambda x: np.cos(x) + 0j, "V must be real"),
+        (lambda x: np.where(x > 0.5, np.nan, np.cos(x)), "V has non-finite samples"),
+        (lambda x: np.where(x > 0.5, np.inf, np.cos(x)), "V has non-finite samples"),
+    ])
+    def test_custom_samples_must_be_real_and_finite(self, values, message):
+        # refused where the potential is built, so no solver sees them (a
+        # ComplexWarning or RuntimeWarning would fail this test)
+        g = Grid(-1.0, 1.0, 129)
+        with pytest.raises(ContractError, match=message):
+            Potential("custom", samples=ScalarField(g, values(g.x)))
 
     def test_custom_value_is_one_array_pass_of_the_scalar_stencil(self):
         g = Grid(-1.0, 1.0, 129)
