@@ -16,6 +16,8 @@ integration constants enter.  Coefficients are propagated as truncated Taylor
 jets (value plus scaled derivatives at every grid point), so the derivative
 appearing at each order is exact given the derivatives of V, and rerunning on
 a sub-grid reproduces the restriction of the full-grid output to rounding.
+Row r of order n reads rows <= r + 1 of the lower orders, so K + 2 rows of V's
+jet give every P_j with its first derivative, which is all the checks read.
 
 The input is one :class:`Potential` on a grid; V and each F'' enter as jets by
 one route, the derivatives a field carries (closed forms for a built-in V)
@@ -30,11 +32,11 @@ P_{n-i} P_i are one jet, so each pair is summed once and doubled, and each jet
 row of the sum and of the division by 2 P_0 is one reduction.  Each real step
 does the IEEE operations of complex arithmetic on the nonzero component, so the
 coefficients equal a complex128 run of the same pair-symmetric recursion bit
-for bit.  They and their derivatives lie within 16 normwise ulp of a complex
-recursion summed term by term, and within 32 of a 40-digit run of the
+for bit.  They and their first derivatives lie within 16 normwise ulp of a
+complex recursion summed term by term, and within 32 of a 40-digit run of the
 recursion from the same float64 jets of V and F''.  The antiderivatives S^j
-(anchored at x_ref, formed on first read) reconstruct the squared modulus
-through |psi|^2 = omega * exp(2 sum_j eps^{2j} S^{2j+1}).
+(anchored at x_ref, formed on first read, carrying P_j and P_j') reconstruct
+the squared modulus through |psi|^2 = omega * exp(2 sum_j eps^{2j} S^{2j+1}).
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ from .errors import ContractError, DomainError, TruncationError
 from .fields import Grid, ScalarField, antiderivative, derivative
 from .schrodinger import Potential
 
-MAX_ORDER = 12  # third-derivative noise of sampled inputs dominates beyond this
-_FACTORIALS = np.array([[1.0], [1.0], [2.0], [6.0]])  # r! for jet rows 0..3
+# A sampled V enters through K + 1 chained first-derivative stencils (13 at K = 12),
+# each of which scales its rounding noise by about 1/h; beyond this it dominates.
+MAX_ORDER = 12
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +183,12 @@ class HierarchySolution:
 def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
     """Run the triangular recursion up to the requested order.
 
-    Returns fields carrying three exact derivative samples each, obtained by
-    jet propagation rather than stencils.
+    Returns fields carrying their first derivative, obtained by jet propagation
+    rather than stencils.
     """
     inp = hierarchy_input
     K = inp.order
-    rows = K + 4
+    rows = K + 2  # row r of order nn reads rows <= r + 1 below it, so P_K' needs K + 2
 
     e_minus_v = -_field_jet(inp.v_field, rows)
     e_minus_v[0] += inp.energy
@@ -221,9 +224,9 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
 
     p_fields = []
     for j in range(K + 1):
-        samples = np.zeros((4, inp.grid.n), dtype=np.complex128)  # values and three derivatives
-        (samples.imag if j % 2 == 0 else samples.real)[:] = jets[j, :4] * _FACTORIALS
-        p_fields.append(ScalarField(inp.grid, samples[0], derivs=tuple(samples[1:])))
+        samples = np.zeros((2, inp.grid.n), dtype=np.complex128)  # value and first derivative
+        (samples.imag if j % 2 == 0 else samples.real)[:] = jets[j, :2]
+        p_fields.append(ScalarField(inp.grid, samples[0], derivs=(samples[1],)))
 
     parity = (np.max([np.max(np.abs(f.values.real)) for f in p_fields[0::2]]),
               np.max([np.max(np.abs(f.values.imag)) for f in p_fields[1::2]], initial=0.0))

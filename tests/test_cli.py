@@ -215,6 +215,29 @@ class TestExtremeScales:
         assert capsys.readouterr().err.startswith("error: the time weight |dp/dE|/|p| vanishes")
 
 
+@settings(max_examples=100)
+@given(kind=st.sampled_from(["free", "linear", "harmonic"]), order=st.integers(-1, 13),
+       n=st.integers(60, 300), at=st.floats(-0.1, 1.1))
+def test_any_order_exits_cleanly(kind, order, n, at):
+    # orders 0 and 1 run on 2 and 3 jet rows; -1 and 13, a grid below 64
+    # samples and an x_ref off the grid (``at`` is its place in the grid's
+    # span) are config errors
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = kind_config(os.path.join(tmp, "out"), kind)
+        grid = doc["grid"]
+        grid["n"] = n
+        x_ref = grid["x_min"] + at * (grid["x_max"] - grid["x_min"])
+        doc["hierarchy"].update(order=order, x_ref=x_ref)
+        cfg = os.path.join(tmp, "scenario.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["hierarchy", "--config", cfg])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
 PAIR_CHECKS = {"schrodinger_residual", "wronskian_drift"}
 MICROSTATE_CHECKS = {"qshje_potential", "qshje_schwarzian", "qshje_w_mismatch",
                      "momentum_cross_check"}

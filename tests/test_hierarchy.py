@@ -237,21 +237,22 @@ def normwise_ulp(values, reference):
 
 
 def real_rows(field, j):
-    """Samples of P_j and its three derivatives as the real jet R_j's scaled rows."""
+    """Samples of P_j and its attached derivatives as the real jet R_j's scaled rows."""
     part = (lambda z: z.imag) if j % 2 == 0 else (lambda z: z.real)
     return [part(field.values)] + [part(d) for d in field.derivs]
 
 
 @pytest.mark.parametrize("inp", _oracle_inputs())
 def test_real_jets_equal_the_complex_recursion(inp):
+    # the reference forms K + 4 rows and recurse K + 2, so equal P_j and P_j'
+    # also show that the two rows recurse leaves out change no row it keeps
     p_ref, s_ref = complex_pair_recurse(inp)
     sol = recurse(inp)
     assert len(sol.p_coeffs) == len(p_ref) == inp.order + 1
     for j, (p, ref) in enumerate(zip(sol.p_coeffs, p_ref)):
         assert np.array_equal(p.values, ref.values), f"P_{j}"
-        assert len(p.derivs) == len(ref.derivs) == 3
-        for k, (d, d_ref) in enumerate(zip(p.derivs, ref.derivs), start=1):
-            assert np.array_equal(d, d_ref), f"P_{j} derivative {k}"
+        assert len(p.derivs) == 1
+        assert np.array_equal(p.derivs[0], ref.derivs[0]), f"P_{j}'"
     for j, (s, ref) in enumerate(zip(sol.s_coeffs, s_ref)):
         assert np.array_equal(s.values, ref.values), f"S_{j}"
 
@@ -263,16 +264,17 @@ def test_real_jets_within_ulp_of_the_complex_recursion(inp):
     sol = recurse(inp)
     assert len(sol.p_coeffs) == len(p_ref) == inp.order + 1
     for j, (p, ref) in enumerate(zip(sol.p_coeffs, p_ref)):
-        assert len(p.derivs) == len(ref.derivs) == 3
-        for k, (d, d_ref) in enumerate(zip([p.values, *p.derivs], [ref.values, *ref.derivs])):
+        assert len(p.derivs) == 1
+        for k, (d, d_ref) in enumerate(zip([p.values, p.derivs[0]], [ref.values, ref.derivs[0]])):
             assert normwise_ulp(d, d_ref) <= 16, f"P_{j} derivative {k}"
     for j, (s, ref) in enumerate(zip(sol.s_coeffs, s_ref)):
         assert normwise_ulp(s.values, ref.values) <= 32, f"S_{j}"
 
 
 def mp_jets(inp, index):
-    """R_0..R_K at sample ``index`` in 40-digit arithmetic: the full signed Cauchy
-    sum and the jet division of the recursion, from the float64 jets of V and F''."""
+    """Rows 0 and 1 of R_0..R_K, as P_j and P_j', at sample ``index`` in 40-digit
+    arithmetic: the full signed Cauchy sum and the jet division of the recursion
+    over K + 4 rows, from the float64 jets of V and F''."""
     K, rows = inp.order, inp.order + 4
     with mpmath.workdps(40):
         e_minus_v = [-mpmath.mpf(float(v)) for v in _complex_v_jet(inp, rows)[:, index].real]
@@ -295,18 +297,20 @@ def mp_jets(inp, index):
                 division = mpmath.fsum(2 * r0[s] * out[r - s] for s in range(1, r + 1))
                 out.append(((-acc if nn % 2 else acc) - division) / (2 * r0[0]))
             jets.append(out)
-        return [[float(row * math.factorial(r)) for r, row in enumerate(jet[:4])] for jet in jets]
+        return [[float(row * math.factorial(r)) for r, row in enumerate(jet[:2])] for jet in jets]
 
 
 @pytest.mark.parametrize("inp", _oracle_inputs())
 def test_jet_rows_within_ulp_of_a_40_digit_recursion(inp):
-    # rows 0..3 at 9 samples; the complex reference meets the same bound
+    # output rows 0..1 (P_j and P_j', all recurse attaches) at 9 samples; the
+    # 40-digit run forms K + 4 rows like the complex reference, which meets
+    # the same bound on the rows compared
     samples = np.linspace(0, inp.grid.n - 1, 9).astype(int)
     exact = np.array([mp_jets(inp, index) for index in samples])  # (sample, j, row)
     p_ref, _ = complex_recurse(inp)
     for name, fields in (("real", recurse(inp).p_coeffs), ("complex", p_ref)):
         for j, field in enumerate(fields):
-            for r, row in enumerate(real_rows(field, j)):
+            for r, row in enumerate(real_rows(field, j)[:2]):
                 assert normwise_ulp(row[samples], exact[:, j, r]) <= 32, \
                     f"{name} P_{j} derivative {r}"
 
@@ -521,7 +525,7 @@ class TestSchwarzianCorrection:
         if defect == "shifted":
             planted = p[2].values + 1e-4
         else:  # P_0''/(4 P_0^2): the Schwarzian route without its -(3/2)(P_0'/P_0)^2
-            planted = p0.derivs[1] / (4.0 * p0.values ** 2)
+            planted = derivative(p0, 2).values / (4.0 * p0.values ** 2)
         p[2] = ScalarField(p[2].grid, planted)
         sol = HierarchySolution(tuple(p), linear_input.x_ref, linear_solution.parity_report)
         assert p2_schwarzian_check(sol, linear_input) > 1e-5
