@@ -20,11 +20,13 @@ Subcommands: solve, microstate, uncertainty, duality, hierarchy, all, report
 means every check passed, 1 a config/validation problem, 2 at least one
 failing check.
 
-Each check (what its residual is, what it is divided by and where it is
-measured) is defined next to its physics: ``SolutionPair.checks``,
-``microstate_checks``, ``ScanReport.checks``, ``duality_checks`` and
-``hierarchy_checks``.  This module only validates the config, picks the
-stages, looks up each check's tolerance and writes the files.
+Each check (what its residual is, what it is divided by, where it is
+measured and the bound it must stay below) is defined next to its physics:
+``SolutionPair.checks``, ``microstate_checks``, ``ScanReport.checks``,
+``duality_checks`` and ``hierarchy_checks`` each return {check name:
+(residual, bound)}.  This module only validates the config, picks the
+stages, applies the ``--tol`` and ``tolerances`` overrides and writes the
+files.
 """
 
 from __future__ import annotations
@@ -48,25 +50,14 @@ from .schrodinger import PhysicalConstants, Potential, Scenario, make_conjugate,
 
 SCHEMA_VERSION = "qhjlab.report/1"
 
-DEFAULT_TOLERANCES = {
-    "schrodinger_residual": {"analytic": 1e-8, "numeric": 1e-5},
-    "wronskian_drift": {"analytic": 1e-9, "numeric": 1e-6},
-    "qshje_potential": 1e-6,
-    "qshje_schwarzian": 1e-6,
-    "qshje_w_mismatch": 1e-6,
-    "momentum_cross_check": 1e-8,
-    "uncertainty_pq_slope": 0.05,
-    "uncertainty_et_slope": 0.05,
-    "dual_derivative": {"analytic": 1e-10, "numeric": 1e-5},
-    "modulus_momentum": {"analytic": 1e-8, "numeric": 1e-5},
-    "legendre": 1e-6,
-    "gd_residual": {"analytic": 1e-6, "numeric": 1e-4},
-    "akq_matches_direct": 1e-12,
-    "hierarchy_parity": 1e-12,
-    "hierarchy_p1_identity": 1e-10,
-    "hierarchy_per_order": 1e-9,
-    "hierarchy_p2_schwarzian": 1e-5,
-}
+# The keys an override may name: a reported check, or gd_residual, which sets
+# the three gd_* checks.  duality_im_f holds by construction and has no key.
+TOLERANCE_KEYS = frozenset({
+    "schrodinger_residual", "wronskian_drift", "qshje_potential", "qshje_schwarzian",
+    "qshje_w_mismatch", "momentum_cross_check", "uncertainty_pq_slope",
+    "uncertainty_et_slope", "dual_derivative", "modulus_momentum", "legendre",
+    "gd_residual", "akq_matches_direct", "hierarchy_parity", "hierarchy_p1_identity",
+    "hierarchy_per_order", "hierarchy_p2_schwarzian"})
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +106,29 @@ def _construct(where, make, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# The config's fields and each section's (_tolerance checks the tolerances);
+# any other is refused, so that a misspelled field cannot go unseen.
+CONFIG_FIELDS = {
+    "constants": {"hbar", "mass"}, "potential": {"kind", "slope", "stiffness"},
+    "energy": None, "grid": {"x_min", "x_max", "n"}, "solver": {"method", "ics"},
+    "microstate": {"alpha", "ell1", "ell2", "t_samples"},
+    "uncertainty": {"delta_alpha", "window", "hbar_scan"},
+    "hierarchy": {"order", "epsilon", "x_ref", "f_even_files"},
+    "outputs": {"directory", "plots"}, "tolerances": None}
+
+
+def _refuse_unknown_fields(doc):
+    sections = [("config", doc, CONFIG_FIELDS)] + [
+        (key, doc[key], known) for key, known in CONFIG_FIELDS.items()
+        if known and isinstance(doc.get(key), dict)]
+    for where, section, known in sections:
+        unknown = sorted(set(section) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown field {where}.{unknown[0]}")
+
+
 def _tolerance(key, value, where) -> float:
-    if key not in DEFAULT_TOLERANCES:
+    if key not in TOLERANCE_KEYS:
         raise ConfigError(f"unknown tolerance key {key!r}")
     return _number(value, where)
 
@@ -127,6 +139,7 @@ class ScenarioConfig:
     def __init__(self, doc: dict, base_dir: str):
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
+        _refuse_unknown_fields(doc)
         self.base_dir = base_dir
 
         constants = _section(doc, "constants")
@@ -248,15 +261,6 @@ class ScenarioConfig:
     def scenario(self) -> Scenario:
         return Scenario(self.potential, self.constants, self.grid, self.energy,
                         method=self.resolved_method(), ics=self.ics)
-
-    def tolerance(self, check: str) -> float:
-        """Tolerance of a report check: its configured or default value, the
-        default following the solve method where it depends on it."""
-        if check == "duality_im_f":
-            return 0.0  # Im F = X/eps holds by construction
-        key = "gd_residual" if check.startswith("gd_") else check
-        value = self.tolerances.get(key, DEFAULT_TOLERANCES[key])
-        return value[self.resolved_method()] if isinstance(value, dict) else value
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -543,9 +547,9 @@ def write_csv(path: str, columns):
 
 
 # ---------------------------------------------------------------------------
-# Stages: (cfg, family, out_dir) -> ({check name: residual}, the artifact the
-# checks refer to, fields.csv columns); side tables are written unless out_dir
-# is None.
+# Stages: (cfg, family, out_dir) -> ({check name: (residual, bound)}, the
+# artifact the checks refer to, fields.csv columns); side tables are written
+# unless out_dir is None.
 
 
 def run_solve(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
@@ -649,8 +653,9 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
     for name in stages:
         values, artifact, stage_columns = STAGES[name](cfg, family, write_to)
         columns.extend(stage_columns)
-        for check, value in values.items():
-            tolerance = cfg.tolerance(check)
+        for check, (value, bound) in values.items():
+            key = "gd_residual" if check.startswith("gd_") else check
+            tolerance = cfg.tolerances.get(key, bound)
             checks[check] = {"status": "pass" if value <= tolerance else "fail",
                              "max_residual": float(value), "tolerance": float(tolerance),
                              "artifacts": [artifact]}

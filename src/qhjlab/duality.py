@@ -279,21 +279,28 @@ def legendre_residual(prep: Prepotential) -> ScalarField:
 
 
 def duality_checks(prep: Prepotential) -> dict:
-    """{check name: residual} for ``prep``: the resolvent forms over
-    :func:`gd_scale`, the O(1) construction identities absolute."""
+    """{check name: (residual, bound)} for ``prep``: the resolvent forms over
+    :func:`gd_scale`, the O(1) construction identities absolute; the bounds
+    of the stencil-limited checks follow the pair's provenance."""
     pair, eps, grid = prep.pair, prep.epsilon, prep.pair.grid
     v_field = pair.potential.field(grid)
+    method = pair.provenance
     checks = {
-        "duality_im_f": float(np.max(np.abs(prep.F.values.imag - grid.x / eps))),
-        "dual_derivative": float(np.max(dual_derivative_residual(prep).values)),
-        "modulus_momentum": float(np.max(np.abs(modulus_momentum_residual(pair).values))),
-        "legendre": float(np.max(np.abs(legendre_residual(prep).values))),
+        # Im F = X/eps holds by construction
+        "duality_im_f": (float(np.max(np.abs(prep.F.values.imag - grid.x / eps))), 0.0),
+        "dual_derivative": (float(np.max(dual_derivative_residual(prep).values)),
+                            {"analytic": 1e-10, "numeric": 1e-5}[method]),
+        "modulus_momentum": (float(np.max(np.abs(modulus_momentum_residual(pair).values))),
+                             {"analytic": 1e-8, "numeric": 1e-5}[method]),
+        "legendre": (float(np.max(np.abs(legendre_residual(prep).values))), 1e-6),
     }
     for variant, xi in prep.xi.items():
-        checks[f"gd_{variant}"] = gd_relative(xi, v_field, pair.energy, eps)
+        checks[f"gd_{variant}"] = (gd_relative(xi, v_field, pair.energy, eps),
+                                   {"analytic": 1e-6, "numeric": 1e-4}[method])
     fe = FreeEnergy.from_potential(pair.potential, grid, grid.x_min)
     akq = akq_residual(prep, fe, pair.energy, v_field)
     direct = prepotential_gd_residual(prep, v_field, pair.energy)
     scale = gd_scale(prep.xi["psi_psibar"], v_field, pair.energy, eps)
-    checks["akq_matches_direct"] = float(np.max(np.abs(akq.values - direct.values))) / scale
+    checks["akq_matches_direct"] = (float(np.max(np.abs(akq.values - direct.values))) / scale,
+                                    1e-12)
     return checks

@@ -305,21 +305,21 @@ def _f2_vanishes(hierarchy_input: HierarchyInput) -> bool:
 
 
 def hierarchy_checks(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> dict:
-    """{check name: residual}: parity, P_1 = -P_0'/(2 P_0) over max(max|P_1|, 1),
-    the per-order master residual over |E| + max|V|, and the Schwarzian route
-    to P_2 where it applies (order >= 2, F_2'' = 0)."""
+    """{check name: (residual, bound)}: parity, P_1 = -P_0'/(2 P_0) over
+    max(max|P_1|, 1), the per-order master residual over |E| + max|V|, and the
+    Schwarzian route to P_2 where it applies (order >= 2, F_2'' = 0)."""
     inp = hierarchy_input
-    checks = {"hierarchy_parity": float(np.max(sol.parity_report))}
+    checks = {"hierarchy_parity": (float(np.max(sol.parity_report)), 1e-12)}
     if sol.order >= 1:
         p0, p1 = sol.p_coeffs[0], sol.p_coeffs[1]
         identity = np.abs(p1.values + derivative(p0, 1).values / (2.0 * p0.values))
         p1_scale = max(float(np.max(np.abs(p1.values))), 1.0)
-        checks["hierarchy_p1_identity"] = float(np.max(identity)) / p1_scale
+        checks["hierarchy_p1_identity"] = (float(np.max(identity)) / p1_scale, 1e-10)
     scale = abs(inp.energy) + float(np.max(np.abs(inp.v_field.values)))
     worst = np.max([np.max(np.abs(f.values)) for f in master_residual(sol, inp)])
-    checks["hierarchy_per_order"] = float(worst) / scale  # NaN if any order has one
+    checks["hierarchy_per_order"] = (float(worst) / scale, 1e-9)  # NaN if any order has one
     if sol.order >= 2 and _f2_vanishes(inp):
-        checks["hierarchy_p2_schwarzian"] = p2_schwarzian_check(sol, inp)
+        checks["hierarchy_p2_schwarzian"] = (p2_schwarzian_check(sol, inp), 1e-5)
     return checks
 
 

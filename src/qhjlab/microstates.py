@@ -222,18 +222,21 @@ def qshje_residual(ms: Microstate) -> QshjeReport:
 
 
 def microstate_checks(ms: Microstate, report: QshjeReport) -> dict:
-    """{check name: relative residual}: the HJ residuals of ``report`` over
-    max(|E|, max|V - E|), and p against the stencil derivative of S0 over
+    """{check name: (relative residual, bound)}: the HJ residuals of ``report``
+    over max(|E|, max|V - E|), and p against the stencil derivative of S0 over
     max|p|, each on the central 80%."""
     inner = ms.pair.grid.interior_slice(0.8)
     scale = max(abs(ms.pair.energy), float(np.max(np.abs(ms.mfW.values))))
     p = ms.p.values
     fd_error = derivative(ms.S0, 1, use_attached=False).values - p
+
+    def worst(values):
+        return float(np.max(np.abs(values[inner])))
     return {
-        "qshje_potential": float(np.max(np.abs(report.from_potential.values[inner]))) / scale,
-        "qshje_schwarzian": float(np.max(np.abs(report.from_schwarzian.values[inner]))) / scale,
-        "qshje_w_mismatch": report.w_mismatch / scale,
-        "momentum_cross_check": float(np.max(np.abs(fd_error[inner]))) / float(np.max(np.abs(p))),
+        "qshje_potential": (worst(report.from_potential.values) / scale, 1e-6),
+        "qshje_schwarzian": (worst(report.from_schwarzian.values) / scale, 1e-6),
+        "qshje_w_mismatch": (report.w_mismatch / scale, 1e-6),
+        "momentum_cross_check": (worst(fd_error) / float(np.max(np.abs(p))), 1e-8),
     }
 
 

@@ -57,7 +57,8 @@ from .fields import Grid, ScalarField, antiderivative, derivative, interpolate
 POTENTIAL_KINDS = ("free", "linear", "harmonic", "custom")
 
 # Construction-time tolerances on the relative Schrodinger residual and on
-# the relative Wronskian drift, keyed by provenance.
+# the relative Wronskian drift, keyed by provenance; the reported
+# wronskian_drift check has the same bound.
 RESIDUAL_TOL = {"analytic": 1e-9, "numeric": 1e-5}
 WRONSKIAN_TOL = {"analytic": 1e-9, "numeric": 1e-6}
 
@@ -237,10 +238,12 @@ class SolutionPair:
         return worst / self.residual_scale()
 
     def checks(self) -> dict:
-        """{check name: relative residual}; the Schrodinger residual uses stencils
-        on the central 80%, independent of the attached derivatives."""
-        return {"schrodinger_residual": self.relative_residual(use_attached=False, fraction=0.8),
-                "wronskian_drift": self.wronskian_drift()}
+        """{check name: (relative residual, bound)}, the bounds by provenance; the
+        Schrodinger residual uses stencils on the central 80%, independent of
+        the attached derivatives."""
+        return {"schrodinger_residual": (self.relative_residual(use_attached=False, fraction=0.8),
+                                         {"analytic": 1e-8, "numeric": 1e-5}[self.provenance]),
+                "wronskian_drift": (self.wronskian_drift(), WRONSKIAN_TOL[self.provenance])}
 
 
 def _validate_pair(pair: SolutionPair) -> SolutionPair:

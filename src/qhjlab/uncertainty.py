@@ -123,9 +123,9 @@ class ScanReport:
     et_slope: float
 
     def checks(self) -> dict:
-        """{check name: |slope - 1|} for both products."""
-        return {"uncertainty_pq_slope": abs(self.pq_slope - 1.0),
-                "uncertainty_et_slope": abs(self.et_slope - 1.0)}
+        """{check name: (|slope - 1|, bound)} for both products."""
+        return {"uncertainty_pq_slope": (abs(self.pq_slope - 1.0), 0.05),
+                "uncertainty_et_slope": (abs(self.et_slope - 1.0), 0.05)}
 
 
 def _loglog_slope(x, y) -> float:

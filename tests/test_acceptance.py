@@ -1,7 +1,9 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
-Each test prints one ``criterion N: PASS/FAIL`` line; the assertions carry the
-same data, so the suite fails exactly when a line says FAIL.
+Each test prints ``criterion N: PASS/FAIL`` lines; the assertions carry the
+same data, so the suite fails exactly when a line says FAIL.  A criterion
+that a reported check measures is judged at that check's own bound; the
+others (closed forms, fitted orders, runtimes) state theirs here.
 """
 
 import json
@@ -13,7 +15,7 @@ import numpy as np
 from qhjlab.catalog import SCAN_WINDOWS, free_scenario, scan_family
 from qhjlab.duality import build_prepotential, duality_checks, gd_relative, omega_for_norm
 from qhjlab.fields import Grid, ScalarField, derivative
-from qhjlab.hierarchy import HierarchyInput, master_remainder, p2_schwarzian_check, recurse
+from qhjlab.hierarchy import HierarchyInput, hierarchy_checks, master_remainder, recurse
 from qhjlab.microstates import MicrostateParams, build_microstate, microstate_checks, \
     qshje_residual, time_of_q, trajectory
 from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair, \
@@ -31,9 +33,13 @@ def report(criterion, label, worst, bound):
     assert worst <= bound, f"criterion {criterion} ({label}): {worst} > {bound}"
 
 
-def worst_gd(checks):
-    """Largest square-eigenfunction residual over the three Xi variants."""
-    return max(value for name, value in checks.items() if name.startswith("gd_"))
+def report_checks(criterion, label, checks, names):
+    """report() on each named check of ``checks`` at its own bound."""
+    for name in names:
+        report(criterion, f"{label}: {name}", *checks[name])
+
+
+GD_CHECKS = ("gd_psi_psibar", "gd_psi_sq", "gd_psibar_sq")
 
 
 def test_criterion_1_free_particle_closed_forms():
@@ -73,44 +79,38 @@ def test_criterion_2_qshje_identity():
                   analytic_pair(Potential("linear"), 2.0, constants,
                                 Grid(-4.0, 1.5, 1025)), UNIT_ELL))
 
-    worst_residual = worst_mismatch = 0.0
     for name, pair, params in cases:
         ms = build_microstate(pair, params)
-        checks = microstate_checks(ms, qshje_residual(ms))
-        worst_residual = max(worst_residual, checks["qshje_potential"],
-                             checks["qshje_schwarzian"])
-        worst_mismatch = max(worst_mismatch, checks["qshje_w_mismatch"])
-    report(2, "stationary HJ residual (interior 80%)", worst_residual, 1e-6)
-    report(2, "two potential-term routes agree", worst_mismatch, 1e-6)
+        # the HJ residual by both potential-term routes, and the routes' agreement
+        report_checks(2, f"{name}, ell = {params.ell}", microstate_checks(ms, qshje_residual(ms)),
+                      ("qshje_potential", "qshje_schwarzian", "qshje_w_mismatch"))
 
 
 def test_criterion_3_uncertainty_scaling():
     free = hbar_scaling_scan(scan_family("free"), SCAN_WINDOWS["free"], SCAN_HBARS, 1.0).checks()
-    report(3, "free slope exactness (pq)", free["uncertainty_pq_slope"], 1e-10)
-    report(3, "free slope exactness (Et)", free["uncertainty_et_slope"], 1e-10)
-    worst = 0.0
+    report(3, "free slope exactness (pq)", free["uncertainty_pq_slope"][0], 1e-10)
+    report(3, "free slope exactness (Et)", free["uncertainty_et_slope"][0], 1e-10)
     for name in ("free", "harmonic", "linear"):
         checks = hbar_scaling_scan(scan_family(name), SCAN_WINDOWS[name], SCAN_HBARS, 1.0).checks()
-        worst = max(worst, *checks.values())
-    report(3, "all scenarios, both products", worst, 0.05)
+        report_checks(3, f"{name} scan", checks, ("uncertainty_pq_slope", "uncertainty_et_slope"))
 
 
 def test_criterion_4_resolvent_residuals():
+    # the square-eigenfunction residual of each Xi variant, and on the numeric
+    # pair the free-energy form against the direct one
     constants = PhysicalConstants()
-    worst_analytic = 0.0
     for potential, energy, grid in (
             (Potential("free"), 1.0, Grid(0.0, 2.0 * math.pi, 1025)),
             (Potential("linear"), 2.0, Grid(-4.0, 1.5, 1025))):
         pair = normalize_wronskian(make_conjugate(
             analytic_pair(potential, energy, constants, grid)))
-        worst_analytic = max(worst_analytic, worst_gd(duality_checks(build_prepotential(pair))))
-    report(4, "square-eigenfunction residual, analytic pairs", worst_analytic, 1e-6)
+        report_checks(4, f"{potential.kind} analytic pair",
+                      duality_checks(build_prepotential(pair)), GD_CHECKS)
 
     grid = Grid(-3.0, 3.0, 2049)
     numeric = solve_pair(Potential("harmonic"), 2.0, constants, grid, (1.0, 0.0, 0.0, 1.0))
     checks = duality_checks(build_prepotential(normalize_wronskian(make_conjugate(numeric))))
-    report(4, "square-eigenfunction residual, numeric pair", worst_gd(checks), 1e-4)
-    report(4, "free-energy form reduces to direct form", checks["akq_matches_direct"], 1e-12)
+    report_checks(4, "harmonic numeric pair", checks, GD_CHECKS + ("akq_matches_direct",))
 
 
 def test_criterion_5_duality_identities():
@@ -119,10 +119,10 @@ def test_criterion_5_duality_identities():
     pair = normalize_wronskian(make_conjugate(
         analytic_pair(Potential("free"), 1.0, constants, grid)))
     checks = duality_checks(build_prepotential(pair))
-    report(5, "Im F = X/eps (construction)", checks["duality_im_f"], 0.0)
-    report(5, "dual derivative identity", checks["dual_derivative"], 1e-10)
-    report(5, "modulus-momentum normalization", checks["modulus_momentum"], 1e-8)
-    report(5, "Legendre pairing", checks["legendre"], 1e-6)
+    report(5, "Im F = X/eps (construction)", *checks["duality_im_f"])
+    report(5, "dual derivative identity", *checks["dual_derivative"])
+    report(5, "modulus-momentum normalization", *checks["modulus_momentum"])
+    report(5, "Legendre pairing", *checks["legendre"])
 
 
 def test_criterion_6_hierarchy_recursion():
@@ -143,7 +143,7 @@ def test_criterion_6_hierarchy_recursion():
         np.max(np.abs(sol.p_coeffs[1].values - 1.0 / (4.0 * (2.0 - x)))),
         np.max(np.abs(sol.p_coeffs[2].values - 5j / 32.0 * (2.0 - x) ** -2.5)))
     report(6, "linear-potential coefficients vs closed forms", worst, 1e-6)
-    report(6, "parity of the coefficients", max(sol.parity_report), 1e-12)
+    report(6, "parity of the coefficients", *hierarchy_checks(sol, inp)["hierarchy_parity"])
 
     worst_slope = 0.0
     for order in (2, 4):
@@ -162,13 +162,12 @@ def test_criterion_6_hierarchy_recursion():
 
 
 def test_criterion_7_schwarzian_correction():
-    worst = 0.0
     for potential, energy, grid in (
             (Potential("linear"), 2.0, Grid(-2.0, 1.5, 1025)),
             (Potential("harmonic"), 5.0, Grid(-1.0, 1.0, 1025))):
         inp = HierarchyInput(potential, grid, energy, 2, 0.1, 0.0)
-        worst = max(worst, p2_schwarzian_check(recurse(inp), inp))
-    report(7, "second correction vs Schwarzian route", worst, 1e-5)
+        report(7, f"second correction vs Schwarzian route, {potential.kind}",
+               *hierarchy_checks(recurse(inp), inp)["hierarchy_p2_schwarzian"])
 
 
 def test_criterion_8_norm_scaling():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhjlab.cli import CSV_BLOCK_ROWS, DEFAULT_TOLERANCES, SCHEMA_VERSION, _cell_words, \
+from qhjlab.cli import CSV_BLOCK_ROWS, SCHEMA_VERSION, TOLERANCE_KEYS, _cell_words, \
     load_config, main, write_csv
 from qhjlab.errors import ConfigError
 from qhjlab.schrodinger import Potential, default_ics
@@ -90,11 +90,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc))
 
-    def test_unknown_tolerance_key(self, tmp_path):
-        doc = base_config(tmp_path / "out")
-        code = main(["all", "--config", write_config(tmp_path, doc),
-                     "--tol", "nonsense=1"])
-        assert code == 1
+    def test_unknown_tolerance_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+        # duality_im_f has no key, and gd_residual sets the three gd_* checks
+        for item in ("nonsense=1", "duality_im_f=1", "gd_psi_sq=1"):
+            assert main(["all", "--config", cfg, "--tol", item]) == 1
+            assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("section, key, value", [
         ("constants", "hbar", -1),
@@ -122,6 +123,8 @@ class TestValidation:
         ("outputs", "directory", 5),
         ("hierarchy", "f_even_files", ["nan_sample.csv"]),
         ("outputs", "plots", "false"),
+        (None, "tolerance", {"qshje_potential": 1e-30}),
+        ("microstate", "t_sample", [0.1]),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"
@@ -739,7 +742,46 @@ def test_module_entry_point(tmp_path):
     assert "schrodinger_residual" in proc.stdout
 
 
-def test_default_tolerances_cover_known_checks():
-    assert set(DEFAULT_TOLERANCES) >= {
-        "schrodinger_residual", "wronskian_drift", "qshje_potential",
-        "gd_residual", "hierarchy_parity", "uncertainty_pq_slope"}
+# The bounds of every reported check on an analytic and on a numeric pair.
+BOUNDS = {"qshje_potential": 1e-6, "qshje_schwarzian": 1e-6, "qshje_w_mismatch": 1e-6,
+          "momentum_cross_check": 1e-8, "uncertainty_pq_slope": 0.05,
+          "uncertainty_et_slope": 0.05, "duality_im_f": 0.0, "legendre": 1e-6,
+          "akq_matches_direct": 1e-12, "hierarchy_parity": 1e-12,
+          "hierarchy_p1_identity": 1e-10, "hierarchy_per_order": 1e-9,
+          "hierarchy_p2_schwarzian": 1e-5}
+METHOD_BOUNDS = {"analytic": {"schrodinger_residual": 1e-8, "wronskian_drift": 1e-9,
+                              "dual_derivative": 1e-10, "modulus_momentum": 1e-8,
+                              "gd_psi_psibar": 1e-6, "gd_psi_sq": 1e-6, "gd_psibar_sq": 1e-6},
+                 "numeric": {"schrodinger_residual": 1e-5, "wronskian_drift": 1e-6,
+                             "dual_derivative": 1e-5, "modulus_momentum": 1e-5,
+                             "gd_psi_psibar": 1e-4, "gd_psi_sq": 1e-4, "gd_psibar_sq": 1e-4}}
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("analytic", {}), ("numeric", dict(HARMONIC, solver={"method": "numeric"}))],
+    ids=["free", "harmonic-numeric"])
+def test_report_tolerances_are_the_checks_bounds(tmp_path, method, extra):
+    out = tmp_path / "out"
+    assert main(["all", "--config", write_config(tmp_path, base_config(out, **extra))]) == 0
+    report = json.loads((out / "report.json").read_text())
+    tolerances = {name: check["tolerance"] for name, check in report["checks"].items()}
+    assert tolerances == dict(BOUNDS, **METHOD_BOUNDS[method])
+
+
+def test_gd_residual_sets_every_gd_tolerance(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out))
+    assert main(["duality", "--config", cfg, "--tol", "gd_residual=1e-30"]) == 2
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    for name in ("gd_psi_psibar", "gd_psi_sq", "gd_psibar_sq"):
+        assert (checks[name]["tolerance"], checks[name]["status"]) == (1e-30, "fail")
+
+
+def test_every_override_key_names_a_reported_check(tmp_path):
+    out = tmp_path / "out"
+    assert main(["all", "--config", write_config(tmp_path, base_config(out))]) == 0
+    reported = set(json.loads((out / "report.json").read_text())["checks"])
+    assert TOLERANCE_KEYS - {"gd_residual"} <= reported
+    # the checks that gd_residual sets, and duality_im_f, which has no key
+    assert reported - TOLERANCE_KEYS == {"gd_psi_psibar", "gd_psi_sq", "gd_psibar_sq",
+                                         "duality_im_f"}

@@ -478,8 +478,8 @@ class TestMasterResidual:
         p[3] = ScalarField(p[3].grid, values, derivs=p[3].derivs)
         planted = HierarchySolution(tuple(p), linear_input.x_ref, (0.0, np.nan))
         checks = hierarchy_checks(planted, linear_input)
-        assert np.isnan(checks["hierarchy_per_order"])
-        assert np.isnan(checks["hierarchy_parity"])
+        assert np.isnan(checks["hierarchy_per_order"][0])
+        assert np.isnan(checks["hierarchy_parity"][0])
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_remainder_scales_at_next_order(self, linear_input, order):
