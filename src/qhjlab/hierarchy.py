@@ -18,6 +18,10 @@ appearing at each order is exact given the derivatives of V, and rerunning on
 a sub-grid reproduces the restriction of the full-grid output to rounding.
 Row r of order n reads rows <= r + 1 of the lower orders, so K + 2 rows of V's
 jet give every P_j with its first derivative, which is all the checks read.
+No sample's recursion reads a neighbour, so it runs one column tile at a time,
+while the jets of V and F'' are formed once on the whole grid because their
+stencils must see all of it.  Memory is O(K^2 tile + K n), plus K n for each F''
+correction given, and the output is bit for bit that of the whole-grid loop.
 
 The input is one :class:`Potential` on a grid; V and each F'' enter as jets by
 one route, the derivatives a field carries (closed forms for a built-in V)
@@ -56,13 +60,22 @@ from .schrodinger import Potential
 # each of which scales its rounding noise by about 1/h; beyond this it dominates.
 MAX_ORDER = 12
 
+# Byte budget for the jets of one column tile of the recursion: about 5,760
+# columns at K = 12, so n = 16385 runs as 3 tiles and n = 4097 at K = 4 as one.
+# On a 2-vCPU Xeon, linear-report (K = 12, n = 16385) read the same peak RSS
+# with 4 and 8 MiB tiles, but 4 MiB tiles doubled its page faults and made its
+# run about 15% slower; each jet row also costs microseconds of Python per tile.
+RECURSE_TILE_BYTES = 8 << 20
+
 
 # ---------------------------------------------------------------------------
 # Truncated Taylor jets: real arrays of shape (rows, n) holding f^(r)/r! per sample.
 
 def _pair_sum(a, b, r):
     """Row r of sum_i a_i * b_i over stacks of jets, as one reduction over (i, s):
-    sum of a[i, s] b[i, r - s] for s = 0..r, from +0."""
+    sum of a[i, s] b[i, r - s] for s = 0..r, from +0.  Every sample is summed in
+    the same order at any x-extent of 2 or more; at an extent of 1 einsum sums
+    over (i, s) in another order, so a tile one column wide changes its bits."""
     return np.einsum("isx,isx->x", a[:, :r + 1], b[:, r::-1])
 
 
@@ -184,17 +197,51 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
     """Run the triangular recursion up to the requested order.
 
     Returns fields carrying their first derivative, obtained by jet propagation
-    rather than stencils.
+    rather than stencils.  Samples are independent of each other, so the
+    recursion runs one column tile of ``_tile_width`` columns or fewer at a
+    time on slices of the V and F'' jets, which are formed once on the whole
+    grid.  Memory is O(K^2 tile + K n), and the output equals that of one tile
+    spanning the grid bit for bit.
     """
     inp = hierarchy_input
-    K = inp.order
+    K, n = inp.order, inp.grid.n
     rows = K + 2  # row r of order nn reads rows <= r + 1 below it, so P_K' needs K + 2
 
     e_minus_v = -_field_jet(inp.v_field, rows)
     e_minus_v[0] += inp.energy
+    f_dd = {nn: inp.f_dd_jet(nn, rows - nn) for nn in range(1, K + 1)}
+    # edges at n k // count: no tile is under half a tile wide, so none is 1 column
+    count = -(-n // _tile_width(K))
+    staged = np.empty((K + 1, 2, n))  # rows 0-1 of each R_j
+    for k in range(count):
+        cols = slice(n * k // count, n * (k + 1) // count)
+        staged[:, :, cols] = _recurse_tile(e_minus_v[:, cols], f_dd, cols)[:, :2]
+
+    p_fields = []
+    for j in range(K + 1):
+        samples = np.zeros((2, n), dtype=np.complex128)  # value and first derivative
+        (samples.imag if j % 2 == 0 else samples.real)[:] = staged[j]
+        p_fields.append(ScalarField(inp.grid, samples[0], derivs=(samples[1],)))
+
+    parity = (np.max([np.max(np.abs(f.values.real)) for f in p_fields[0::2]]),
+              np.max([np.max(np.abs(f.values.imag)) for f in p_fields[1::2]], initial=0.0))
+    return HierarchySolution(tuple(p_fields), inp.x_ref, tuple(map(float, parity)))
+
+
+def _tile_width(order: int) -> int:
+    """Columns per tile of the recursion: its (K + 1) x (K + 2) float64 jet rows
+    within RECURSE_TILE_BYTES."""
+    return RECURSE_TILE_BYTES // (8 * (order + 1) * (order + 2))
+
+
+def _recurse_tile(e_minus_v, f_dd, cols):
+    """Jets R_0..R_K on the columns ``cols`` from the jet of E - V there and
+    {nn: whole-grid jet of F_nn'' or None} for nn = 1..K."""
+    K = len(f_dd)
+    rows = e_minus_v.shape[0]
     # R_j in jets[j, :rows - j]: P_j = i R_j for even j, P_j = R_j for odd j.
     # Rows are formed in order and a row not formed yet reads +0.
-    jets = np.zeros((K + 1, rows, inp.grid.n))
+    jets = np.zeros((K + 1, rows, e_minus_v.shape[1]))
     jets[0] = _jet_sqrt(e_minus_v)
     scl = 1.0 / (2.0 * jets[0, 0])
     neg_scl = -scl
@@ -206,7 +253,6 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
         # The pair i = 0 holds the unknown row R_nn[r], whose own term reads +0;
         # solving for it divides by 2 P_0 = 2i R_0, with sign -1 for odd nn.
         m = (nn - 1) // 2
-        f_dd = inp.f_dd_jet(nn, rows - nn)
         for r in range(rows - nn):
             if nn % 2:
                 acc = 2.0 * _pair_sum(jets[0:m + 1], jets[nn:nn - m - 1:-1], r)
@@ -218,19 +264,10 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
                 odd, even = (odd + middle, even) if h % 2 else (odd, even + middle)
                 acc = odd - even
             acc += (r + 1) * jets[nn - 1, r + 1]  # jet of R_{nn-1}'
-            if f_dd is not None:
-                acc += 2.0 * f_dd[r]
+            if f_dd[nn] is not None:
+                acc += 2.0 * f_dd[nn][r, cols]
             np.multiply(acc, neg_scl if nn % 2 else scl, out=jets[nn, r])
-
-    p_fields = []
-    for j in range(K + 1):
-        samples = np.zeros((2, inp.grid.n), dtype=np.complex128)  # value and first derivative
-        (samples.imag if j % 2 == 0 else samples.real)[:] = jets[j, :2]
-        p_fields.append(ScalarField(inp.grid, samples[0], derivs=(samples[1],)))
-
-    parity = (np.max([np.max(np.abs(f.values.real)) for f in p_fields[0::2]]),
-              np.max([np.max(np.abs(f.values.imag)) for f in p_fields[1::2]], initial=0.0))
-    return HierarchySolution(tuple(p_fields), inp.x_ref, tuple(map(float, parity)))
+    return jets
 
 
 def master_residual(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> tuple:

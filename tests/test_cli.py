@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhjlab import hierarchy
 from qhjlab.cli import CSV_BLOCK_ROWS, SCHEMA_VERSION, TOLERANCE_KEYS, _cell_words, \
     load_config, main, write_csv
 from qhjlab.errors import ConfigError
@@ -239,6 +240,12 @@ def test_any_order_exits_cleanly(kind, order, n, at):
             code = main(["hierarchy", "--config", cfg])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+def test_any_order_exits_cleanly_across_tile_seams(monkeypatch):
+    # 16-column tiles: the fuzzed grids of 60-300 samples cross several seams
+    monkeypatch.setattr(hierarchy, "_tile_width", lambda order: 16)
+    test_any_order_exits_cleanly()
 
 
 PAIR_CHECKS = {"schrodinger_residual", "wronskian_drift"}

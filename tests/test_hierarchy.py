@@ -1,12 +1,14 @@
 """Expansion recursion: symbolic oracle, parity, residuals, reconstruction."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
+from qhjlab import hierarchy
 from qhjlab.duality import omega_for_norm
 from qhjlab.errors import ContractError, DomainError, TruncationError
 from qhjlab.fields import Grid, ScalarField, antiderivative, derivative
@@ -255,6 +257,44 @@ def test_real_jets_equal_the_complex_recursion(inp):
         assert np.array_equal(p.derivs[0], ref.derivs[0]), f"P_{j}'"
     for j, (s, ref) in enumerate(zip(sol.s_coeffs, s_ref)):
         assert np.array_equal(s.values, ref.values), f"S_{j}"
+
+
+@pytest.mark.parametrize("columns", [61, 256])
+@pytest.mark.parametrize("inp", _oracle_inputs())
+def test_real_jets_equal_the_complex_recursion_across_tile_seams(inp, columns, monkeypatch):
+    # every oracle grid is one tile at the default width; 61 and 256 columns
+    # split 1025 = 4 * 256 + 1 and 2049 samples unevenly, and sampled-V-K8 and
+    # f_even-K6 fail if a stencil of V or F'' is taken per tile
+    monkeypatch.setattr(hierarchy, "_tile_width", lambda order: columns)
+    test_real_jets_equal_the_complex_recursion(inp)
+
+
+@pytest.fixture(scope="module")
+def linear_report_input():
+    # linear-report's hierarchy: K = 12 on n = 16385, three tiles at the default width
+    return HierarchyInput(Potential("linear"), Grid(-4.0, 1.5, 16385), 2.0, 12, 0.1, 0.0)
+
+
+def test_default_tiles_equal_one_tile(linear_report_input, monkeypatch):
+    assert hierarchy._tile_width(12) < linear_report_input.grid.n
+    tiled = recurse(linear_report_input)
+    monkeypatch.setattr(hierarchy, "_tile_width", lambda order: linear_report_input.grid.n)
+    whole = recurse(linear_report_input)
+    for j, (p, ref) in enumerate(zip(tiled.p_coeffs, whole.p_coeffs)):
+        assert np.array_equal(p.values, ref.values), f"P_{j}"
+        assert np.array_equal(p.derivs[0], ref.derivs[0]), f"P_{j}'"
+
+
+def test_recursion_peak_memory(linear_report_input):
+    # the whole-grid loop held a 23.9 MB (K + 1) x (K + 2) x n jet array and
+    # peaked at 32.4 MiB; tiled it reads 13.3 MiB
+    tracemalloc.start()
+    try:
+        recurse(linear_report_input)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("inp", _oracle_inputs())
