@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularFieldError
-from .fields import NODE_TOL, ScalarField, antiderivative, derivative
+from .fields import NODE_TOL, ScalarField, antiderivative, derivatives
 from .schrodinger import Potential, SolutionPair
 
 
@@ -47,21 +48,22 @@ class Prepotential:
 class FreeEnergy:
     """Free energy F0 of the hierarchy side, tied to the potential by F0'' = -V/2.
 
-    ``f0_dd`` stores -V/2 exactly (the construction identity); ``f0`` is its
-    double antiderivative.
+    ``f0_dd`` stores -V/2 exactly (the construction identity); ``f0``, its
+    double antiderivative anchored at ``x_ref``, is formed on first read.
     """
 
-    f0: ScalarField
     f0_dd: ScalarField
+    x_ref: float
 
     @classmethod
     def from_potential(cls, potential: Potential, grid, x_ref: float) -> "FreeEnergy":
         v = potential.field(grid)
         dd_derivs = tuple(-0.5 * d for d in v.derivs[:2])
-        f0_dd = ScalarField(grid, -0.5 * v.values, derivs=dd_derivs)
-        f0_d = antiderivative(f0_dd, x_ref)
-        f0 = antiderivative(f0_d, x_ref)
-        return cls(f0=f0, f0_dd=f0_dd)
+        return cls(f0_dd=ScalarField(grid, -0.5 * v.values, derivs=dd_derivs), x_ref=x_ref)
+
+    @cached_property
+    def f0(self) -> ScalarField:
+        return antiderivative(antiderivative(self.f0_dd, self.x_ref), self.x_ref)
 
 
 def _require_normalized_conjugate(pair: SolutionPair):
@@ -117,8 +119,8 @@ def build_prepotential(pair: SolutionPair) -> Prepotential:
 def _chain_derivatives(prep: Prepotential):
     """F', F'', F''' and psi', psi'', psi''' as arrays, preferring attachments."""
     f, psi = prep.F, prep.pair.psi
-    fd = [derivative(f, k).values for k in (1, 2, 3)]
-    pd = [derivative(psi, k).values for k in (1, 2, 3)]
+    fd = derivatives(f, 3)[1:]
+    pd = derivatives(psi, 3)[1:]
     mod = np.abs(pd[0])
     bad = np.flatnonzero(mod <= NODE_TOL * float(np.max(mod)))
     if bad.size:
@@ -154,18 +156,27 @@ def prepotential_ode_residual(prep: Prepotential, v_field: ScalarField,
     return ScalarField(prep.pair.grid, f_ppp - rhs)
 
 
+def _gd(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: float):
+    """(residual samples, scale) of the resolvent equation for one Xi, from its
+    three terms eps^2 Xi''', 2 V' Xi and 4 (E - V) Xi', each formed once."""
+    xi0, xi1, _, xi3 = derivatives(xi, 3)
+    dv = derivatives(v_field, 1)[1]
+    third = epsilon ** 2 * xi3
+    force = 2.0 * dv * xi0
+    energy_term = 4.0 * (energy - v_field.values) * xi1
+    e_scale = abs(energy) + float(np.max(np.abs(v_field.values)))
+    terms = np.abs(third) + np.abs(force) + np.abs(energy_term)
+    floor = 4.0 * e_scale * float(np.max(np.abs(xi0))) * math.sqrt(e_scale) / epsilon
+    return third - force + energy_term, max(float(np.max(terms)), floor)
+
+
 def gd_residual(xi: ScalarField, v_field: ScalarField, energy: float,
                 epsilon: float) -> ScalarField:
     """Residual of the square-eigenfunction resolvent equation
 
         eps^2 Xi''' - 2 V' Xi + 4 (E - V) Xi' = 0.
     """
-    xi1 = derivative(xi, 1).values
-    xi3 = derivative(xi, 3).values
-    v = v_field.values
-    dv = derivative(v_field, 1).values
-    resid = epsilon ** 2 * xi3 - 2.0 * dv * xi.values + 4.0 * (energy - v) * xi1
-    return ScalarField(xi.grid, resid)
+    return ScalarField(xi.grid, _gd(xi, v_field, energy, epsilon)[0])
 
 
 def gd_scale(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: float) -> float:
@@ -175,20 +186,13 @@ def gd_scale(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: floa
     would have at the classical wavenumber (so a constant Xi still gets a
     sensible scale).
     """
-    xi1 = derivative(xi, 1).values
-    xi3 = derivative(xi, 3).values
-    dv = derivative(v_field, 1).values
-    e_scale = abs(energy) + float(np.max(np.abs(v_field.values)))
-    terms = (np.abs(epsilon ** 2 * xi3) + np.abs(2.0 * dv * xi.values)
-             + np.abs(4.0 * (energy - v_field.values) * xi1))
-    floor = 4.0 * e_scale * float(np.max(np.abs(xi.values))) * math.sqrt(e_scale) / epsilon
-    return max(float(np.max(terms)), floor)
+    return _gd(xi, v_field, energy, epsilon)[1]
 
 
 def gd_relative(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: float) -> float:
     """Max |resolvent residual| of one Xi over :func:`gd_scale`."""
-    resid = gd_residual(xi, v_field, energy, epsilon)
-    return float(np.max(np.abs(resid.values))) / gd_scale(xi, v_field, energy, epsilon)
+    resid, scale = _gd(xi, v_field, energy, epsilon)
+    return float(np.max(np.abs(resid))) / scale
 
 
 def prepotential_gd_residual(prep: Prepotential, v_field: ScalarField,
@@ -202,12 +206,10 @@ def prepotential_gd_residual(prep: Prepotential, v_field: ScalarField,
     """
     eps = prep.epsilon
     grid = prep.pair.grid
-    f = prep.F
-    f1 = derivative(f, 1).values
-    f3 = derivative(f, 3).values
+    f, f1, _, f3 = derivatives(prep.F, 3)
     v = v_field.values
-    dv = derivative(v_field, 1).values
-    shifted = f.values + grid.x / (1j * eps)
+    dv = derivatives(v_field, 1)[1]
+    shifted = f + grid.x / (1j * eps)
     resid = eps ** 2 * f3 - 2.0 * dv * shifted + 4.0 * (energy - v) * (f1 + 1.0 / (1j * eps))
     return ScalarField(grid, resid)
 
@@ -229,13 +231,11 @@ def akq_residual(prep: Prepotential, fe: FreeEnergy, energy: float,
             f"max |F0'' + V/2| = {mismatch:.3e}")
     eps = prep.epsilon
     grid = prep.pair.grid
-    f1 = derivative(prep.F, 1).values
-    f3 = derivative(prep.F, 3).values
-    f0dd = fe.f0_dd.values
-    f0ddd = derivative(fe.f0_dd, 1).values
+    f, f1, _, f3 = derivatives(prep.F, 3)
+    f0dd, f0ddd = derivatives(fe.f0_dd, 1)
     resid = (eps ** 2 * f3
              + (f1 + 1.0 / (1j * eps)) * (8.0 * f0dd + 4.0 * energy)
-             + 4.0 * f0ddd * (prep.F.values + grid.x / (1j * eps)))
+             + 4.0 * f0ddd * (f + grid.x / (1j * eps)))
     return ScalarField(grid, resid)
 
 
@@ -257,7 +257,7 @@ def modulus_momentum_residual(pair: SolutionPair) -> ScalarField:
         raise ContractError("modulus-momentum check expects a conjugate pair")
     eps = pair.constants.epsilon
     psi = pair.psi
-    d1 = derivative(psi, 1).values
+    d1 = derivatives(psi, 1)[1]
     mod2 = np.abs(psi.values) ** 2
     im_p = np.imag(eps * d1 / psi.values)
     return ScalarField(pair.grid, mod2 * im_p - 1.0)
@@ -271,10 +271,9 @@ def legendre_residual(prep: Prepotential) -> ScalarField:
     """
     eps = prep.epsilon
     grid = prep.pair.grid
-    f1 = derivative(prep.F, 1).values
-    xi1 = derivative(prep.xi["psi_sq"], 1).values
-    psi_sq = prep.xi["psi_sq"].values
-    resid = psi_sq * (f1 / xi1) - prep.F.values - grid.x / (1j * eps)
+    f, f1 = derivatives(prep.F, 1)
+    psi_sq, xi1 = derivatives(prep.xi["psi_sq"], 1)
+    resid = psi_sq * (f1 / xi1) - f - grid.x / (1j * eps)
     return ScalarField(grid, resid)
 
 
@@ -294,13 +293,14 @@ def duality_checks(prep: Prepotential) -> dict:
                              {"analytic": 1e-8, "numeric": 1e-5}[method]),
         "legendre": (float(np.max(np.abs(legendre_residual(prep).values))), 1e-6),
     }
+    scales = {}
     for variant, xi in prep.xi.items():
-        checks[f"gd_{variant}"] = (gd_relative(xi, v_field, pair.energy, eps),
+        resid, scales[variant] = _gd(xi, v_field, pair.energy, eps)
+        checks[f"gd_{variant}"] = (float(np.max(np.abs(resid))) / scales[variant],
                                    {"analytic": 1e-6, "numeric": 1e-4}[method])
     fe = FreeEnergy.from_potential(pair.potential, grid, grid.x_min)
     akq = akq_residual(prep, fe, pair.energy, v_field)
     direct = prepotential_gd_residual(prep, v_field, pair.energy)
-    scale = gd_scale(prep.xi["psi_psibar"], v_field, pair.energy, eps)
-    checks["akq_matches_direct"] = (float(np.max(np.abs(akq.values - direct.values))) / scale,
-                                    1e-12)
+    checks["akq_matches_direct"] = (float(np.max(np.abs(akq.values - direct.values)))
+                                    / scales["psi_psibar"], 1e-12)
     return checks

@@ -10,9 +10,11 @@ by the Fornberg weight recurrence.  The cumulative integral slides a 6-point
 interpolatory rule across the grid, so ``antiderivative`` followed by
 ``derivative`` round-trips below 1e-8 on smooth data.
 
-A field may carry sampled analytic derivatives (``derivs``).  When present
-they are used instead of finite differences, which keeps residual checks at
-the accuracy of the underlying closed forms rather than of the stencils.
+A field may carry sampled analytic derivatives (``derivs``).  ``derivative``
+always takes stencils of the samples and never reads them; ``derivatives``
+returns the attached arrays where present and stencils only beyond them,
+which keeps residual checks at the accuracy of the underlying closed forms
+rather than of the stencils.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ class ScalarField:
     values : array_like
         Samples, one per grid point.
     derivs : tuple of array_like, optional
-        Sampled analytic derivatives of orders 1..len(derivs) (at most 3).
-        Operations prefer these over finite differences when available.
+        Sampled analytic derivatives of orders 1..len(derivs) (at most 3),
+        read by :func:`derivatives` in place of stencils.
     """
 
     grid: Grid
@@ -168,20 +170,18 @@ def _stencil_rows(width: int, order: int) -> np.ndarray:
     return rows
 
 
-def derivative(f: ScalarField, k: int, use_attached: bool = True) -> ScalarField:
-    """k-th derivative of ``f`` (k in 1..3) on the same grid.
+def derivative(f: ScalarField, k: int) -> ScalarField:
+    """k-th derivative of ``f`` (k in 1..3) on the same grid, by stencils of its samples.
 
-    Attached analytic derivatives are used when present (and carried down to
-    the result); otherwise centered stencils of order 6 cover the interior and
-    one-sided rows of order >= 4 cover the few points next to each boundary.
+    Centered stencils of order 6 cover the interior and one-sided rows of
+    order >= 4 cover the few points next to each boundary.  Attached
+    derivatives are never read; :func:`derivatives` prefers them.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
     n = f.grid.n
     if n < 2 * k + 6:
         raise GridSizeError(f"grid of {n} samples too small for derivative order {k}")
-    if use_attached and len(f.derivs) >= k:
-        return ScalarField(f.grid, f.derivs[k - 1], derivs=f.derivs[k:])
 
     width = _STENCIL_WIDTH[k]
     half = width // 2
@@ -199,6 +199,17 @@ def derivative(f: ScalarField, k: int, use_attached: bool = True) -> ScalarField
         out[n - 1 - i] = rows[width - 1 - i] @ (values[-width:] - values[n - 1 - i])
     out /= f.grid.h ** k
     return ScalarField(f.grid, out)
+
+
+def derivatives(f: ScalarField, k: int) -> tuple:
+    """The arrays (f, f', ..., f^(k)) of ``f``: each derivative the attached
+    array where ``f`` carries one, else the stencil of :func:`derivative`.
+
+    These are plain derivatives, not the Taylor jets f^(r)/r! that
+    :mod:`qhjlab.hierarchy` propagates.
+    """
+    return (f.values,) + tuple(f.derivs[j - 1] if j <= len(f.derivs) else derivative(f, j).values
+                               for j in range(1, k + 1))
 
 
 @lru_cache(maxsize=None)
@@ -287,9 +298,9 @@ def schwarzian(f: ScalarField) -> ScalarField:
     """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2.
 
     Invariant under Moebius maps of f; requires f' to stay away from zero on
-    the whole grid.
+    the whole grid.  The derivatives come from :func:`derivatives`.
     """
-    d1 = derivative(f, 1).values
+    _, d1, d2, d3 = derivatives(f, 3)
     mod = np.abs(d1)
     floor = NODE_TOL * float(np.max(mod))
     bad = np.flatnonzero(mod <= floor)
@@ -298,7 +309,5 @@ def schwarzian(f: ScalarField) -> ScalarField:
         raise SingularFieldError(
             f"f' vanishes at sample {bad[0]} (x={x_bad:.6g}); "
             f"Schwarzian derivative undefined there", indices=bad)
-    d2 = derivative(f, 2).values
-    d3 = derivative(f, 3).values
     ratio = d2 / d1
     return ScalarField(f.grid, d3 / d1 - 1.5 * ratio * ratio)

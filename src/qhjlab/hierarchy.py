@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, DomainError, TruncationError
-from .fields import Grid, ScalarField, antiderivative, derivative
+from .fields import Grid, ScalarField, antiderivative, derivative, derivatives
 from .schrodinger import Potential
 
 # A sampled V enters through K + 1 chained first-derivative stencils (13 at K = 12),
@@ -317,7 +317,7 @@ def p2_schwarzian_check(sol: HierarchySolution, hierarchy_input: HierarchyInput)
 
     and as S^0' = P_0 the bracket is the Schwarzian {S^0; x} of
     f''' / f' - (3/2) (f'' / f')^2 with f = S^0.  The comparison takes P_0' and
-    P_0'' with stencils on the bare P_0 samples, where the recursion
+    P_0'' with stencils on the P_0 samples, where the recursion
     differentiates jets, so the two routes share no derivative machinery and
     no quadrature of P_0 enters.  P_0 = i sqrt(E - V) does not vanish on the
     classically allowed domain.  Only valid when the first correction F_2''
@@ -329,9 +329,8 @@ def p2_schwarzian_check(sol: HierarchySolution, hierarchy_input: HierarchyInput)
         raise ContractError("the Schwarzian form of P_2 requires F_2'' = 0")
 
     p0 = sol.p_coeffs[0]
-    bare = p0.bare()
-    ratio1 = derivative(bare, 1).values / p0.values
-    ratio2 = derivative(bare, 2).values / p0.values
+    ratio1 = derivative(p0, 1).values / p0.values
+    ratio2 = derivative(p0, 2).values / p0.values
     alt = (ratio2 - 1.5 * ratio1 * ratio1) / (4.0 * p0.values)
     return float(np.max(np.abs(sol.p_coeffs[2].values - alt)))
 
@@ -349,7 +348,7 @@ def hierarchy_checks(sol: HierarchySolution, hierarchy_input: HierarchyInput) ->
     checks = {"hierarchy_parity": (float(np.max(sol.parity_report)), 1e-12)}
     if sol.order >= 1:
         p0, p1 = sol.p_coeffs[0], sol.p_coeffs[1]
-        identity = np.abs(p1.values + derivative(p0, 1).values / (2.0 * p0.values))
+        identity = np.abs(p1.values + derivatives(p0, 1)[1] / (2.0 * p0.values))
         p1_scale = max(float(np.max(np.abs(p1.values))), 1.0)
         checks["hierarchy_p1_identity"] = (float(np.max(identity)) / p1_scale, 1e-10)
     scale = abs(inp.energy) + float(np.max(np.abs(inp.v_field.values)))

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapabilityError, ContractError
-from .fields import ScalarField, derivative, schwarzian, unwrap_phase, NODE_TOL
+from .fields import ScalarField, derivative, derivatives, schwarzian, unwrap_phase, NODE_TOL
 from .schrodinger import Scenario, SolutionPair
 
 # dS0/dalpha in units of hbar.  The underlying phase formula fixes the sign
@@ -75,15 +75,10 @@ def _require_real_pair(pair: SolutionPair):
         raise ContractError("microstate formulas need psi' and psi'' attached to both members")
 
 
-def _jet(f: ScalarField) -> tuple:
-    """Samples of ``f`` and its attached x-derivatives of orders 1 and 2."""
-    return (f.values,) + f.derivs[:2]
-
-
 def _components(psi: ScalarField, chi: ScalarField, params: MicrostateParams):
     """Jets of a = chi + l2 psi and b = l1 psi, with |chi - i l psi|^2 = a^2 + b^2."""
-    a = [c + params.ell2 * s for c, s in zip(_jet(chi), _jet(psi))]
-    b = [params.ell1 * s for s in _jet(psi)]
+    a = [c + params.ell2 * s for c, s in zip(derivatives(chi, 2), derivatives(psi, 2))]
+    b = [params.ell1 * s for s in derivatives(psi, 2)]
     return a, b
 
 
@@ -121,18 +116,6 @@ def momentum(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
     return ScalarField(pair.grid, p, derivs=(dp, d2p))
 
 
-def hamilton_principal(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
-    """Principal function S0 = (hbar/2)(alpha + theta) with theta the unwrapped
-    phase of beta; carries (p, p', p'') as attached derivatives."""
-    return _principal(pair, params, momentum(pair, params))
-
-
-def _principal(pair: SolutionPair, params: MicrostateParams, p: ScalarField) -> ScalarField:
-    theta = unwrap_phase(beta_field(pair, params))
-    values = pair.constants.hbar * (ALPHA_SLOPE * params.alpha + 0.5 * theta.values)
-    return ScalarField(pair.grid, values, derivs=(p.values,) + p.derivs)
-
-
 @dataclass(frozen=True)
 class QuantumPotentialReport:
     """Both routes to Q and how far apart they land."""
@@ -145,11 +128,10 @@ class QuantumPotentialReport:
 def quantum_potential(ms: "Microstate") -> QuantumPotentialReport:
     """Q via (hbar^2/4m){S0; x}, as :func:`build_microstate` stores it, and via
     -hbar^2 R''/2mR with R = |S0'|^{-1/2}."""
-    hbar = ms.pair.constants.hbar
-    mass = ms.pair.constants.mass
+    eps = ms.pair.constants.epsilon
     r = ScalarField(ms.pair.grid, np.abs(ms.p.values) ** -0.5)
     r2 = derivative(r, 2).values
-    q_amp = -0.5 * hbar * hbar / mass * r2 / r.values
+    q_amp = -eps * eps * r2 / r.values
     disc = float(np.max(np.abs(ms.Q.values - q_amp)))
     return QuantumPotentialReport(ms.Q, ScalarField(ms.pair.grid, q_amp), disc)
 
@@ -167,11 +149,6 @@ class Microstate:
     Q: ScalarField
     mfW: ScalarField          # V - E
 
-    @property
-    def direction(self) -> int:
-        """Sign of the momentum (uniform across the grid)."""
-        return int(np.sign(self.p.values[self.p.grid.n // 2]))
-
 
 def build_microstate(pair: SolutionPair, params: MicrostateParams) -> Microstate:
     """Assemble every microstate field for (pair, params)."""
@@ -182,9 +159,12 @@ def build_microstate(pair: SolutionPair, params: MicrostateParams) -> Microstate
     w = ScalarField(pair.grid, w_vals)
 
     p = momentum(pair, params)
-    s0 = _principal(pair, params, p)
-    hbar, mass = pair.constants.hbar, pair.constants.mass
-    q = 0.25 * hbar * hbar / mass * schwarzian(s0).values
+    # S0 = (hbar/2)(alpha + theta), theta the unwrapped phase of beta, with (p, p', p'')
+    theta = unwrap_phase(beta_field(pair, params))
+    s0_vals = pair.constants.hbar * (ALPHA_SLOPE * params.alpha + 0.5 * theta.values)
+    s0 = ScalarField(pair.grid, s0_vals, derivs=(p.values,) + p.derivs)
+    eps = pair.constants.epsilon
+    q = 0.5 * eps * eps * schwarzian(s0).values
     v = pair.potential.derivative_samples(pair.grid, 0)
     mfw = ScalarField(pair.grid, v - pair.energy)
     return Microstate(params, pair, w, s0, p, ScalarField(pair.grid, q), mfw)
@@ -202,8 +182,7 @@ class QshjeReport:
 
 def qshje_residual(ms: Microstate) -> QshjeReport:
     """(1/2m)(S0')^2 + W + Q with both determinations of W."""
-    hbar = ms.pair.constants.hbar
-    mass = ms.pair.constants.mass
+    hbar, mass, eps = ms.pair.constants.hbar, ms.pair.constants.mass, ms.pair.constants.epsilon
     kinetic = 0.5 / mass * ms.p.values ** 2
     res_pot = kinetic + ms.mfW.values + ms.Q.values
 
@@ -214,7 +193,7 @@ def qshje_residual(ms: Microstate) -> QshjeReport:
     g2 = c * (dp * g_vals + p * g1)
     g3 = c * (d2p * g_vals + 2.0 * dp * g1 + p * g2)
     g = ScalarField(ms.pair.grid, g_vals, derivs=(g1, g2, g3))
-    w_schw = np.real(-0.25 * hbar * hbar / mass * schwarzian(g).values)
+    w_schw = np.real(-0.5 * eps * eps * schwarzian(g).values)
     res_schw = kinetic + w_schw + ms.Q.values
     mismatch = float(np.max(np.abs(w_schw - ms.mfW.values)))
     return QshjeReport(ScalarField(ms.pair.grid, res_pot),
@@ -228,7 +207,7 @@ def microstate_checks(ms: Microstate, report: QshjeReport) -> dict:
     inner = ms.pair.grid.interior_slice(0.8)
     scale = max(abs(ms.pair.energy), float(np.max(np.abs(ms.mfW.values))))
     p = ms.p.values
-    fd_error = derivative(ms.S0, 1, use_attached=False).values - p
+    fd_error = derivative(ms.S0, 1).values - p
 
     def worst(values):
         return float(np.max(np.abs(values[inner])))
@@ -302,7 +281,7 @@ def _energy_derivatives(ms: Microstate):
     dd2 = 2.0 * (2.0 * (a[1] * a_e[1] + b[1] * b_e[1])
                  + a_e[0] * a[2] + a[0] * a_e[2] + b_e[0] * b[2] + b[0] * b_e[2])
 
-    hbar, mass, l1 = pair.constants.hbar, pair.constants.mass, params.ell1
+    hbar, eps, l1 = pair.constants.hbar, pair.constants.epsilon, params.ell1
     p, (p1, p2) = ms.p.values, ms.p.derivs
     pe = (hbar * l1 * pair.omega_e - p * dd) / d
     pe1 = -(p1 * dd + pe * d1 + p * dd1) / d
@@ -311,7 +290,7 @@ def _energy_derivatives(ms: Microstate):
     psi, chi = pair.psi.values, pair.psi_dual.values
     s0_e = hbar * l1 * (chi * pair.psi_e.values - psi * pair.psi_dual_e.values) / d
     r = pe / p
-    q_e = 0.25 * hbar * hbar / mass * ((pe2 - p2 * r) - 3.0 * (p1 / p) * (pe1 - p1 * r)) / p
+    q_e = 0.5 * eps * eps * ((pe2 - p2 * r) - 3.0 * (p1 / p) * (pe1 - p1 * r)) / p
     return ScalarField(pair.grid, pe, derivs=(pe1, pe2)), s0_e, q_e
 
 

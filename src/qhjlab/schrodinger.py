@@ -52,7 +52,7 @@ from .errors import (
     DegeneracyError,
     DomainError,
 )
-from .fields import Grid, ScalarField, antiderivative, derivative, interpolate
+from .fields import Grid, ScalarField, antiderivative, derivative, derivatives, interpolate
 
 POTENTIAL_KINDS = ("free", "linear", "harmonic", "custom")
 
@@ -151,13 +151,14 @@ class Potential:
             if order == 1:
                 return 2.0 * self.stiffness * x
             return np.full(grid.n, 2.0 * self.stiffness) if order == 2 else np.zeros(grid.n)
-        # custom: attached derivatives first, finite differences beyond
+        # custom: attached derivatives first, chained first-derivative stencils beyond
         if self.samples.grid != grid:
             raise ContractError("custom potential sampled on a different grid")
-        f = self.samples
-        for _ in range(order):
-            f = derivative(f, 1)
-        return f.values
+        jet = derivatives(self.samples, min(order, len(self.samples.derivs)))
+        tail = jet[-1]
+        for _ in range(order + 1 - len(jet)):
+            tail = derivative(ScalarField(grid, tail), 1).values
+        return tail
 
     def field(self, grid: Grid) -> ScalarField:
         """V on ``grid`` with derivative samples of orders 1..3 attached."""
@@ -213,12 +214,13 @@ class SolutionPair:
         w = self.wronskian_samples()
         return float(np.max(np.abs(w - self.wronskian)) / abs(self.wronskian))
 
-    def schrodinger_residual(self, member: str = "psi", use_attached: bool = True) -> ScalarField:
-        """-eps^2 u'' + (V - E) u for the requested member."""
+    def schrodinger_residual(self, member: str = "psi", stencil: bool = False) -> ScalarField:
+        """-eps^2 u'' + (V - E) u for the requested member, with u'' attached or,
+        for ``stencil``, the stencil of the samples."""
         u = self.psi if member == "psi" else self.psi_dual
         eps = self.constants.epsilon
         v = self.potential.derivative_samples(self.grid, 0)
-        d2 = derivative(u, 2, use_attached=use_attached).values
+        d2 = derivative(u, 2).values if stencil else derivatives(u, 2)[2]
         return ScalarField(self.grid, -eps * eps * d2 + (v - self.energy) * u.values)
 
     def residual_scale(self) -> float:
@@ -229,11 +231,11 @@ class SolutionPair:
             scale = max(scale, float(np.max(np.abs((v - self.energy) * u.values))))
         return scale if scale > 0 else 1.0
 
-    def relative_residual(self, use_attached: bool = True, fraction: float = 1.0) -> float:
+    def relative_residual(self, stencil: bool = False, fraction: float = 1.0) -> float:
         """Max |Schrodinger residual| of both members over the central ``fraction``
         of the grid, relative to :meth:`residual_scale`."""
         inner = self.grid.interior_slice(fraction)
-        worst = max(float(np.max(np.abs(self.schrodinger_residual(m, use_attached).values[inner])))
+        worst = max(float(np.max(np.abs(self.schrodinger_residual(m, stencil).values[inner])))
                     for m in ("psi", "psi_dual"))
         return worst / self.residual_scale()
 
@@ -241,7 +243,7 @@ class SolutionPair:
         """{check name: (relative residual, bound)}, the bounds by provenance; the
         Schrodinger residual uses stencils on the central 80%, independent of
         the attached derivatives."""
-        return {"schrodinger_residual": (self.relative_residual(use_attached=False, fraction=0.8),
+        return {"schrodinger_residual": (self.relative_residual(stencil=True, fraction=0.8),
                                          {"analytic": 1e-8, "numeric": 1e-5}[self.provenance]),
                 "wronskian_drift": (self.wronskian_drift(), WRONSKIAN_TOL[self.provenance])}
 
@@ -253,7 +255,7 @@ def _validate_pair(pair: SolutionPair) -> SolutionPair:
     if float(np.min(both)) <= 0.0:
         raise DegeneracyError("psi and psi_dual vanish simultaneously at some sample")
 
-    diagnostics = {"schrodinger_residual": pair.relative_residual(pair.provenance == "analytic"),
+    diagnostics = {"schrodinger_residual": pair.relative_residual(pair.provenance != "analytic"),
                    "wronskian_drift": pair.wronskian_drift()}
     for name, label, tol in (("schrodinger_residual", "Schrodinger residual", RESIDUAL_TOL),
                              ("wronskian_drift", "Wronskian drift", WRONSKIAN_TOL)):

@@ -218,6 +218,15 @@ class TestExtremeScales:
         assert main(["report", "--config", write_config(tmp_path, doc)]) == 1
         assert capsys.readouterr().err.startswith("error: the time weight |dp/dE|/|p| vanishes")
 
+    def test_hbar_squared_beyond_float_range(self, tmp_path, capsys):
+        # hbar^2 = 1e310 overflows while eps^2 = hbar^2/(2m) = 5e307 does not;
+        # the hbar^2/m prefactors of Q, W and dQ/dE are formed from eps^2, so
+        # the run reaches its report (the stencil residual fails at this scale)
+        doc = kind_config(tmp_path / "out", "free")
+        doc["constants"] = {"hbar": 1e155, "mass": 100.0}
+        assert main(["all", "--config", write_config(tmp_path, doc)]) == 2
+        assert "fail  schrodinger_residual" in capsys.readouterr().out
+
 
 @settings(max_examples=100)
 @given(kind=st.sampled_from(["free", "linear", "harmonic"]), order=st.integers(-1, 13),

@@ -9,6 +9,7 @@ from qhjlab.fields import (
     ScalarField,
     antiderivative,
     derivative,
+    derivatives,
     interpolate,
     schwarzian,
     unwrap_phase,
@@ -79,7 +80,7 @@ class TestScalarField:
         # to stencil accuracy on interior points
         g = Grid(0.0, 3.0, 257)
         f = ScalarField(g, np.exp(g.x), derivs=(np.exp(g.x),))
-        fd = derivative(f, 1, use_attached=False).values
+        fd = derivative(f, 1).values
         assert np.max(np.abs(interior(fd - np.exp(g.x)))) < 1e-10
 
 
@@ -108,10 +109,16 @@ class TestDerivative:
     def test_attached_derivatives_preferred(self):
         g = Grid(0.0, 1.0, 64)
         marker = np.full(64, 7.0)
-        f = ScalarField(g, g.x, derivs=(marker, np.zeros(64)))
-        assert np.array_equal(derivative(f, 1).values, marker)
-        # higher attached orders are carried down
-        assert np.array_equal(derivative(f, 1).derivs[0], np.zeros(64))
+        f = ScalarField(g, g.x ** 3, derivs=(marker, np.zeros(64)))
+        values, d1, d2, d3 = derivatives(f, 3)
+        # the attached arrays come back themselves, not copies
+        assert values is f.values and d1 is f.derivs[0] and d2 is f.derivs[1]
+        # an order f does not carry is derivative's stencil
+        assert np.array_equal(d3, derivative(f, 3).values)
+        # derivative never reads derivs: it differentiates the samples
+        assert np.array_equal(derivative(f, 1).values,
+                              derivative(ScalarField(g, g.x ** 3), 1).values)
+        assert derivative(f, 1).derivs == ()
 
     def test_bad_order_rejected(self):
         g = Grid(0.0, 1.0, 64)

@@ -464,8 +464,8 @@ class TestRecursion:
         inp = HierarchyInput(Potential("linear"), grid, 2.0, 2, 0.1, 0.0, f_even=(f2,))
         sol = recurse(inp)
         p0, p1, p2 = (f.values for f in sol.p_coeffs)
-        from qhjlab.fields import derivative
-        dp1 = derivative(sol.p_coeffs[1], 1).values
+        from qhjlab.fields import derivatives
+        dp1 = derivatives(sol.p_coeffs[1], 1)[1]
         relation = p1 ** 2 + 2.0 * p0 * p2 + dp1 + 2.0 * f2.values
         assert np.max(np.abs(relation)) < 1e-12
 

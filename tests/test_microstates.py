@@ -16,7 +16,6 @@ from qhjlab.microstates import (
     beta_field,
     build_microstate,
     energy_derivative_of_momentum,
-    hamilton_principal,
     momentum,
     qshje_residual,
     quantum_potential,
@@ -62,23 +61,23 @@ class TestBetaField:
 
 class TestHamiltonPrincipal:
     def test_free_slope_minus_one(self, free_pair, free_grid):
-        s0 = hamilton_principal(free_pair, UNIT_ELL)
-        slope = derivative(s0, 1, use_attached=False).values
+        s0 = build_microstate(free_pair, UNIT_ELL).S0
+        slope = derivative(s0, 1).values
         assert np.max(np.abs(slope + 1.0)) < 1e-9
 
     def test_free_energy_four_slope(self, constants, free_grid):
         pair = analytic_pair(Potential("free"), 4.0, constants, free_grid)
-        s0 = hamilton_principal(pair, UNIT_ELL)
+        s0 = build_microstate(pair, UNIT_ELL).S0
         assert np.max(np.abs(s0.derivs[0] + 2.0)) < 1e-12  # -sqrt(E) in default units
 
     def test_alpha_shifts_uniformly(self, free_pair, constants):
-        s0_a = hamilton_principal(free_pair, MicrostateParams(alpha=0.0))
-        s0_b = hamilton_principal(free_pair, MicrostateParams(alpha=0.8))
+        s0_a = build_microstate(free_pair, MicrostateParams(alpha=0.0)).S0
+        s0_b = build_microstate(free_pair, MicrostateParams(alpha=0.8)).S0
         shift = s0_b.values - s0_a.values
         assert np.max(np.abs(shift - 0.5 * constants.hbar * 0.8)) < 1e-14
 
     def test_no_unwrap_jumps(self, harmonic_pair, constants):
-        s0 = hamilton_principal(harmonic_pair, UNIT_ELL)
+        s0 = build_microstate(harmonic_pair, UNIT_ELL).S0
         assert np.max(np.abs(np.diff(s0.values))) < 0.5 * np.pi * constants.hbar
 
 
@@ -93,8 +92,10 @@ class TestMomentum:
             momentum(bare, UNIT_ELL)
 
     def test_direction_flag(self, free_pair, harmonic_pair):
-        assert build_microstate(free_pair, UNIT_ELL).direction == -1
-        assert build_microstate(harmonic_pair, UNIT_ELL).direction == 1
+        # the momentum keeps one sign across the grid; read it at the centre
+        for pair, sign in ((free_pair, -1), (harmonic_pair, 1)):
+            p = build_microstate(pair, UNIT_ELL).p.values
+            assert np.sign(p[len(p) // 2]) == sign
 
     def test_harmonic_positive_with_constant_combination(self, harmonic_pair, constants):
         p = momentum(harmonic_pair, UNIT_ELL)
@@ -117,8 +118,8 @@ class TestMomentum:
     def test_matches_principal_function_slope(self, harmonic_pair):
         # the two closed-form routes are one formula; cross-check via stencils
         p = momentum(harmonic_pair, UNIT_ELL)
-        s0 = hamilton_principal(harmonic_pair, UNIT_ELL)
-        fd = derivative(s0, 1, use_attached=False).values
+        s0 = build_microstate(harmonic_pair, UNIT_ELL).S0
+        fd = derivative(s0, 1).values
         rel = np.max(np.abs(fd[4:-4] - p.values[4:-4])) / np.max(np.abs(p.values))
         assert rel < 1e-8
 
@@ -182,8 +183,8 @@ class TestInvariants:
     def test_wronskian_weighted_momentum_constant(self, airy_pair):
         # (R^2 S0')' = 0 in its testable form: S0' |psiD - i ell psi|^2 constant,
         # with the slope taken by stencils rather than the closed form
-        s0 = hamilton_principal(airy_pair, UNIT_ELL)
-        fd = derivative(s0, 1, use_attached=False).values
+        s0 = build_microstate(airy_pair, UNIT_ELL).S0
+        fd = derivative(s0, 1).values
         chi, psi = airy_pair.psi_dual.values, airy_pair.psi.values
         product = fd[4:-4] * (chi ** 2 + psi ** 2)[4:-4]
         target = np.median(product)
@@ -252,7 +253,7 @@ class TestTimeOfQ:
         assert all(np.array_equal(a, b) for a, b in zip(t.derivs[1:], de_p.derivs))
         # t' = dp/dE: the stencil derivative of t agrees with the exact dp/dE
         inner = t.grid.interior_slice(0.8)
-        fd = derivative(t, 1, use_attached=False).values
+        fd = derivative(t, 1).values
         assert np.max(np.abs(fd - de_p.values)[inner]) / np.max(np.abs(de_p.values)) < 1e-8
 
     def test_harmonic_closed_form_has_no_time(self, constants):

@@ -23,7 +23,7 @@ from qhjlab.schrodinger import (
 
 def fd_residual(pair, member="psi", margin=4):
     """Relative stationary-equation residual on the centered-stencil region."""
-    res = pair.schrodinger_residual(member, use_attached=False)
+    res = pair.schrodinger_residual(member, stencil=True)
     return np.max(np.abs(res.values[margin:-margin])) / pair.residual_scale()
 
 
