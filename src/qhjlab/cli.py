@@ -23,10 +23,10 @@ failing check.
 Each check (what its residual is, what it is divided by, where it is
 measured and the bound it must stay below) is defined next to its physics:
 ``SolutionPair.checks``, ``microstate_checks``, ``ScanReport.checks``,
-``duality_checks`` and ``hierarchy_checks`` each return {check name:
-(residual, bound)}.  This module only validates the config, picks the
-stages, applies the ``--tol`` and ``tolerances`` overrides and writes the
-files.
+``duality_checks`` and ``hierarchy_checks`` each take only the object they
+check and return {check name: (residual, bound)}.  This module only
+validates the config, picks the stages, applies the ``--tol`` and
+``tolerances`` overrides and writes the files.
 """
 
 from __future__ import annotations
@@ -130,7 +130,10 @@ def _refuse_unknown_fields(doc):
 def _tolerance(key, value, where) -> float:
     if key not in TOLERANCE_KEYS:
         raise ConfigError(f"unknown tolerance key {key!r}")
-    return _number(value, where)
+    value = _number(value, where)
+    if value < 0.0:  # no residual could pass it
+        raise ConfigError(f"field {where} must be >= 0, got {value!r}")
+    return value
 
 
 class ScenarioConfig:
@@ -555,13 +558,13 @@ def write_csv(path: str, columns):
 def run_solve(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
     pair = family.pair
     return pair.checks(), "fields.csv", [
-        ("x", cfg.grid.x), ("potential", cfg.potential.derivative_samples(cfg.grid, 0)),
+        ("x", cfg.grid.x), ("potential", pair.v_field.values),
         ("psi", pair.psi.values), ("psi_dual", pair.psi_dual.values)]
 
 
 def run_microstate(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
     ms = family.microstate
-    report = microstates.qshje_residual(ms)
+    report = ms.qshje
     columns = [("w_ratio", ms.w.values), ("S0", ms.S0.values), ("p", ms.p.values),
                ("Q", ms.Q.values), ("mfW", ms.mfW.values),
                ("residual_qshje_potential", report.from_potential.values),
@@ -572,7 +575,7 @@ def run_microstate(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_di
         write_csv(os.path.join(out_dir, "trajectory.csv"),
                   [(f.name, [getattr(pt, f.name) for pt in rows])
                    for f in fields(microstates.TrajectoryPoint)])
-    return microstates.microstate_checks(ms, report), "fields.csv", columns
+    return microstates.microstate_checks(ms), "fields.csv", columns
 
 
 def run_uncertainty(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
@@ -608,7 +611,7 @@ def run_hierarchy(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir
             columns.append((f"P{j}", p.values))
             columns.append((f"S{j}", s.values))
         write_csv(os.path.join(out_dir, "hierarchy.csv"), columns)
-    return hierarchy.hierarchy_checks(sol, cfg.hierarchy), "hierarchy.csv", []
+    return hierarchy.hierarchy_checks(sol), "hierarchy.csv", []
 
 
 # Run order.  The hierarchy needs no solution pair, so it goes first, before

@@ -13,8 +13,10 @@ resolvent equation
     eps^2 Xi''' - 2 V' Xi + 4 (E - V) Xi' = 0,
 
 which is also what the prepotential form and the free-energy (AKQ-type) form
-reduce to.  The remaining entry points cover the modulus-momentum and
-Legendre identities and the norm-fixing scale factor omega.
+reduce to.  Each residual takes the prepotential, or one Xi with its pair,
+and reads V, E and eps from the pair, whose V is formed once.  The remaining
+entry points cover the modulus-momentum and Legendre identities and the
+norm-fixing scale factor omega.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, SingularFieldError
 from .fields import NODE_TOL, ScalarField, antiderivative, derivatives
-from .schrodinger import Potential, SolutionPair
+from .schrodinger import SolutionPair
 
 
 @dataclass(frozen=True)
@@ -48,18 +50,19 @@ class Prepotential:
 class FreeEnergy:
     """Free energy F0 of the hierarchy side, tied to the potential by F0'' = -V/2.
 
-    ``f0_dd`` stores -V/2 exactly (the construction identity); ``f0``, its
-    double antiderivative anchored at ``x_ref``, is formed on first read.
+    ``f0_dd`` stores -V/2 exactly (the construction identity) with two of V's
+    attached derivatives; :meth:`from_field` forms it from a sampled V such
+    as ``SolutionPair.v_field``.  ``f0``, its double antiderivative anchored
+    at ``x_ref``, is formed on first read.
     """
 
     f0_dd: ScalarField
     x_ref: float
 
     @classmethod
-    def from_potential(cls, potential: Potential, grid, x_ref: float) -> "FreeEnergy":
-        v = potential.field(grid)
+    def from_field(cls, v: ScalarField, x_ref: float) -> "FreeEnergy":
         dd_derivs = tuple(-0.5 * d for d in v.derivs[:2])
-        return cls(f0_dd=ScalarField(grid, -0.5 * v.values, derivs=dd_derivs), x_ref=x_ref)
+        return cls(f0_dd=ScalarField(v.grid, -0.5 * v.values, derivs=dd_derivs), x_ref=x_ref)
 
     @cached_property
     def f0(self) -> ScalarField:
@@ -137,8 +140,7 @@ def dual_derivative_residual(prep: Prepotential) -> ScalarField:
     return ScalarField(prep.pair.grid, np.abs(f1 / p1 - prep.pair.psi_dual.values))
 
 
-def prepotential_ode_residual(prep: Prepotential, v_field: ScalarField,
-                              energy: float) -> ScalarField:
+def prepotential_ode_residual(prep: Prepotential) -> ScalarField:
     """Residual of the third-order prepotential ODE
 
         F_ppp = ((E - V)/4) (F_p - psi F_pp)^3,
@@ -152,13 +154,21 @@ def prepotential_ode_residual(prep: Prepotential, v_field: ScalarField,
     f_pp = num / p1 ** 3
     num_x = f3 * p1 - f1 * p3
     f_ppp = (num_x * p1 - 3.0 * num * p2) / p1 ** 5
-    rhs = 0.25 * (energy - v_field.values) * (f_p - psi * f_pp) ** 3
+    rhs = 0.25 * (prep.pair.energy - prep.pair.v_field.values) * (f_p - psi * f_pp) ** 3
     return ScalarField(prep.pair.grid, f_ppp - rhs)
 
 
-def _gd(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: float):
-    """(residual samples, scale) of the resolvent equation for one Xi, from its
-    three terms eps^2 Xi''', 2 V' Xi and 4 (E - V) Xi', each formed once."""
+def gd_terms(xi: ScalarField, pair: SolutionPair):
+    """(residual samples, scale) of the square-eigenfunction resolvent equation
+
+        eps^2 Xi''' - 2 V' Xi + 4 (E - V) Xi' = 0
+
+    for one Xi of ``pair``, from its three terms, each formed once.  The scale
+    is the max term size over the grid, floored by the size the derivative
+    terms would have at the classical wavenumber (so a constant Xi still gets
+    a sensible scale).
+    """
+    v_field, energy, epsilon = pair.v_field, pair.energy, pair.constants.epsilon
     xi0, xi1, _, xi3 = derivatives(xi, 3)
     dv = derivatives(v_field, 1)[1]
     third = epsilon ** 2 * xi3
@@ -170,33 +180,7 @@ def _gd(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: float):
     return third - force + energy_term, max(float(np.max(terms)), floor)
 
 
-def gd_residual(xi: ScalarField, v_field: ScalarField, energy: float,
-                epsilon: float) -> ScalarField:
-    """Residual of the square-eigenfunction resolvent equation
-
-        eps^2 Xi''' - 2 V' Xi + 4 (E - V) Xi' = 0.
-    """
-    return ScalarField(xi.grid, _gd(xi, v_field, energy, epsilon)[0])
-
-
-def gd_scale(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: float) -> float:
-    """Magnitude reference for the resolvent residual.
-
-    Max term size over the grid, floored by the size the derivative terms
-    would have at the classical wavenumber (so a constant Xi still gets a
-    sensible scale).
-    """
-    return _gd(xi, v_field, energy, epsilon)[1]
-
-
-def gd_relative(xi: ScalarField, v_field: ScalarField, energy: float, epsilon: float) -> float:
-    """Max |resolvent residual| of one Xi over :func:`gd_scale`."""
-    resid, scale = _gd(xi, v_field, energy, epsilon)
-    return float(np.max(np.abs(resid))) / scale
-
-
-def prepotential_gd_residual(prep: Prepotential, v_field: ScalarField,
-                             energy: float) -> ScalarField:
+def prepotential_gd_residual(prep: Prepotential) -> ScalarField:
     """The resolvent equation written in terms of the prepotential,
 
         eps^2 F''' - 2 V' (F + X/(i eps)) + 4 (E - V) (F' + 1/(i eps)) = 0,
@@ -204,7 +188,7 @@ def prepotential_gd_residual(prep: Prepotential, v_field: ScalarField,
     half the psi*conj(psi) resolvent residual.  The variant with F in place
     of F' in the last factor is not solved by genuine pairs.
     """
-    eps = prep.epsilon
+    eps, energy, v_field = prep.epsilon, prep.pair.energy, prep.pair.v_field
     grid = prep.pair.grid
     f, f1, _, f3 = derivatives(prep.F, 3)
     v = v_field.values
@@ -214,23 +198,17 @@ def prepotential_gd_residual(prep: Prepotential, v_field: ScalarField,
     return ScalarField(grid, resid)
 
 
-def akq_residual(prep: Prepotential, fe: FreeEnergy, energy: float,
-                 v_field: ScalarField) -> ScalarField:
+def akq_residual(prep: Prepotential) -> ScalarField:
     """Residual of the free-energy form of the resolvent equation
 
-        eps^2 F''' + (F' + 1/(i eps)) (8 F0'' + 4 E) + 4 F0''' (F + X/(i eps)) = 0.
+        eps^2 F''' + (F' + 1/(i eps)) (8 F0'' + 4 E) + 4 F0''' (F + X/(i eps)) = 0,
 
-    With F0'' = -V/2 this reduces algebraically to the direct form; a ``fe``
-    that breaks that pairing with ``v_field`` raises :class:`ContractError`.
+    with F0'' = -V/2 formed from the pair's V, so that it reduces
+    algebraically to the direct form.
     """
-    scale = max(float(np.max(np.abs(v_field.values))), 1.0)
-    mismatch = float(np.max(np.abs(fe.f0_dd.values + 0.5 * v_field.values)))
-    if mismatch > 1e-12 * scale:
-        raise ContractError(
-            f"free energy is inconsistent with the potential: "
-            f"max |F0'' + V/2| = {mismatch:.3e}")
-    eps = prep.epsilon
+    eps, energy = prep.epsilon, prep.pair.energy
     grid = prep.pair.grid
+    fe = FreeEnergy.from_field(prep.pair.v_field, grid.x_min)
     f, f1, _, f3 = derivatives(prep.F, 3)
     f0dd, f0ddd = derivatives(fe.f0_dd, 1)
     resid = (eps ** 2 * f3
@@ -279,10 +257,9 @@ def legendre_residual(prep: Prepotential) -> ScalarField:
 
 def duality_checks(prep: Prepotential) -> dict:
     """{check name: (residual, bound)} for ``prep``: the resolvent forms over
-    :func:`gd_scale`, the O(1) construction identities absolute; the bounds
-    of the stencil-limited checks follow the pair's provenance."""
+    the scale of :func:`gd_terms`, the O(1) construction identities absolute;
+    the bounds of the stencil-limited checks follow the pair's provenance."""
     pair, eps, grid = prep.pair, prep.epsilon, prep.pair.grid
-    v_field = pair.potential.field(grid)
     method = pair.provenance
     checks = {
         # Im F = X/eps holds by construction
@@ -295,12 +272,11 @@ def duality_checks(prep: Prepotential) -> dict:
     }
     scales = {}
     for variant, xi in prep.xi.items():
-        resid, scales[variant] = _gd(xi, v_field, pair.energy, eps)
+        resid, scales[variant] = gd_terms(xi, pair)
         checks[f"gd_{variant}"] = (float(np.max(np.abs(resid))) / scales[variant],
                                    {"analytic": 1e-6, "numeric": 1e-4}[method])
-    fe = FreeEnergy.from_potential(pair.potential, grid, grid.x_min)
-    akq = akq_residual(prep, fe, pair.energy, v_field)
-    direct = prepotential_gd_residual(prep, v_field, pair.energy)
+    akq = akq_residual(prep)
+    direct = prepotential_gd_residual(prep)
     checks["akq_matches_direct"] = (float(np.max(np.abs(akq.values - direct.values)))
                                     / scales["psi_psibar"], 1e-12)
     return checks

@@ -118,10 +118,6 @@ class ScalarField:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
 
-    def bare(self) -> "ScalarField":
-        """Copy of this field without attached analytic derivatives."""
-        return ScalarField(self.grid, self.values)
-
 
 def _fornberg_weights(z, nodes: np.ndarray, max_order: int) -> np.ndarray:
     """Finite-difference weights at point ``z`` for derivatives 0..max_order.

@@ -25,8 +25,9 @@ correction given, and the output is bit for bit that of the whole-grid loop.
 
 The input is one :class:`Potential` on a grid; V and each F'' enter as jets by
 one route, the derivatives a field carries (closed forms for a built-in V)
-and stencils beyond.  ``master_residual`` collects the master relation by
-powers of eps for the checks; ``master_remainder`` sums it at a given eps.
+and stencils beyond.  The solution holds its input, so every check takes the
+solution alone.  ``master_residual`` collects the master relation by powers
+of eps for the checks; ``master_remainder`` sums it at a given eps.
 
 For real V and F'' each coefficient is one real jet R_j, with P_j = i R_j for
 even j and P_j = R_j for odd j: the recursion keeps this parity (i*i = -1 in a
@@ -175,12 +176,12 @@ class HierarchyInput:
 
 @dataclass(frozen=True)
 class HierarchySolution:
-    """Coefficients P_0..P_K, the anchor x_ref of their antiderivatives, and the
-    parity audit (max real part of even coefficients, max imaginary part of
-    odd ones; zero by construction of the real jets)."""
+    """Coefficients P_0..P_K, the input they solve, and the parity audit (max
+    real part of even coefficients, max imaginary part of odd ones; zero by
+    construction of the real jets)."""
 
     p_coeffs: tuple
-    x_ref: float
+    input: HierarchyInput
     parity_report: tuple
 
     @property
@@ -189,8 +190,9 @@ class HierarchySolution:
 
     @cached_property
     def s_coeffs(self) -> tuple:
-        """S^0..S^K, the antiderivatives of P_0..P_K anchored at x_ref, formed on first read."""
-        return tuple(antiderivative(f, self.x_ref) for f in self.p_coeffs)
+        """S^0..S^K, the antiderivatives of P_0..P_K anchored at the input's
+        x_ref, formed on first read."""
+        return tuple(antiderivative(f, self.input.x_ref) for f in self.p_coeffs)
 
 
 def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
@@ -225,7 +227,7 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
 
     parity = (np.max([np.max(np.abs(f.values.real)) for f in p_fields[0::2]]),
               np.max([np.max(np.abs(f.values.imag)) for f in p_fields[1::2]], initial=0.0))
-    return HierarchySolution(tuple(p_fields), inp.x_ref, tuple(map(float, parity)))
+    return HierarchySolution(tuple(p_fields), inp, tuple(map(float, parity)))
 
 
 def _tile_width(order: int) -> int:
@@ -270,10 +272,10 @@ def _recurse_tile(e_minus_v, f_dd, cols):
     return jets
 
 
-def master_residual(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> tuple:
+def master_residual(sol: HierarchySolution) -> tuple:
     """The master relation collected by powers of eps: one residual field per
     order 0..K.  Each restates the recursion, so each must vanish."""
-    inp = hierarchy_input
+    inp = sol.input
     p_vals = [f.values for f in sol.p_coeffs]
     per_order = []
     for nn in range(sol.order + 1):
@@ -291,11 +293,10 @@ def master_residual(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> 
     return tuple(per_order)
 
 
-def master_remainder(sol: HierarchySolution, hierarchy_input: HierarchyInput,
-                     epsilon: float | None = None) -> ScalarField:
+def master_remainder(sol: HierarchySolution, epsilon: float | None = None) -> ScalarField:
     """(sum eps^j P_j)^2 + eps sum eps^j P_j' + 2 sum eps^j F_j'' + E at a given eps
     (default: the input's), which the truncation leaves at O(eps^{K+1})."""
-    inp = hierarchy_input
+    inp = sol.input
     eps = inp.epsilon if epsilon is None else float(epsilon)
     p_sum, dp_sum, f_sum = np.zeros((3, inp.grid.n), dtype=np.complex128)
     for j, p in enumerate(sol.p_coeffs):
@@ -307,7 +308,7 @@ def master_remainder(sol: HierarchySolution, hierarchy_input: HierarchyInput,
     return ScalarField(inp.grid, p_sum * p_sum + eps * dp_sum + 2.0 * f_sum + inp.energy)
 
 
-def p2_schwarzian_check(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> float:
+def p2_schwarzian_check(sol: HierarchySolution) -> float:
     """Max discrepancy between the recursion P_2 and {S^0; x} / (4 P_0).
 
     With F_2'' = 0 and P_1 = -P_0'/(2 P_0) the recursion gives
@@ -325,7 +326,7 @@ def p2_schwarzian_check(sol: HierarchySolution, hierarchy_input: HierarchyInput)
     """
     if sol.order < 2:
         raise ValueError("need the expansion at least to order 2")
-    if not _f2_vanishes(hierarchy_input):
+    if not _f2_vanishes(sol.input):
         raise ContractError("the Schwarzian form of P_2 requires F_2'' = 0")
 
     p0 = sol.p_coeffs[0]
@@ -340,11 +341,11 @@ def _f2_vanishes(hierarchy_input: HierarchyInput) -> bool:
     return f2 is None or float(np.max(np.abs(f2[0]))) == 0.0
 
 
-def hierarchy_checks(sol: HierarchySolution, hierarchy_input: HierarchyInput) -> dict:
+def hierarchy_checks(sol: HierarchySolution) -> dict:
     """{check name: (residual, bound)}: parity, P_1 = -P_0'/(2 P_0) over
     max(max|P_1|, 1), the per-order master residual over |E| + max|V|, and the
     Schwarzian route to P_2 where it applies (order >= 2, F_2'' = 0)."""
-    inp = hierarchy_input
+    inp = sol.input
     checks = {"hierarchy_parity": (float(np.max(sol.parity_report)), 1e-12)}
     if sol.order >= 1:
         p0, p1 = sol.p_coeffs[0], sol.p_coeffs[1]
@@ -352,18 +353,17 @@ def hierarchy_checks(sol: HierarchySolution, hierarchy_input: HierarchyInput) ->
         p1_scale = max(float(np.max(np.abs(p1.values))), 1.0)
         checks["hierarchy_p1_identity"] = (float(np.max(identity)) / p1_scale, 1e-10)
     scale = abs(inp.energy) + float(np.max(np.abs(inp.v_field.values)))
-    worst = np.max([np.max(np.abs(f.values)) for f in master_residual(sol, inp)])
+    worst = np.max([np.max(np.abs(f.values)) for f in master_residual(sol)])
     checks["hierarchy_per_order"] = (float(worst) / scale, 1e-9)  # NaN if any order has one
     if sol.order >= 2 and _f2_vanishes(inp):
-        checks["hierarchy_p2_schwarzian"] = (p2_schwarzian_check(sol, inp), 1e-5)
+        checks["hierarchy_p2_schwarzian"] = (p2_schwarzian_check(sol), 1e-5)
     return checks
 
 
-def reconstruct_modulus(sol: HierarchySolution, hierarchy_input: HierarchyInput,
-                        omega: float) -> ScalarField:
+def reconstruct_modulus(sol: HierarchySolution, omega: float) -> ScalarField:
     """|psi|^2 = omega * exp(2 sum_j eps^{2j} S^{2j+1}) from the odd, real terms."""
-    eps = hierarchy_input.epsilon
-    grid = hierarchy_input.grid
+    eps = sol.input.epsilon
+    grid = sol.input.grid
     if sol.order < 1:
         warnings.warn("expansion order 0 carries no modulus information; "
                       "returning the constant omega")

@@ -149,6 +149,11 @@ class Microstate:
     Q: ScalarField
     mfW: ScalarField          # V - E
 
+    @cached_property
+    def qshje(self) -> "QshjeReport":
+        """:func:`qshje_residual` of this microstate, formed on first read."""
+        return qshje_residual(self)
+
 
 def build_microstate(pair: SolutionPair, params: MicrostateParams) -> Microstate:
     """Assemble every microstate field for (pair, params)."""
@@ -165,8 +170,7 @@ def build_microstate(pair: SolutionPair, params: MicrostateParams) -> Microstate
     s0 = ScalarField(pair.grid, s0_vals, derivs=(p.values,) + p.derivs)
     eps = pair.constants.epsilon
     q = 0.5 * eps * eps * schwarzian(s0).values
-    v = pair.potential.derivative_samples(pair.grid, 0)
-    mfw = ScalarField(pair.grid, v - pair.energy)
+    mfw = ScalarField(pair.grid, pair.v_field.values - pair.energy)
     return Microstate(params, pair, w, s0, p, ScalarField(pair.grid, q), mfw)
 
 
@@ -200,10 +204,11 @@ def qshje_residual(ms: Microstate) -> QshjeReport:
                        ScalarField(ms.pair.grid, res_schw), mismatch)
 
 
-def microstate_checks(ms: Microstate, report: QshjeReport) -> dict:
-    """{check name: (relative residual, bound)}: the HJ residuals of ``report``
+def microstate_checks(ms: Microstate) -> dict:
+    """{check name: (relative residual, bound)}: the HJ residuals of ``ms.qshje``
     over max(|E|, max|V - E|), and p against the stencil derivative of S0 over
     max|p|, each on the central 80%."""
+    report = ms.qshje
     inner = ms.pair.grid.interior_slice(0.8)
     scale = max(abs(ms.pair.energy), float(np.max(np.abs(ms.mfW.values))))
     p = ms.p.values

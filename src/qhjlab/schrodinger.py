@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -197,6 +198,12 @@ class SolutionPair:
     def grid(self) -> Grid:
         return self.psi.grid
 
+    @cached_property
+    def v_field(self) -> ScalarField:
+        """``potential`` on the grid with its first three derivatives attached,
+        formed on first read."""
+        return self.potential.field(self.grid)
+
     @property
     def omega(self) -> float:
         """The real Wronskian constant of a real pair."""
@@ -219,13 +226,13 @@ class SolutionPair:
         for ``stencil``, the stencil of the samples."""
         u = self.psi if member == "psi" else self.psi_dual
         eps = self.constants.epsilon
-        v = self.potential.derivative_samples(self.grid, 0)
+        v = self.v_field.values
         d2 = derivative(u, 2).values if stencil else derivatives(u, 2)[2]
         return ScalarField(self.grid, -eps * eps * d2 + (v - self.energy) * u.values)
 
     def residual_scale(self) -> float:
         """Reference magnitude for relative residual checks."""
-        v = self.potential.derivative_samples(self.grid, 0)
+        v = self.v_field.values
         scale = 0.0
         for u in (self.psi, self.psi_dual):
             scale = max(scale, float(np.max(np.abs((v - self.energy) * u.values))))

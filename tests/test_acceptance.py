@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from qhjlab.catalog import SCAN_WINDOWS, free_scenario, scan_family
-from qhjlab.duality import build_prepotential, duality_checks, gd_relative, omega_for_norm
+from qhjlab.duality import build_prepotential, duality_checks, gd_terms, omega_for_norm
 from qhjlab.fields import Grid, ScalarField, derivative
 from qhjlab.hierarchy import HierarchyInput, hierarchy_checks, master_remainder, recurse
 from qhjlab.microstates import MicrostateParams, build_microstate, microstate_checks, \
@@ -82,7 +82,7 @@ def test_criterion_2_qshje_identity():
     for name, pair, params in cases:
         ms = build_microstate(pair, params)
         # the HJ residual by both potential-term routes, and the routes' agreement
-        report_checks(2, f"{name}, ell = {params.ell}", microstate_checks(ms, qshje_residual(ms)),
+        report_checks(2, f"{name}, ell = {params.ell}", microstate_checks(ms),
                       ("qshje_potential", "qshje_schwarzian", "qshje_w_mismatch"))
 
 
@@ -143,14 +143,14 @@ def test_criterion_6_hierarchy_recursion():
         np.max(np.abs(sol.p_coeffs[1].values - 1.0 / (4.0 * (2.0 - x)))),
         np.max(np.abs(sol.p_coeffs[2].values - 5j / 32.0 * (2.0 - x) ** -2.5)))
     report(6, "linear-potential coefficients vs closed forms", worst, 1e-6)
-    report(6, "parity of the coefficients", *hierarchy_checks(sol, inp)["hierarchy_parity"])
+    report(6, "parity of the coefficients", *hierarchy_checks(sol)["hierarchy_parity"])
 
     worst_slope = 0.0
     for order in (2, 4):
         inp_k = HierarchyInput(potential, grid, 2.0, order, 0.1, 0.0)
         sol_k = recurse(inp_k)
         eps_values = (0.1, 0.05, 0.025)
-        remainders = [np.max(np.abs(master_remainder(sol_k, inp_k, e).values))
+        remainders = [np.max(np.abs(master_remainder(sol_k, e).values))
                       for e in eps_values]
         slope = np.polyfit(np.log(eps_values), np.log(remainders), 1)[0]
         worst_slope = max(worst_slope, abs(slope - (order + 1)))
@@ -167,7 +167,7 @@ def test_criterion_7_schwarzian_correction():
             (Potential("harmonic"), 5.0, Grid(-1.0, 1.0, 1025))):
         inp = HierarchyInput(potential, grid, energy, 2, 0.1, 0.0)
         report(7, f"second correction vs Schwarzian route, {potential.kind}",
-               *hierarchy_checks(recurse(inp), inp)["hierarchy_p2_schwarzian"])
+               *hierarchy_checks(recurse(inp))["hierarchy_p2_schwarzian"])
 
 
 def test_criterion_8_norm_scaling():
@@ -187,13 +187,13 @@ def test_criterion_8_norm_scaling():
     worst = np.max(np.abs(before - after))
 
     conj = normalize_wronskian(make_conjugate(pair))
-    v = Potential("free").field(grid)
     xi = conj.psi.values * conj.psi_dual.values
     for factor in (1.0, omega):
         field = ScalarField(grid, factor * xi,
                             derivs=tuple(factor * d for d in
                                          build_prepotential(conj).xi["psi_psibar"].derivs))
-        relative = gd_relative(field, v, 1.0, constants.epsilon)
+        resid, scale = gd_terms(field, conj)
+        relative = float(np.max(np.abs(resid))) / scale
         if factor == 1.0:
             base = relative
         else:

@@ -98,6 +98,17 @@ class TestValidation:
             assert main(["all", "--config", cfg, "--tol", item]) == 1
             assert capsys.readouterr().err.startswith("config error:")
 
+    def test_negative_tolerance_refused_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["all", "--config", cfg, "--tol", "legendre=-5"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+        # a bound of 0 stays allowed: the parity holds exactly, so it passes
+        assert main(["report", "--config", cfg, "--tol", "hierarchy_parity=0"]) == 0
+        check = json.loads((out / "report.json").read_text())["checks"]["hierarchy_parity"]
+        assert (check["tolerance"], check["status"]) == (0.0, "pass")
+
     @pytest.mark.parametrize("section, key, value", [
         ("constants", "hbar", -1),
         ("constants", "mass", 0),
@@ -126,6 +137,7 @@ class TestValidation:
         ("outputs", "plots", "false"),
         (None, "tolerance", {"qshje_potential": 1e-30}),
         ("microstate", "t_sample", [0.1]),
+        (None, "tolerances", {"qshje_potential": -1.0}),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"

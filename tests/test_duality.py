@@ -1,6 +1,7 @@
 """Prepotential identities, resolvent residuals, the s' oracle, norm scaling."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from qhjlab.duality import (
     build_prepotential,
     dual_derivative_residual,
     duality_checks,
-    gd_residual,
-    gd_scale,
+    gd_terms,
     legendre_residual,
     modulus_momentum_residual,
     omega_for_norm,
@@ -59,18 +59,20 @@ def harmonic_numeric_conjugate(constants):
 
 def strip(prep):
     """Clone without analytic derivatives, so every check runs on stencils."""
-    pair = SolutionPair(prep.pair.psi.bare(), prep.pair.psi_dual.bare(),
+    pair = SolutionPair(ScalarField(prep.pair.grid, prep.pair.psi.values),
+                        ScalarField(prep.pair.grid, prep.pair.psi_dual.values),
                         prep.pair.energy, prep.pair.constants, prep.pair.wronskian,
                         kind=prep.pair.kind, potential=prep.pair.potential,
                         provenance=prep.pair.provenance)
-    return Prepotential(pair=pair, F=prep.F.bare(), phi=prep.phi,
-                        xi={k: v.bare() for k, v in prep.xi.items()})
+    return Prepotential(pair=pair, F=ScalarField(prep.F.grid, prep.F.values), phi=prep.phi,
+                        xi={k: ScalarField(v.grid, v.values) for k, v in prep.xi.items()})
 
 
-def printed_gd_residual(prep, v_field, energy):
+def printed_gd_residual(prep):
     """The prepotential resolvent form with F in place of F' in the 4(E - V)
     term: a planted defect that genuine pairs do not solve."""
     eps, grid, f = prep.epsilon, prep.pair.grid, prep.F
+    v_field, energy = prep.pair.v_field, prep.pair.energy
     f3 = derivatives(f, 3)[3]
     dv = derivatives(v_field, 1)[1]
     shifted = f.values + grid.x / (1j * eps)
@@ -119,30 +121,27 @@ class TestDualDerivative:
 
 
 class TestPrepotentialOde:
-    def test_free_solves_it(self, free_prep, free_grid):
-        v = Potential("free").field(free_grid)
-        resid = prepotential_ode_residual(free_prep, v, 1.0)
+    def test_free_solves_it(self, free_prep):
+        resid = prepotential_ode_residual(free_prep)
         assert np.max(np.abs(resid.values)) < 1e-6
 
     def test_degenerate_energy_flags_nonsolution(self, free_prep, free_grid):
         # forcing E = V kills the right side, leaving |F_ppp| as the residual
-        v = ScalarField(free_grid, np.full(free_grid.n, 1.0))
-        resid = prepotential_ode_residual(free_prep, v, 1.0)
+        flat = Potential("custom", samples=ScalarField(free_grid, np.full(free_grid.n, 1.0)))
+        prep = replace(free_prep, pair=replace(free_prep.pair, potential=flat))
+        resid = prepotential_ode_residual(prep)
         assert np.max(np.abs(resid.values)) > 1.0
 
-    def test_airy_pair_solves_it(self, airy_conjugate, airy_grid):
+    def test_airy_pair_solves_it(self, airy_conjugate):
         # not a free-case accident: the travelling Airy combination satisfies
         # the same third-order equation
         prep = build_prepotential(airy_conjugate)
-        v = Potential("linear").field(airy_grid)
-        resid = prepotential_ode_residual(prep, v, 2.0)
+        resid = prepotential_ode_residual(prep)
         assert np.max(np.abs(resid.values)) < 1e-10
 
     def test_numeric_pair_solves_it(self, harmonic_numeric_conjugate):
         prep = build_prepotential(harmonic_numeric_conjugate)
-        g = harmonic_numeric_conjugate.grid
-        v = Potential("harmonic").field(g)
-        resid = prepotential_ode_residual(prep, v, 2.0)
+        resid = prepotential_ode_residual(prep)
         assert np.max(np.abs(resid.values)) < 1e-5
 
     def test_residual_drops_at_stencil_order(self, constants):
@@ -155,63 +154,51 @@ class TestPrepotentialOde:
             pair = normalize_wronskian(make_conjugate(
                 analytic_pair(Potential("free"), 1.0, constants, g)))
             prep = strip(build_prepotential(pair))
-            v = Potential("free").field(g)
-            resid = prepotential_ode_residual(prep, v, 1.0)
+            resid = prepotential_ode_residual(prep)
             maxima.append(np.max(np.abs(resid.values[4:-4])))
         assert maxima[0] / maxima[1] > 2.0 ** 4
         assert maxima[1] / maxima[2] > 2.0 ** 4
 
 
 class TestGelfandDickey:
-    def test_free_constant_variant(self, free_prep, free_grid, constants):
-        v = Potential("free").field(free_grid)
-        resid = gd_residual(free_prep.xi["psi_psibar"], v, 1.0, constants.epsilon)
-        assert np.max(np.abs(resid.values)) < 1e-12
+    def test_free_constant_variant(self, free_prep):
+        resid = gd_terms(free_prep.xi["psi_psibar"], free_prep.pair)[0]
+        assert np.max(np.abs(resid)) < 1e-12
 
-    def test_free_travelling_variant_hand_check(self, free_prep, free_grid, constants):
+    def test_free_travelling_variant_hand_check(self, free_prep):
         # for Xi = psi^2 = e^{2iX} the third-derivative and energy terms cancel
-        v = Potential("free").field(free_grid)
-        resid = gd_residual(free_prep.xi["psi_sq"], v, 1.0, constants.epsilon)
-        scale = gd_scale(free_prep.xi["psi_sq"], v, 1.0, constants.epsilon)
-        assert np.max(np.abs(resid.values)) / scale < 1e-6
+        resid, scale = gd_terms(free_prep.xi["psi_sq"], free_prep.pair)
+        assert np.max(np.abs(resid)) / scale < 1e-6
 
     @pytest.mark.parametrize("variant", ["psi_psibar", "psi_sq", "psibar_sq"])
-    def test_all_variants_airy(self, airy_conjugate, airy_grid, constants, variant):
+    def test_all_variants_airy(self, airy_conjugate, variant):
         prep = build_prepotential(airy_conjugate)
-        v = Potential("linear").field(airy_grid)
-        resid = gd_residual(prep.xi[variant], v, 2.0, constants.epsilon)
-        scale = gd_scale(prep.xi[variant], v, 2.0, constants.epsilon)
-        assert np.max(np.abs(resid.values)) / scale < 1e-6
+        resid, scale = gd_terms(prep.xi[variant], prep.pair)
+        assert np.max(np.abs(resid)) / scale < 1e-6
 
     @pytest.mark.parametrize("variant", ["psi_psibar", "psi_sq", "psibar_sq"])
-    def test_all_variants_numeric(self, harmonic_numeric_conjugate, constants, variant):
+    def test_all_variants_numeric(self, harmonic_numeric_conjugate, variant):
         prep = build_prepotential(harmonic_numeric_conjugate)
-        g = harmonic_numeric_conjugate.grid
-        v = Potential("harmonic").field(g)
-        resid = gd_residual(prep.xi[variant], v, 2.0, constants.epsilon)
-        scale = gd_scale(prep.xi[variant], v, 2.0, constants.epsilon)
-        assert np.max(np.abs(resid.values)) / scale < 1e-4
+        resid, scale = gd_terms(prep.xi[variant], prep.pair)
+        assert np.max(np.abs(resid)) / scale < 1e-4
 
-    def test_prepotential_form_matches_xi_form(self, airy_conjugate, airy_grid, constants):
+    def test_prepotential_form_matches_xi_form(self, airy_conjugate):
         # the prepotential rewriting is half of the psi*conj(psi) equation
         prep = build_prepotential(airy_conjugate)
-        v = Potential("linear").field(airy_grid)
-        via_f = prepotential_gd_residual(prep, v, 2.0)
-        via_xi = gd_residual(prep.xi["psi_psibar"], v, 2.0, constants.epsilon)
-        assert np.max(np.abs(2.0 * via_f.values - via_xi.values)) < 1e-10
+        via_f = prepotential_gd_residual(prep)
+        via_xi = gd_terms(prep.xi["psi_psibar"], prep.pair)[0]
+        assert np.max(np.abs(2.0 * via_f.values - via_xi)) < 1e-10
 
-    def test_printed_variant_differs(self, free_prep, free_grid):
-        v = Potential("free").field(free_grid)
-        corrected = prepotential_gd_residual(free_prep, v, 1.0)
-        printed = printed_gd_residual(free_prep, v, 1.0)
+    def test_printed_variant_differs(self, free_prep):
+        corrected = prepotential_gd_residual(free_prep)
+        printed = printed_gd_residual(free_prep)
         assert np.max(np.abs(corrected.values)) < 1e-10
         assert np.max(np.abs(printed.values)) > 1.0
 
 
 class TestAkq:
-    def test_free_reduces_to_direct(self, free_prep, free_grid):
-        fe = FreeEnergy.from_potential(Potential("free"), free_grid, 0.0)
-        resid = akq_residual(free_prep, fe, 1.0, Potential("free").field(free_grid))
+    def test_free_reduces_to_direct(self, free_prep):
+        resid = akq_residual(free_prep)
         assert np.max(np.abs(resid.values)) < 1e-12
 
     def test_printed_form_fails_the_check(self, free_prep, monkeypatch):
@@ -222,30 +209,20 @@ class TestAkq:
         monkeypatch.setattr(duality, "prepotential_gd_residual", printed_gd_residual)
         assert duality_checks(free_prep)["akq_matches_direct"][0] > bound
 
-    def test_linear_with_airy_pair(self, airy_conjugate, airy_grid, constants):
+    def test_linear_with_airy_pair(self, airy_conjugate):
         prep = build_prepotential(airy_conjugate)
-        fe = FreeEnergy.from_potential(Potential("linear"), airy_grid, airy_grid.x_min)
-        v = Potential("linear").field(airy_grid)
-        resid = akq_residual(prep, fe, 2.0, v_field=v)
-        scale = gd_scale(prep.xi["psi_psibar"], v, 2.0, constants.epsilon)
+        resid = akq_residual(prep)
+        scale = gd_terms(prep.xi["psi_psibar"], prep.pair)[1]
         assert np.max(np.abs(resid.values)) / scale < 1e-4
 
-    def test_substitution_recovers_direct_form(self, airy_conjugate, airy_grid):
+    def test_substitution_recovers_direct_form(self, airy_conjugate):
         prep = build_prepotential(airy_conjugate)
-        fe = FreeEnergy.from_potential(Potential("linear"), airy_grid, airy_grid.x_min)
-        v = Potential("linear").field(airy_grid)
-        via_akq = akq_residual(prep, fe, 2.0, v_field=v)
-        direct = prepotential_gd_residual(prep, v, 2.0)
+        via_akq = akq_residual(prep)
+        direct = prepotential_gd_residual(prep)
         assert np.max(np.abs(via_akq.values - direct.values)) < 1e-12
 
-    def test_inconsistent_pairing_rejected(self, free_prep, free_grid):
-        fe = FreeEnergy.from_potential(Potential("harmonic"), free_grid, 0.0)
-        v = Potential("free").field(free_grid)
-        with pytest.raises(ContractError):
-            akq_residual(free_prep, fe, 1.0, v_field=v)
-
     def test_construction_identity(self, free_grid):
-        fe = FreeEnergy.from_potential(Potential("harmonic"), free_grid, 0.0)
+        fe = FreeEnergy.from_field(Potential("harmonic").field(free_grid), 0.0)
         assert np.max(np.abs(fe.f0_dd.values + 0.5 * free_grid.x ** 2)) == 0.0
         from qhjlab.fields import derivative
         back = derivative(derivative(fe.f0, 1), 1)

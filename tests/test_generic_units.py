@@ -6,8 +6,7 @@ import pytest
 from qhjlab.duality import (
     build_prepotential,
     dual_derivative_residual,
-    gd_residual,
-    gd_scale,
+    gd_terms,
     legendre_residual,
     modulus_momentum_residual,
     prepotential_ode_residual,
@@ -46,15 +45,13 @@ def test_duality_identities_generic_units(name, potential, energy, grid):
     pair = normalize_wronskian(make_conjugate(
         analytic_pair(potential, energy, CONSTANTS, grid)))
     prep = build_prepotential(pair)
-    v = potential.field(grid)
     assert np.max(dual_derivative_residual(prep).values) < 1e-10
     assert np.max(np.abs(modulus_momentum_residual(pair).values)) < 1e-8
     assert np.max(np.abs(legendre_residual(prep).values)) < 1e-6
-    assert np.max(np.abs(prepotential_ode_residual(prep, v, energy).values)) < 1e-6
+    assert np.max(np.abs(prepotential_ode_residual(prep).values)) < 1e-6
     for xi in prep.xi.values():
-        resid = gd_residual(xi, v, energy, CONSTANTS.epsilon)
-        scale = gd_scale(xi, v, energy, CONSTANTS.epsilon)
-        assert np.max(np.abs(resid.values)) / scale < 1e-6
+        resid, scale = gd_terms(xi, pair)
+        assert np.max(np.abs(resid)) / scale < 1e-6
 
 
 def test_hierarchy_generic_epsilon():
@@ -63,7 +60,7 @@ def test_hierarchy_generic_epsilon():
     sol = recurse(inp)
     assert max(sol.parity_report) < 1e-12
     scale = abs(inp.energy) + np.max(np.abs(inp.v_field.values))
-    assert max(np.max(np.abs(f.values)) for f in master_residual(sol, inp)) / scale < 1e-9
+    assert max(np.max(np.abs(f.values)) for f in master_residual(sol)) / scale < 1e-9
 
 
 def test_free_motion_generic_units():

@@ -477,8 +477,8 @@ class TestRecursion:
         inp = HierarchyInput(v, grid, 1.4, 4, 0.1, 0.0)
         sol = recurse(inp)
         assert max(sol.parity_report) < 1e-12
-        assert max(np.max(np.abs(f.values)) for f in master_residual(sol, inp)) < 1e-9
-        assert p2_schwarzian_check(sol, inp) < 1e-5
+        assert max(np.max(np.abs(f.values)) for f in master_residual(sol)) < 1e-9
+        assert p2_schwarzian_check(sol) < 1e-5
 
     @pytest.mark.parametrize("v_imag, f2_value, message", [
         (1e-3, 0.0, "V must be real"),
@@ -506,7 +506,7 @@ class TestRecursion:
 
 class TestMasterResidual:
     def test_per_order_vanishes(self, linear_solution, linear_input):
-        per_order = master_residual(linear_solution, linear_input)
+        per_order = master_residual(linear_solution)
         assert len(per_order) == linear_solution.order + 1
         scale = abs(linear_input.energy) + np.max(np.abs(linear_input.v_field.values))
         assert max(np.max(np.abs(f.values)) for f in per_order) / scale < 1e-9
@@ -516,8 +516,8 @@ class TestMasterResidual:
         values = p[3].values.copy()
         values[500] = np.nan
         p[3] = ScalarField(p[3].grid, values, derivs=p[3].derivs)
-        planted = HierarchySolution(tuple(p), linear_input.x_ref, (0.0, np.nan))
-        checks = hierarchy_checks(planted, linear_input)
+        planted = HierarchySolution(tuple(p), linear_input, (0.0, np.nan))
+        checks = hierarchy_checks(planted)
         assert np.isnan(checks["hierarchy_per_order"][0])
         assert np.isnan(checks["hierarchy_parity"][0])
 
@@ -527,7 +527,7 @@ class TestMasterResidual:
             Potential("linear"), linear_input.grid, 2.0, order, 0.1, 0.0)
         sol = recurse(inp)
         eps_values = (0.1, 0.05, 0.025)
-        remainders = [np.max(np.abs(master_remainder(sol, inp, e).values))
+        remainders = [np.max(np.abs(master_remainder(sol, e).values))
                       for e in eps_values]
         slope = np.polyfit(np.log(eps_values), np.log(remainders), 1)[0]
         assert abs(slope - (order + 1)) < 0.3, f"slope {slope}"
@@ -538,25 +538,25 @@ class TestMasterResidual:
             Potential("linear"), linear_input.grid, 2.0, 0, 0.1, 0.0)
         sol = recurse(inp)
         eps_values = (0.1, 0.05, 0.025)
-        remainders = [np.max(np.abs(master_remainder(sol, inp, e).values))
+        remainders = [np.max(np.abs(master_remainder(sol, e).values))
                       for e in eps_values]
         slope = np.polyfit(np.log(eps_values), np.log(remainders), 1)[0]
         assert abs(slope - 1.0) < 0.3
 
 
 class TestSchwarzianCorrection:
-    def test_linear(self, linear_solution, linear_input):
-        assert p2_schwarzian_check(linear_solution, linear_input) < 1e-6
+    def test_linear(self, linear_solution):
+        assert p2_schwarzian_check(linear_solution) < 1e-6
 
     def test_flat_potential_both_zero(self):
         grid = Grid(0.0, 2.0, 257)
         inp = HierarchyInput(Potential("free"), grid, 1.0, 2, 0.1, 1.0)
-        assert p2_schwarzian_check(recurse(inp), inp) < 1e-9
+        assert p2_schwarzian_check(recurse(inp)) < 1e-9
 
     def test_harmonic(self):
         grid = Grid(-1.0, 1.0, 1025)
         inp = HierarchyInput(Potential("harmonic"), grid, 5.0, 2, 0.1, 0.0)
-        assert p2_schwarzian_check(recurse(inp), inp) < 1e-5
+        assert p2_schwarzian_check(recurse(inp)) < 1e-5
 
     @pytest.mark.parametrize("defect", ["shifted", "without_three_halves"])
     def test_planted_defect_fails(self, linear_solution, linear_input, defect):
@@ -567,8 +567,8 @@ class TestSchwarzianCorrection:
         else:  # P_0''/(4 P_0^2): the Schwarzian route without its -(3/2)(P_0'/P_0)^2
             planted = derivative(p0, 2).values / (4.0 * p0.values ** 2)
         p[2] = ScalarField(p[2].grid, planted)
-        sol = HierarchySolution(tuple(p), linear_input.x_ref, linear_solution.parity_report)
-        assert p2_schwarzian_check(sol, linear_input) > 1e-5
+        sol = HierarchySolution(tuple(p), linear_input, linear_solution.parity_report)
+        assert p2_schwarzian_check(sol) > 1e-5
 
     def test_workload_grids(self):
         # K = 4 on 4097 and K = 12 on 16385 samples, as perfbench runs them
@@ -577,7 +577,7 @@ class TestSchwarzianCorrection:
                 (Potential("linear"), 2.0, Grid(-4.0, 1.5, 16385), 12, 1e-7),
                 (Potential("free"), 1.0, Grid(0.0, 2.0 * np.pi, 16385), 8, 0.0)):
             inp = HierarchyInput(potential, grid, energy, order, 0.1, grid.x_min)
-            assert p2_schwarzian_check(recurse(inp), inp) <= bound
+            assert p2_schwarzian_check(recurse(inp)) <= bound
 
     def test_requires_vanishing_first_correction(self):
         grid = Grid(-1.0, 1.0, 513)
@@ -585,14 +585,14 @@ class TestSchwarzianCorrection:
         inp = HierarchyInput(Potential("linear"), grid, 2.0, 2, 0.1, 0.0, f_even=(f2,))
         sol = recurse(inp)
         with pytest.raises(ContractError):
-            p2_schwarzian_check(sol, inp)
+            p2_schwarzian_check(sol)
 
 
 class TestReconstructModulus:
     def test_flat_potential_constant(self):
         grid = Grid(0.0, 2.0, 257)
         inp = HierarchyInput(Potential("free"), grid, 1.0, 2, 0.1, 1.0)
-        m2 = reconstruct_modulus(recurse(inp), inp, 0.7)
+        m2 = reconstruct_modulus(recurse(inp), 0.7)
         assert np.max(np.abs(m2.values - 0.7)) < 1e-15
 
     def test_linear_leading_shape(self, linear_input):
@@ -600,14 +600,14 @@ class TestReconstructModulus:
         inp = HierarchyInput(
             Potential("linear"), linear_input.grid, 2.0, 1, 0.1, 0.0)
         sol = recurse(inp)
-        m2 = reconstruct_modulus(sol, inp, 1.0)
+        m2 = reconstruct_modulus(sol, 1.0)
         product = m2.values * sol.p_coeffs[0].values.imag
         assert np.max(np.abs(product - product[0])) / abs(product[0]) < 1e-6
 
-    def test_omega_caps_at_one(self, linear_solution, linear_input):
-        raw = reconstruct_modulus(linear_solution, linear_input, 1.0)
+    def test_omega_caps_at_one(self, linear_solution):
+        raw = reconstruct_modulus(linear_solution, 1.0)
         omega = omega_for_norm(raw)
-        capped = reconstruct_modulus(linear_solution, linear_input, omega)
+        capped = reconstruct_modulus(linear_solution, omega)
         assert np.max(capped.values) == pytest.approx(1.0, abs=1e-12)
         assert np.all(capped.values <= 1.0 + 1e-12)
 
@@ -616,5 +616,5 @@ class TestReconstructModulus:
         inp = HierarchyInput(Potential("free"), grid, 1.0, 0, 0.1, 1.0)
         sol = recurse(inp)
         with pytest.warns(UserWarning):
-            m2 = reconstruct_modulus(sol, inp, 0.5)
+            m2 = reconstruct_modulus(sol, 0.5)
         assert np.all(m2.values == 0.5)

@@ -87,7 +87,8 @@ class TestMomentum:
         assert np.max(np.abs(p.values + 1.0)) < 1e-14  # -sqrt(2mE)
 
     def test_pair_without_attached_derivatives_rejected(self, free_pair):
-        bare = replace(free_pair, psi=free_pair.psi.bare(), psi_dual=free_pair.psi_dual.bare())
+        bare = replace(free_pair, psi=ScalarField(free_pair.grid, free_pair.psi.values),
+                       psi_dual=ScalarField(free_pair.grid, free_pair.psi_dual.values))
         with pytest.raises(ContractError):
             momentum(bare, UNIT_ELL)
 
