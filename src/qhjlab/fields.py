@@ -90,6 +90,12 @@ class ScalarField:
     derivs : tuple of array_like, optional
         Sampled analytic derivatives of orders 1..len(derivs) (at most 3),
         read by :func:`derivatives` in place of stencils.
+
+    The field takes ownership of each array it is handed: an ndarray of the
+    grid's length that owns its data (``.base is None``) is kept and made
+    read-only in place, so a later write to it raises ``ValueError``.
+    Anything else (a view, a slice, ``.real`` of a complex array, a list) is
+    copied first.  Either way the field's arrays are read-only.
     """
 
     grid: Grid
@@ -97,7 +103,7 @@ class ScalarField:
     derivs: tuple = dataclass_field(default=())
 
     def __post_init__(self):
-        values = np.array(self.values, copy=True)
+        values = _owned(self.values)
         if values.shape != (self.grid.n,):
             raise GridSizeError(
                 f"field has {values.shape} values for a grid of {self.grid.n} samples")
@@ -107,7 +113,7 @@ class ScalarField:
             raise ValueError("at most 3 analytic derivative arrays may be attached")
         checked = []
         for order, arr in enumerate(self.derivs, start=1):
-            arr = np.array(arr, copy=True)
+            arr = _owned(arr)
             if arr.shape != (self.grid.n,):
                 raise GridSizeError(f"derivative array of order {order} has wrong length")
             arr.setflags(write=False)
@@ -117,6 +123,13 @@ class ScalarField:
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
+
+
+def _owned(arr) -> np.ndarray:
+    """``arr`` itself if it is an ndarray that owns its data, else a copy."""
+    if type(arr) is np.ndarray and arr.base is None:
+        return arr
+    return np.array(arr, copy=True)
 
 
 def _fornberg_weights(z, nodes: np.ndarray, max_order: int) -> np.ndarray:

@@ -161,7 +161,8 @@ class HierarchyInput:
 
     @cached_property
     def v_field(self) -> ScalarField:
-        """V on the grid with its first three derivatives attached."""
+        """V on the grid with its first three derivatives attached, shared with
+        every pair on the grid (``potential.field(grid)``)."""
         return self.potential.field(self.grid)
 
     def f_dd_jet(self, index: int, rows: int) -> np.ndarray | None:
@@ -221,9 +222,11 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
 
     p_fields = []
     for j in range(K + 1):
-        samples = np.zeros((2, n), dtype=np.complex128)  # value and first derivative
-        (samples.imag if j % 2 == 0 else samples.real)[:] = staged[j]
-        p_fields.append(ScalarField(inp.grid, samples[0], derivs=(samples[1],)))
+        # value and first derivative as two owned arrays, which the field keeps
+        value, slope = np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128)
+        for samples, row in zip((value, slope), staged[j]):
+            (samples.imag if j % 2 == 0 else samples.real)[:] = row
+        p_fields.append(ScalarField(inp.grid, value, derivs=(slope,)))
 
     parity = (np.max([np.max(np.abs(f.values.real)) for f in p_fields[0::2]]),
               np.max([np.max(np.abs(f.values.imag)) for f in p_fields[1::2]], initial=0.0))

@@ -28,6 +28,12 @@ equation -eps^2 u_E'' + (V - E) u_E = u from zero initial data (see
 :mod:`qhjlab.schrodinger`).  So does dp/dE, and dQ/dE through the Schwarzian
 formula.  :class:`EnergyFamily` holds one pair per scenario, solved once;
 trajectories invert t(q) on monotone windows.
+
+Every microstate field and energy derivative is formed on first read.  The
+jets of the components a = psi_dual + l2 psi, b = l1 psi and of the
+denominator d = a^2 + b^2 are formed once per microstate and read by both p
+and dp/dE, so the hbar scan, which reads only p and dp/dE, forms neither S0
+nor Q.
 """
 
 from __future__ import annotations
@@ -82,9 +88,9 @@ def _components(psi: ScalarField, chi: ScalarField, params: MicrostateParams):
     return a, b
 
 
-def _denominator(pair: SolutionPair, params: MicrostateParams):
-    """|psi_dual - i l psi|^2 with its first and second derivatives."""
-    a, b = _components(pair.psi, pair.psi_dual, params)
+def _denominator(a, b):
+    """d = |psi_dual - i l psi|^2 = a^2 + b^2 with its first and second
+    derivatives, from the jets of :func:`_components`."""
     d = a[0] * a[0] + b[0] * b[0]
     d1 = 2.0 * (a[0] * a[1] + b[0] * b[1])
     d2 = 2.0 * (a[1] * a[1] + a[0] * a[2] + b[1] * b[1] + b[0] * b[2])
@@ -100,22 +106,6 @@ def beta_field(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
     return ScalarField(pair.grid, num / den)
 
 
-def momentum(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
-    """Closed-form momentum p = hbar l1 Omega / |psi_dual - i l psi|^2.
-
-    Sign convention: p equals the derivative of the unwrapped principal
-    function, so its direction follows the orientation of the pair.
-    """
-    _require_real_pair(pair)
-    hbar = pair.constants.hbar
-    c = hbar * params.ell1 * pair.omega
-    d, d1, d2 = _denominator(pair, params)
-    p = c / d
-    dp = -c * d1 / (d * d)
-    d2p = c * (2.0 * d1 * d1 - d * d2) / (d * d * d)
-    return ScalarField(pair.grid, p, derivs=(dp, d2p))
-
-
 @dataclass(frozen=True)
 class QuantumPotentialReport:
     """Both routes to Q and how far apart they land."""
@@ -126,7 +116,7 @@ class QuantumPotentialReport:
 
 
 def quantum_potential(ms: "Microstate") -> QuantumPotentialReport:
-    """Q via (hbar^2/4m){S0; x}, as :func:`build_microstate` stores it, and via
+    """Q via (hbar^2/4m){S0; x}, as :attr:`Microstate.Q` forms it, and via
     -hbar^2 R''/2mR with R = |S0'|^{-1/2}."""
     eps = ms.pair.constants.epsilon
     r = ScalarField(ms.pair.grid, np.abs(ms.p.values) ** -0.5)
@@ -138,40 +128,75 @@ def quantum_potential(ms: "Microstate") -> QuantumPotentialReport:
 
 @dataclass(frozen=True)
 class Microstate:
-    """A solution pair dressed with the three microstate constants and the
-    fields derived from them."""
+    """A real solution pair dressed with the three microstate constants.
+
+    Each field is formed on first read; a pair that is not real, or lacks
+    psi' and psi'', is refused at construction.
+    """
 
     params: MicrostateParams
     pair: SolutionPair
-    w: ScalarField            # psi_dual/psi, NaN-masked at nodes of psi
-    S0: ScalarField
-    p: ScalarField
-    Q: ScalarField
-    mfW: ScalarField          # V - E
+
+    def __post_init__(self):
+        _require_real_pair(self.pair)
+
+    @cached_property
+    def _jets(self):
+        """(a, b, (d, d', d'')): the jets of :func:`_components` and :func:`_denominator`."""
+        a, b = _components(self.pair.psi, self.pair.psi_dual, self.params)
+        return a, b, _denominator(a, b)
+
+    @cached_property
+    def w(self) -> ScalarField:
+        """psi_dual/psi, NaN-masked at nodes of psi."""
+        psi = self.pair.psi.values
+        mask = np.abs(psi) > NODE_TOL * float(np.max(np.abs(psi)))
+        w_vals = np.where(mask, self.pair.psi_dual.values / np.where(mask, psi, 1.0), np.nan)
+        return ScalarField(self.pair.grid, w_vals)
+
+    @cached_property
+    def p(self) -> ScalarField:
+        """Closed-form momentum p = hbar l1 Omega / |psi_dual - i l psi|^2 with p', p''.
+
+        Sign convention: p equals the derivative of the unwrapped principal
+        function, so its direction follows the orientation of the pair.
+        """
+        pair = self.pair
+        c = pair.constants.hbar * self.params.ell1 * pair.omega
+        d, d1, d2 = self._jets[2]
+        p = c / d
+        dp = -c * d1 / (d * d)
+        d2p = c * (2.0 * d1 * d1 - d * d2) / (d * d * d)
+        return ScalarField(pair.grid, p, derivs=(dp, d2p))
+
+    @cached_property
+    def S0(self) -> ScalarField:
+        """(hbar/2)(alpha + theta), theta the unwrapped phase of beta, with (p, p', p'')."""
+        pair, p = self.pair, self.p
+        theta = unwrap_phase(beta_field(pair, self.params))
+        s0_vals = pair.constants.hbar * (ALPHA_SLOPE * self.params.alpha + 0.5 * theta.values)
+        return ScalarField(pair.grid, s0_vals, derivs=(p.values,) + p.derivs)
+
+    @cached_property
+    def Q(self) -> ScalarField:
+        """The quantum potential (hbar^2/4m){S0; x}."""
+        eps = self.pair.constants.epsilon
+        return ScalarField(self.pair.grid, 0.5 * eps * eps * schwarzian(self.S0).values)
+
+    @cached_property
+    def mfW(self) -> ScalarField:
+        """V - E."""
+        return ScalarField(self.pair.grid, self.pair.v_field.values - self.pair.energy)
 
     @cached_property
     def qshje(self) -> "QshjeReport":
-        """:func:`qshje_residual` of this microstate, formed on first read."""
+        """:func:`qshje_residual` of this microstate."""
         return qshje_residual(self)
 
 
 def build_microstate(pair: SolutionPair, params: MicrostateParams) -> Microstate:
-    """Assemble every microstate field for (pair, params)."""
-    _require_real_pair(pair)
-    psi = pair.psi.values
-    mask = np.abs(psi) > NODE_TOL * float(np.max(np.abs(psi)))
-    w_vals = np.where(mask, pair.psi_dual.values / np.where(mask, psi, 1.0), np.nan)
-    w = ScalarField(pair.grid, w_vals)
-
-    p = momentum(pair, params)
-    # S0 = (hbar/2)(alpha + theta), theta the unwrapped phase of beta, with (p, p', p'')
-    theta = unwrap_phase(beta_field(pair, params))
-    s0_vals = pair.constants.hbar * (ALPHA_SLOPE * params.alpha + 0.5 * theta.values)
-    s0 = ScalarField(pair.grid, s0_vals, derivs=(p.values,) + p.derivs)
-    eps = pair.constants.epsilon
-    q = 0.5 * eps * eps * schwarzian(s0).values
-    mfw = ScalarField(pair.grid, pair.v_field.values - pair.energy)
-    return Microstate(params, pair, w, s0, p, ScalarField(pair.grid, q), mfw)
+    """The microstate of (pair, params); its fields are formed on first read."""
+    return Microstate(params, pair)
 
 
 @dataclass(frozen=True)
@@ -256,8 +281,8 @@ def _monotone_segments(t: np.ndarray):
     return list(zip(starts[keep].tolist(), (ends[keep] + 1).tolist()))
 
 
-def _energy_derivatives(ms: Microstate):
-    """(dp/dE with dp'/dE and dp''/dE attached, dS0/dE, dQ/dE) of ``ms``, exact in E.
+def _de_momentum(ms: Microstate) -> ScalarField:
+    """dp/dE of ``ms`` with dp'/dE and dp''/dE attached, exact in E.
 
     With a = psi_dual + l2 psi and b = l1 psi the momentum is p = c/d, with
     c = hbar l1 Omega and d = a^2 + b^2.  The pair's energy derivatives give
@@ -267,6 +292,28 @@ def _energy_derivatives(ms: Microstate):
         p_E   = (c_E - p d_E) / d
         p_E'  = -(p' d_E + p_E d' + p d'_E) / d
         p_E'' = -(p'' d_E + 2 (p_E' d' + p' d'_E) + p_E d'' + p d''_E) / d.
+    """
+    pair, params = ms.pair, ms.params
+    if pair.psi_e is None:
+        raise CapabilityError("this pair carries no energy derivative (the harmonic closed "
+                              "form exists at its ground level only); use method 'numeric'")
+    a, b, (d, d1, d2) = ms._jets
+    a_e, b_e = _components(pair.psi_e, pair.psi_dual_e, params)
+    dd = 2.0 * (a[0] * a_e[0] + b[0] * b_e[0])
+    dd1 = 2.0 * (a_e[0] * a[1] + a[0] * a_e[1] + b_e[0] * b[1] + b[0] * b_e[1])
+    dd2 = 2.0 * (2.0 * (a[1] * a_e[1] + b[1] * b_e[1])
+                 + a_e[0] * a[2] + a[0] * a_e[2] + b_e[0] * b[2] + b[0] * b_e[2])
+
+    hbar, l1 = pair.constants.hbar, params.ell1
+    p, (p1, p2) = ms.p.values, ms.p.derivs
+    pe = (hbar * l1 * pair.omega_e - p * dd) / d
+    pe1 = -(p1 * dd + pe * d1 + p * dd1) / d
+    pe2 = -(p2 * dd + 2.0 * (pe1 * d1 + p1 * dd1) + pe * d2 + p * dd2) / d
+    return ScalarField(pair.grid, pe, derivs=(pe1, pe2))
+
+
+def _de_s0_q(ms: Microstate, de_p: ScalarField):
+    """(dS0/dE, dQ/dE) of ``ms``, exact in E, given its :func:`_de_momentum` ``de_p``.
 
     Since S0 = hbar arg(a + i b) up to constants, dS0/dE = hbar (a b_E - b a_E)/d
     = hbar l1 (psi_dual psi_E - psi psi_dual_E)/d.  dQ/dE is the E-derivative
@@ -274,35 +321,24 @@ def _energy_derivatives(ms: Microstate):
     Hamilton-Jacobi identity, so that the two velocities of :func:`trajectory`
     remain independent routes.
     """
-    pair, params = ms.pair, ms.params
-    if pair.psi_e is None:
-        raise CapabilityError("this pair carries no energy derivative (the harmonic closed "
-                              "form exists at its ground level only); use method 'numeric'")
-    a, b = _components(pair.psi, pair.psi_dual, params)
-    a_e, b_e = _components(pair.psi_e, pair.psi_dual_e, params)
-    d, d1, d2 = _denominator(pair, params)
-    dd = 2.0 * (a[0] * a_e[0] + b[0] * b_e[0])
-    dd1 = 2.0 * (a_e[0] * a[1] + a[0] * a_e[1] + b_e[0] * b[1] + b[0] * b_e[1])
-    dd2 = 2.0 * (2.0 * (a[1] * a_e[1] + b[1] * b_e[1])
-                 + a_e[0] * a[2] + a[0] * a_e[2] + b_e[0] * b[2] + b[0] * b_e[2])
-
-    hbar, eps, l1 = pair.constants.hbar, pair.constants.epsilon, params.ell1
+    pair = ms.pair
+    hbar, eps, l1 = pair.constants.hbar, pair.constants.epsilon, ms.params.ell1
+    d = ms._jets[2][0]
     p, (p1, p2) = ms.p.values, ms.p.derivs
-    pe = (hbar * l1 * pair.omega_e - p * dd) / d
-    pe1 = -(p1 * dd + pe * d1 + p * dd1) / d
-    pe2 = -(p2 * dd + 2.0 * (pe1 * d1 + p1 * dd1) + pe * d2 + p * dd2) / d
+    pe, (pe1, pe2) = de_p.values, de_p.derivs
 
     psi, chi = pair.psi.values, pair.psi_dual.values
     s0_e = hbar * l1 * (chi * pair.psi_e.values - psi * pair.psi_dual_e.values) / d
     r = pe / p
     q_e = 0.5 * eps * eps * ((pe2 - p2 * r) - 3.0 * (p1 / p) * (pe1 - p1 * r)) / p
-    return ScalarField(pair.grid, pe, derivs=(pe1, pe2)), s0_e, q_e
+    return s0_e, q_e
 
 
 @dataclass(frozen=True)
 class EnergyFamily:
     """One scenario's pair at E, solved lazily and at most once, with its
-    microstate and their exact energy derivatives (:func:`_energy_derivatives`).
+    microstate and their exact energy derivatives, each formed on first read:
+    dp/dE (:func:`_de_momentum`) without dS0/dE and dQ/dE (:func:`_de_s0_q`).
 
     ``params`` may be None when only :attr:`pair` is used.  A harmonic
     scenario solved by its closed form has no energy derivative; asking for
@@ -321,26 +357,26 @@ class EnergyFamily:
         return build_microstate(self.pair, self.params)
 
     @cached_property
-    def _derivatives(self):
-        return _energy_derivatives(self.microstate)
-
-    @property
     def de_momentum(self) -> ScalarField:
         """dp/dE with dp'/dE and dp''/dE attached."""
-        return self._derivatives[0]
+        return _de_momentum(self.microstate)
+
+    @cached_property
+    def _de_s0_and_q(self):
+        return _de_s0_q(self.microstate, self.de_momentum)
 
     def time_of_q(self, x_ref: float | None = None) -> ScalarField:
         """t(q) = dS0/dE gauged to t(x_ref) = 0; see :func:`time_of_q`."""
         grid = self.scenario.grid
         ref = grid.index_of(grid.x_min if x_ref is None else x_ref)
-        de_p, s0_e, _ = self._derivatives
+        de_p, s0_e = self.de_momentum, self._de_s0_and_q[0]
         return ScalarField(grid, s0_e - s0_e[ref], derivs=(de_p.values,) + de_p.derivs)
 
     def trajectory(self, t_samples, x_ref: float | None = None) -> TrajectoryResult:
         """The motion sampled at ``t_samples``; see :func:`trajectory`."""
         ms = self.microstate
         t = self.time_of_q(x_ref).values
-        de_p, _, de_q = self._derivatives
+        de_p, de_q = self.de_momentum, self._de_s0_and_q[1]
         m_q = self.scenario.constants.mass * (1.0 - de_q)
         # dp/dE may cross zero (stationary trajectory time); the reciprocal
         # velocity is genuinely infinite there

@@ -162,9 +162,13 @@ class Potential:
         return tail
 
     def field(self, grid: Grid) -> ScalarField:
-        """V on ``grid`` with derivative samples of orders 1..3 attached."""
-        derivs = tuple(self.derivative_samples(grid, k) for k in (1, 2, 3))
-        return ScalarField(grid, self.derivative_samples(grid, 0), derivs=derivs)
+        """V on ``grid`` with derivative samples of orders 1..3 attached, formed
+        once per grid: every pair and hierarchy input on it shares the field."""
+        formed = self.__dict__.setdefault("_fields", {})
+        if grid not in formed:
+            derivs = tuple(self.derivative_samples(grid, k) for k in (1, 2, 3))
+            formed[grid] = ScalarField(grid, self.derivative_samples(grid, 0), derivs=derivs)
+        return formed[grid]
 
 
 @dataclass(frozen=True)
@@ -200,8 +204,8 @@ class SolutionPair:
 
     @cached_property
     def v_field(self) -> ScalarField:
-        """``potential`` on the grid with its first three derivatives attached,
-        formed on first read."""
+        """``potential.field(grid)``, read on first use; every pair on the grid
+        shares it."""
         return self.potential.field(self.grid)
 
     @property
@@ -448,7 +452,7 @@ def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, gri
         raise AccuracyError(f"energy derivative overflows: max |psi|, |psiD| = {big:.3e}")
     psi_ev, dpsi_e, chi_ev, dchi_e = e_lanes
 
-    dv = potential.derivative_samples(grid, 1)
+    dv = potential.field(grid).derivs[0]
     src = 1.0 / eps2
     psi = ScalarField(grid, psi_v,
                       derivs=(dpsi, g_nodes * psi_v, (dv / eps2) * psi_v + g_nodes * dpsi))

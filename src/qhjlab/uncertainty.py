@@ -92,6 +92,9 @@ def delta_chain(ms: Microstate, delta_alpha: float, window,
 
     abs_p = np.abs(ms.p.values[mask])
     p_min, p_max = float(np.min(abs_p)), float(np.max(abs_p))
+    if p_min == 0.0:
+        raise DomainError(f"|p| vanishes in the window {window}, so the coordinate "
+                          "indeterminacy dS0/|p| is unbounded")
     delta_q = (delta_s0 / p_max, delta_s0 / p_min)
     product_pq = (delta_s0 * p_min / p_max, delta_s0 * p_max / p_min)
 

@@ -2,6 +2,7 @@
 already determines from it instead of forming it again."""
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -52,3 +53,25 @@ def test_a_second_run_of_the_checks_forms_no_v(name, monkeypatch):
     monkeypatch.setattr(Potential, "field", refuse)
     monkeypatch.setattr(Potential, "derivative_samples", refuse)
     assert [run() for run in runs] == first
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_one_v_per_potential_and_grid(name, monkeypatch):
+    # the pair, its conjugate and normalised forms, the pair at another hbar
+    # and a hierarchy input on the grid all read one V, formed once
+    scenario = PAIRS[name]
+    scenario = replace(scenario, potential=replace(scenario.potential))  # no V formed yet
+    formed = []
+
+    def counted(self, grid, order, _original=Potential.derivative_samples):
+        formed.append(order)
+        return _original(self, grid, order)
+
+    monkeypatch.setattr(Potential, "derivative_samples", counted)
+    pair = scenario.pair()
+    readers = [make_conjugate(pair), normalize_wronskian(make_conjugate(pair)),
+               scenario.at_hbar(0.5).pair(),
+               HierarchyInput(scenario.potential, scenario.grid, scenario.energy, 4, 0.1,
+                              scenario.grid.x_min)]
+    assert all(reader.v_field is pair.v_field for reader in readers)
+    assert sorted(formed) == [0, 1, 2, 3]

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhjlab import hierarchy
+from qhjlab import hierarchy, microstates
 from qhjlab.cli import CSV_BLOCK_ROWS, SCHEMA_VERSION, TOLERANCE_KEYS, _cell_words, \
     load_config, main, write_csv
 from qhjlab.errors import ConfigError
+from qhjlab.fields import ScalarField
 from qhjlab.schrodinger import Potential, default_ics
 
 FIELDS_HEADER = ("x,potential,psi,psi_dual,w_ratio,S0,p,Q,mfW,"
@@ -230,6 +231,23 @@ class TestExtremeScales:
         assert main(["report", "--config", write_config(tmp_path, doc)]) == 1
         assert capsys.readouterr().err.startswith("error: the time weight |dp/dE|/|p| vanishes")
 
+    def test_vanishing_momentum_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # dq = dS0/|p| is unbounded where p vanishes in the window; no real
+        # microstate's closed form gives such a p, so one zero is planted in it
+        formed = microstates.Microstate.p.func
+
+        def planted(ms):
+            p = formed(ms)
+            values = p.values.copy()
+            values[ms.pair.grid.index_of(3.0)] = 0.0
+            return ScalarField(ms.pair.grid, values, derivs=p.derivs)
+
+        monkeypatch.setattr(microstates.Microstate, "p", property(planted))
+        doc = kind_config(tmp_path / "out", "free")
+        assert main(["uncertainty", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: |p| vanishes in the window") and err.count("\n") == 1, err
+
     def test_hbar_squared_beyond_float_range(self, tmp_path, capsys):
         # hbar^2 = 1e310 overflows while eps^2 = hbar^2/(2m) = 5e307 does not;
         # the hbar^2/m prefactors of Q, W and dQ/dE are formed from eps^2, so
@@ -330,6 +348,30 @@ class TestRun:
         assert len(set(pair_solves)) == 5
         assert sorted(key[3].hbar for key in pair_solves) == \
             sorted(doc["uncertainty"]["hbar_scan"])
+
+    @pytest.mark.parametrize("subcommand, expected", [
+        ("all", {"ScalarField": 144, "unwrap_phase": 1, "schwarzian": 2, "V": 1}),
+        ("uncertainty", {"ScalarField": 96, "unwrap_phase": 0, "schwarzian": 0, "V": 1}),
+    ])
+    def test_work_counts(self, tmp_path, monkeypatch, subcommand, expected):
+        # exact counts per run, so that added work shows without timing noise:
+        # fields built, phases unwrapped into S0, Schwarzians taken, V formed
+        counts = dict.fromkeys(expected, 0)
+
+        def count(owner, name, key, when=lambda *args: True):
+            def counted(*args, _original=getattr(owner, name)):
+                counts[key] += when(*args)
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(ScalarField, "__post_init__", "ScalarField")
+        count(microstates, "unwrap_phase", "unwrap_phase")
+        count(microstates, "schwarzian", "schwarzian")
+        count(Potential, "derivative_samples", "V", lambda self, grid, order: order == 0)
+        doc = base_config(tmp_path / "out", **HARMONIC_SCAN)
+        assert main([subcommand, "--config", write_config(tmp_path, doc)]) == 0
+        assert counts == expected
 
     @pytest.mark.parametrize("ics", [None, [0.9, 0.4, 0.1, 1.2]], ids=["default", "given"])
     def test_scan_solves_keep_the_configured_ics(self, tmp_path, pair_solves, ics):

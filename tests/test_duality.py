@@ -24,7 +24,7 @@ from qhjlab.duality import (
     prepotential_ode_residual,
 )
 from qhjlab.fields import Grid, ScalarField, derivatives
-from qhjlab.microstates import MicrostateParams, build_microstate, momentum, qshje_residual
+from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual
 from qhjlab.schrodinger import (
     Potential,
     SolutionPair,
@@ -239,7 +239,7 @@ def sprime_error(name, ell, c_factor=1.0):
     then multiplies c.
     """
     pair = builtin_scenario(name).pair()
-    p = momentum(pair, MicrostateParams(ell=ell)).values
+    p = build_microstate(pair, MicrostateParams(ell=ell)).p.values
     ell, u = complex(ell), pair.psi.values
     den = (pair.psi_dual.values + ell.imag * u) ** 2 + (ell.real * u) ** 2
     psi = normalize_wronskian(make_conjugate(pair)).psi.values

@@ -75,6 +75,38 @@ class TestScalarField:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    def test_owned_array_is_kept_and_frozen(self):
+        g = Grid(0.0, 1.0, 64)
+        values, slope = np.sin(g.x), np.cos(g.x)
+        f = ScalarField(g, values, derivs=(slope,))
+        assert f.values is values and f.derivs[0] is slope
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        with pytest.raises(ValueError):
+            slope[0] = 1.0
+
+    def test_wrong_length_owned_array_stays_writable(self):
+        g = Grid(0.0, 1.0, 64)
+        values = np.zeros(63)
+        with pytest.raises(GridSizeError):
+            ScalarField(g, values)
+        values[0] = 1.0
+
+    def test_view_is_copied(self):
+        g = Grid(0.0, 1.0, 64)
+        base = np.zeros((2, 64), dtype=np.complex128)
+        f = ScalarField(g, base[0], derivs=(base[1].imag,))
+        base[:] = 1.0 + 1.0j
+        assert not f.values.any() and not f.derivs[0].any()
+        assert f.values.base is None and f.derivs[0].base is None
+
+    def test_list_is_converted(self):
+        g = Grid(0.0, 1.0, 16)
+        samples = [float(i) for i in range(16)]
+        f = ScalarField(g, samples)
+        assert isinstance(f.values, np.ndarray) and f.values.tolist() == samples
+        assert not f.values.flags.writeable
+
     def test_attached_derivatives_agree_with_stencils(self):
         # invariant: finite-difference and analytic first derivatives agree
         # to stencil accuracy on interior points

@@ -11,12 +11,12 @@ from qhjlab.fields import Grid, ScalarField, derivative
 from qhjlab.microstates import (
     EnergyFamily,
     MicrostateParams,
-    _energy_derivatives,
+    _de_momentum,
+    _de_s0_q,
     _monotone_segments,
     beta_field,
     build_microstate,
     energy_derivative_of_momentum,
-    momentum,
     qshje_residual,
     quantum_potential,
     time_of_q,
@@ -83,14 +83,14 @@ class TestHamiltonPrincipal:
 
 class TestMomentum:
     def test_free_is_classical(self, free_pair):
-        p = momentum(free_pair, UNIT_ELL)
+        p = build_microstate(free_pair, UNIT_ELL).p
         assert np.max(np.abs(p.values + 1.0)) < 1e-14  # -sqrt(2mE)
 
     def test_pair_without_attached_derivatives_rejected(self, free_pair):
         bare = replace(free_pair, psi=ScalarField(free_pair.grid, free_pair.psi.values),
                        psi_dual=ScalarField(free_pair.grid, free_pair.psi_dual.values))
         with pytest.raises(ContractError):
-            momentum(bare, UNIT_ELL)
+            build_microstate(bare, UNIT_ELL)
 
     def test_direction_flag(self, free_pair, harmonic_pair):
         # the momentum keeps one sign across the grid; read it at the centre
@@ -99,7 +99,7 @@ class TestMomentum:
             assert np.sign(p[len(p) // 2]) == sign
 
     def test_harmonic_positive_with_constant_combination(self, harmonic_pair, constants):
-        p = momentum(harmonic_pair, UNIT_ELL)
+        p = build_microstate(harmonic_pair, UNIT_ELL).p
         assert np.all(p.values > 0.0)
         denom = ((harmonic_pair.psi_dual.values) ** 2 + harmonic_pair.psi.values ** 2)
         product = p.values * denom
@@ -109,8 +109,8 @@ class TestMomentum:
     def test_ell_rescaling_oracle(self, free_pair, constants):
         # p(a*ell) = p(ell) * a |psiD - i ell psi|^2 / |psiD - i a ell psi|^2
         a = 2.5
-        p1 = momentum(free_pair, MicrostateParams(ell=1.0)).values
-        p2 = momentum(free_pair, MicrostateParams(ell=a)).values
+        p1 = build_microstate(free_pair, MicrostateParams(ell=1.0)).p.values
+        p2 = build_microstate(free_pair, MicrostateParams(ell=a)).p.values
         chi, psi = free_pair.psi_dual.values, free_pair.psi.values
         d1 = chi ** 2 + psi ** 2
         d2 = chi ** 2 + (a * psi) ** 2
@@ -118,7 +118,7 @@ class TestMomentum:
 
     def test_matches_principal_function_slope(self, harmonic_pair):
         # the two closed-form routes are one formula; cross-check via stencils
-        p = momentum(harmonic_pair, UNIT_ELL)
+        p = build_microstate(harmonic_pair, UNIT_ELL).p
         s0 = build_microstate(harmonic_pair, UNIT_ELL).S0
         fd = derivative(s0, 1).values
         rel = np.max(np.abs(fd[4:-4] - p.values[4:-4])) / np.max(np.abs(p.values))
@@ -172,8 +172,8 @@ class TestQshjeResidual:
 
 class TestInvariants:
     def test_momentum_alpha_independent_bitwise(self, harmonic_pair):
-        p1 = momentum(harmonic_pair, MicrostateParams(alpha=0.0, ell=1.0)).values
-        p2 = momentum(harmonic_pair, MicrostateParams(alpha=2.31, ell=1.0)).values
+        p1 = build_microstate(harmonic_pair, MicrostateParams(alpha=0.0, ell=1.0)).p.values
+        p2 = build_microstate(harmonic_pair, MicrostateParams(alpha=2.31, ell=1.0)).p.values
         assert np.array_equal(p1, p2)
 
     def test_q_alpha_independent_bitwise(self, harmonic_pair):
@@ -201,11 +201,11 @@ class TestInvariants:
                                   derivs=tuple(omega * d for d in free_pair.psi_dual.derivs))
         scaled = replace(free_pair, psi_dual=scaled_dual,
                          wronskian=omega * free_pair.wronskian)
-        p_ref = momentum(free_pair, MicrostateParams(ell=1.0)).values
-        p_matched = momentum(scaled, MicrostateParams(ell=omega)).values
+        p_ref = build_microstate(free_pair, MicrostateParams(ell=1.0)).p.values
+        p_matched = build_microstate(scaled, MicrostateParams(ell=omega)).p.values
         assert np.max(np.abs(p_matched - p_ref)) < 1e-10
         # holding ell fixed changes the microstate
-        p_fixed = momentum(scaled, MicrostateParams(ell=1.0)).values
+        p_fixed = build_microstate(scaled, MicrostateParams(ell=1.0)).p.values
         assert np.max(np.abs(p_fixed - p_ref)) > 1e-3
 
     def test_w_ratio_field(self, free_pair, free_grid):
@@ -285,7 +285,9 @@ def differenced(scenario, params, de):
 
 def exact(pair, params):
     """t (gauged to x_min), dp/dE and dQ/dE from the pair's energy derivatives."""
-    de_p, s0_e, de_q = _energy_derivatives(build_microstate(pair, params))
+    ms = build_microstate(pair, params)
+    de_p = _de_momentum(ms)
+    s0_e, de_q = _de_s0_q(ms, de_p)
     return s0_e - s0_e[0], de_p.values, de_q
 
 

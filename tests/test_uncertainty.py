@@ -1,7 +1,10 @@
 """Indeterminacy chain, interval reports, and the hbar scaling law."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from qhjlab import microstates
 from qhjlab.catalog import (
     SCAN_WINDOWS,
     builtin_scenario,
@@ -9,7 +12,7 @@ from qhjlab.catalog import (
     scan_family,
 )
 from qhjlab.errors import DomainError, StatisticsError
-from qhjlab.fields import Grid
+from qhjlab.fields import Grid, ScalarField
 from qhjlab.microstates import MicrostateParams, build_microstate, \
     energy_derivative_of_momentum
 from qhjlab.uncertainty import delta_chain, hbar_scaling_scan
@@ -78,6 +81,18 @@ class TestDeltaChain:
         assert report.delta_q[0] <= report.delta_q[1]
         assert report.product_pq[0] <= report.product_pq[1]
 
+    def test_vanishing_momentum_in_window_refused(self, free_ms):
+        # dq = dS0/|p| is unbounded where p vanishes
+        ms, de_p = free_ms
+        grid = ms.pair.grid
+        p = ms.p.values.copy()
+        p[grid.index_of(3.0)] = 0.0
+        planted = SimpleNamespace(pair=ms.pair, p=ScalarField(grid, p))
+        with pytest.raises(DomainError, match=r"\|p\| vanishes"):
+            delta_chain(planted, 1.0, (1.0, 5.0), de_momentum=de_p)
+        # a zero outside the window is not read
+        assert delta_chain(planted, 1.0, (3.5, 5.0), de_momentum=de_p).delta_q[1] > 0
+
     def test_window_validation(self, free_ms):
         ms, _ = free_ms
         with pytest.raises(DomainError):
@@ -119,6 +134,21 @@ class TestScaling:
         r2 = hbar_scaling_scan(family, SCAN_WINDOWS["free"], SCAN_HBARS, 2.0)
         for a, b in zip(r1.pq_midpoints, r2.pq_midpoints):
             assert b == pytest.approx(2.0 * a, rel=1e-14)
+
+    def test_extra_hbars_form_no_phase_and_no_schwarzian(self, monkeypatch):
+        # the products read |p| and |dp/dE| only: the scan forms neither S0
+        # (unwrap_phase) nor Q (schwarzian) at the hbars it adds
+        family = scan_family("harmonic")
+        family.microstate.Q  # the configured hbar's fields, formed before counting
+        calls = []
+        for name in ("unwrap_phase", "schwarzian"):
+            def counted(f, _name=name, _original=getattr(microstates, name)):
+                calls.append(_name)
+                return _original(f)
+
+            monkeypatch.setattr(microstates, name, counted)
+        hbar_scaling_scan(family, SCAN_WINDOWS["harmonic"], SCAN_HBARS, 1.0)
+        assert calls == []
 
     def test_too_few_points(self):
         with pytest.raises(StatisticsError):
