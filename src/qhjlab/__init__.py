@@ -1,96 +1,3 @@
 """qhjlab: residual-check laboratory for 1-D trajectory quantum mechanics."""
 
 __version__ = "0.1.0"
-
-from .fields import (Grid, ScalarField, antiderivative, derivative, derivatives, schwarzian,
-                     unwrap_phase)
-from .schrodinger import (
-    PhysicalConstants,
-    Potential,
-    Scenario,
-    SolutionPair,
-    analytic_pair,
-    make_conjugate,
-    normalize_wronskian,
-    solve_pair,
-)
-from .microstates import (
-    EnergyFamily,
-    Microstate,
-    MicrostateParams,
-    beta_field,
-    build_microstate,
-    qshje_residual,
-    quantum_potential,
-    time_of_q,
-    trajectory,
-)
-from .uncertainty import UncertaintyReport, delta_chain, hbar_scaling_scan
-from .duality import (
-    FreeEnergy,
-    Prepotential,
-    akq_residual,
-    build_prepotential,
-    dual_derivative_residual,
-    gd_terms,
-    legendre_residual,
-    modulus_momentum_residual,
-    omega_for_norm,
-    prepotential_ode_residual,
-)
-from .hierarchy import (
-    HierarchyInput,
-    HierarchySolution,
-    master_remainder,
-    master_residual,
-    p2_schwarzian_check,
-    reconstruct_modulus,
-    recurse,
-)
-
-__all__ = [
-    "Grid",
-    "ScalarField",
-    "derivative",
-    "derivatives",
-    "schwarzian",
-    "antiderivative",
-    "unwrap_phase",
-    "PhysicalConstants",
-    "Potential",
-    "SolutionPair",
-    "Scenario",
-    "analytic_pair",
-    "solve_pair",
-    "normalize_wronskian",
-    "make_conjugate",
-    "MicrostateParams",
-    "Microstate",
-    "beta_field",
-    "quantum_potential",
-    "qshje_residual",
-    "build_microstate",
-    "EnergyFamily",
-    "time_of_q",
-    "trajectory",
-    "UncertaintyReport",
-    "delta_chain",
-    "hbar_scaling_scan",
-    "Prepotential",
-    "FreeEnergy",
-    "build_prepotential",
-    "dual_derivative_residual",
-    "prepotential_ode_residual",
-    "gd_terms",
-    "akq_residual",
-    "omega_for_norm",
-    "modulus_momentum_residual",
-    "legendre_residual",
-    "HierarchyInput",
-    "HierarchySolution",
-    "recurse",
-    "master_residual",
-    "master_remainder",
-    "p2_schwarzian_check",
-    "reconstruct_modulus",
-]

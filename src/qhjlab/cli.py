@@ -209,6 +209,9 @@ class ScenarioConfig:
                                mass=self.constants.mass)
             self.uncertainty = {"delta_alpha": delta_alpha, "window": tuple(window),
                                 "hbar_scan": hbar_scan}
+        if self.ics is not None and self.resolved_method() == "analytic":
+            raise ConfigError("solver.ics sets the initial data of a numeric pair, but this "
+                              "config solves the closed form; set solver.method: numeric")
 
         self.hierarchy = None
         if "hierarchy" in doc:
@@ -570,7 +573,7 @@ def run_microstate(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_di
                ("residual_qshje_potential", report.from_potential.values),
                ("residual_qshje_schwarzian", report.from_schwarzian.values)]
     if out_dir and cfg.t_samples:
-        traj = family.trajectory(cfg.t_samples)
+        traj = ms.trajectory(cfg.t_samples)
         rows = [pt for seg in traj.segments for pt in seg]
         write_csv(os.path.join(out_dir, "trajectory.csv"),
                   [(f.name, [getattr(pt, f.name) for pt in rows])
@@ -579,7 +582,8 @@ def run_microstate(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_di
 
 
 def run_uncertainty(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
-    ms, de_p = family.microstate, family.de_momentum
+    ms = family.microstate
+    de_p = ms.de_momentum
     section = cfg.uncertainty
     report = uncertainty.delta_chain(ms, section["delta_alpha"], section["window"],
                                      de_momentum=de_p)

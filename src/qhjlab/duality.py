@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularFieldError
-from .fields import NODE_TOL, ScalarField, antiderivative, derivatives
+from .fields import NODE_TOL, ScalarField, derivatives
 from .schrodinger import SolutionPair
 
 
@@ -44,29 +43,6 @@ class Prepotential:
     @property
     def epsilon(self) -> float:
         return self.pair.constants.epsilon
-
-
-@dataclass(frozen=True)
-class FreeEnergy:
-    """Free energy F0 of the hierarchy side, tied to the potential by F0'' = -V/2.
-
-    ``f0_dd`` stores -V/2 exactly (the construction identity) with two of V's
-    attached derivatives; :meth:`from_field` forms it from a sampled V such
-    as ``SolutionPair.v_field``.  ``f0``, its double antiderivative anchored
-    at ``x_ref``, is formed on first read.
-    """
-
-    f0_dd: ScalarField
-    x_ref: float
-
-    @classmethod
-    def from_field(cls, v: ScalarField, x_ref: float) -> "FreeEnergy":
-        dd_derivs = tuple(-0.5 * d for d in v.derivs[:2])
-        return cls(f0_dd=ScalarField(v.grid, -0.5 * v.values, derivs=dd_derivs), x_ref=x_ref)
-
-    @cached_property
-    def f0(self) -> ScalarField:
-        return antiderivative(antiderivative(self.f0_dd, self.x_ref), self.x_ref)
 
 
 def _require_normalized_conjugate(pair: SolutionPair):
@@ -203,14 +179,14 @@ def akq_residual(prep: Prepotential) -> ScalarField:
 
         eps^2 F''' + (F' + 1/(i eps)) (8 F0'' + 4 E) + 4 F0''' (F + X/(i eps)) = 0,
 
-    with F0'' = -V/2 formed from the pair's V, so that it reduces
-    algebraically to the direct form.
+    with the free energy's F0'' = -V/2 and F0''' = -V'/2 formed here from the
+    pair's V, so that it reduces algebraically to the direct form.
     """
     eps, energy = prep.epsilon, prep.pair.energy
     grid = prep.pair.grid
-    fe = FreeEnergy.from_field(prep.pair.v_field, grid.x_min)
+    v, dv = derivatives(prep.pair.v_field, 1)
+    f0dd, f0ddd = -0.5 * v, -0.5 * dv
     f, f1, _, f3 = derivatives(prep.F, 3)
-    f0dd, f0ddd = derivatives(fe.f0_dd, 1)
     resid = (eps ** 2 * f3
              + (f1 + 1.0 / (1j * eps)) * (8.0 * f0dd + 4.0 * energy)
              + 4.0 * f0ddd * (f + grid.x / (1j * eps)))

@@ -26,8 +26,9 @@ Time enters as the energy derivative t = dS0/dE, taken exactly from the
 pair's energy derivatives (psi_E, psi_dual_E), which solve the variational
 equation -eps^2 u_E'' + (V - E) u_E = u from zero initial data (see
 :mod:`qhjlab.schrodinger`).  So does dp/dE, and dQ/dE through the Schwarzian
-formula.  :class:`EnergyFamily` holds one pair per scenario, solved once;
-trajectories invert t(q) on monotone windows.
+formula.  The :class:`Microstate` owns all of them, with t(q) and the
+trajectory, which inverts t(q) on monotone windows; :class:`EnergyFamily`
+holds one pair per scenario, solved once, and its microstate.
 
 Every microstate field and energy derivative is formed on first read.  The
 jets of the components a = psi_dual + l2 psi, b = l1 psi and of the
@@ -127,11 +128,53 @@ def quantum_potential(ms: "Microstate") -> QuantumPotentialReport:
 
 
 @dataclass(frozen=True)
+class QshjeReport:
+    """Stationary Hamilton-Jacobi residual with the potential term computed
+    both directly (V - E) and from the Schwarzian of exp(2i S0/hbar)."""
+
+    from_potential: ScalarField
+    from_schwarzian: ScalarField
+    w_mismatch: float
+
+
+@dataclass(frozen=True)
+class TrajectoryPoint:
+    t: float
+    q: float
+    q_dot_from_energy: float   # (dp/dE)^{-1}
+    q_dot_from_mass: float     # p / m_Q
+    p: float
+    m_q: float
+
+
+@dataclass(frozen=True)
+class TrajectoryResult:
+    monotone: bool
+    segments: tuple
+
+
+def _monotone_segments(t: np.ndarray):
+    """Maximal index ranges on which t is strictly monotone.
+
+    Each run of equal nonzero signs of diff(t) over differences lo..hi-1
+    spans the samples lo..hi; a reversal sample ends one range and starts the
+    next, and a zero step belongs to no range.
+    """
+    s = np.sign(np.diff(t))
+    if s.size == 0:
+        return []
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size)
+    keep = s[starts] != 0.0
+    return list(zip(starts[keep].tolist(), (ends[keep] + 1).tolist()))
+
+
+@dataclass(frozen=True)
 class Microstate:
     """A real solution pair dressed with the three microstate constants.
 
-    Each field is formed on first read; a pair that is not real, or lacks
-    psi' and psi'', is refused at construction.
+    Each field and energy derivative is formed on first read; a pair that is
+    not real, or lacks psi' and psi'', is refused at construction.
     """
 
     params: MicrostateParams
@@ -189,44 +232,134 @@ class Microstate:
         return ScalarField(self.pair.grid, self.pair.v_field.values - self.pair.energy)
 
     @cached_property
-    def qshje(self) -> "QshjeReport":
-        """:func:`qshje_residual` of this microstate."""
-        return qshje_residual(self)
+    def qshje(self) -> QshjeReport:
+        """(1/2m)(S0')^2 + W + Q with both determinations of W."""
+        grid, constants = self.pair.grid, self.pair.constants
+        hbar, mass, eps = constants.hbar, constants.mass, constants.epsilon
+        kinetic = 0.5 / mass * self.p.values ** 2
+        res_pot = kinetic + self.mfW.values + self.Q.values
+
+        g_vals = np.exp(2j / hbar * self.S0.values)
+        c = 2j / hbar
+        p, dp, d2p = self.S0.derivs
+        g1 = c * p * g_vals
+        g2 = c * (dp * g_vals + p * g1)
+        g3 = c * (d2p * g_vals + 2.0 * dp * g1 + p * g2)
+        g = ScalarField(grid, g_vals, derivs=(g1, g2, g3))
+        w_schw = np.real(-0.5 * eps * eps * schwarzian(g).values)
+        res_schw = kinetic + w_schw + self.Q.values
+        mismatch = float(np.max(np.abs(w_schw - self.mfW.values)))
+        return QshjeReport(ScalarField(grid, res_pot), ScalarField(grid, res_schw), mismatch)
+
+    @cached_property
+    def de_momentum(self) -> ScalarField:
+        """dp/dE with dp'/dE and dp''/dE attached, exact in E.
+
+        With a = psi_dual + l2 psi and b = l1 psi the momentum is p = c/d, with
+        c = hbar l1 Omega and d = a^2 + b^2.  The pair's energy derivatives give
+        a_E, b_E and so d_E, d'_E, d''_E; differentiating p d = c, (p d)' = 0 and
+        (p d)'' = 0 in E then gives
+
+            p_E   = (c_E - p d_E) / d
+            p_E'  = -(p' d_E + p_E d' + p d'_E) / d
+            p_E'' = -(p'' d_E + 2 (p_E' d' + p' d'_E) + p_E d'' + p d''_E) / d.
+
+        A pair without energy derivatives, such as the harmonic closed form,
+        raises :class:`CapabilityError` on the first read.
+        """
+        pair, params = self.pair, self.params
+        if pair.psi_e is None:
+            raise CapabilityError("this pair carries no energy derivative (the harmonic closed "
+                                  "form exists at its ground level only); use method 'numeric'")
+        a, b, (d, d1, d2) = self._jets
+        a_e, b_e = _components(pair.psi_e, pair.psi_dual_e, params)
+        dd = 2.0 * (a[0] * a_e[0] + b[0] * b_e[0])
+        dd1 = 2.0 * (a_e[0] * a[1] + a[0] * a_e[1] + b_e[0] * b[1] + b[0] * b_e[1])
+        dd2 = 2.0 * (2.0 * (a[1] * a_e[1] + b[1] * b_e[1])
+                     + a_e[0] * a[2] + a[0] * a_e[2] + b_e[0] * b[2] + b[0] * b_e[2])
+
+        hbar, l1 = pair.constants.hbar, params.ell1
+        p, (p1, p2) = self.p.values, self.p.derivs
+        pe = (hbar * l1 * pair.omega_e - p * dd) / d
+        pe1 = -(p1 * dd + pe * d1 + p * dd1) / d
+        pe2 = -(p2 * dd + 2.0 * (pe1 * d1 + p1 * dd1) + pe * d2 + p * dd2) / d
+        return ScalarField(pair.grid, pe, derivs=(pe1, pe2))
+
+    @cached_property
+    def _de_s0_q(self):
+        """(dS0/dE, dQ/dE), exact in E.
+
+        Since S0 = hbar arg(a + i b) up to constants, dS0/dE = hbar (a b_E - b a_E)/d
+        = hbar l1 (psi_dual psi_E - psi psi_dual_E)/d.  dQ/dE is the E-derivative
+        of the Schwarzian formula Q = (hbar^2/4m)(p''/p - (3/2)(p'/p)^2), not of the
+        Hamilton-Jacobi identity, so that the two velocities of :meth:`trajectory`
+        remain independent routes.
+        """
+        pair = self.pair
+        hbar, eps, l1 = pair.constants.hbar, pair.constants.epsilon, self.params.ell1
+        d = self._jets[2][0]
+        p, (p1, p2) = self.p.values, self.p.derivs
+        pe, (pe1, pe2) = self.de_momentum.values, self.de_momentum.derivs
+
+        psi, chi = pair.psi.values, pair.psi_dual.values
+        s0_e = hbar * l1 * (chi * pair.psi_e.values - psi * pair.psi_dual_e.values) / d
+        r = pe / p
+        q_e = 0.5 * eps * eps * ((pe2 - p2 * r) - 3.0 * (p1 / p) * (pe1 - p1 * r)) / p
+        return s0_e, q_e
+
+    def time_of_q(self, x_ref: float | None = None) -> ScalarField:
+        """Trajectory time t(q) = dS0/dE, gauged to t(x_ref) = 0 (x_ref defaults to x_min).
+
+        Exact in E: built from the pair's energy derivatives, which solve the
+        variational equation -eps^2 u_E'' + (V - E) u_E = u from zero initial
+        data.  Carries dp/dE, dp'/dE and dp''/dE as its attached derivatives.
+        """
+        grid = self.pair.grid
+        ref = grid.index_of(grid.x_min if x_ref is None else x_ref)
+        de_p, s0_e = self.de_momentum, self._de_s0_q[0]
+        return ScalarField(grid, s0_e - s0_e[ref], derivs=(de_p.values,) + de_p.derivs)
+
+    def trajectory(self, t_samples, x_ref: float | None = None) -> TrajectoryResult:
+        """Invert t(q) on monotone windows and sample the motion at ``t_samples``.
+
+        Reports the velocity through both exact routes, (dp/dE)^{-1} and p/m_Q
+        with m_Q = m(1 - dQ/dE).  A non-monotone t(q) yields one entry per
+        monotone segment and ``monotone=False``.
+        """
+        t = self.time_of_q(x_ref).values
+        de_p, de_q = self.de_momentum, self._de_s0_q[1]
+        m_q = self.pair.constants.mass * (1.0 - de_q)
+        # dp/dE may cross zero (stationary trajectory time); the reciprocal
+        # velocity is genuinely infinite there
+        with np.errstate(divide="ignore"):
+            qdot_energy = 1.0 / de_p.values
+            qdot_mass = self.p.values / m_q
+
+        x = self.pair.grid.x
+        t_samples = np.sort(np.asarray(t_samples, dtype=float))
+        segments = _monotone_segments(t)
+        monotone = len(segments) == 1 and segments[0] == (0, len(t))
+
+        out_segments = []
+        for lo, hi in segments:
+            ts = t[lo:hi]
+            order = slice(None) if ts[0] < ts[-1] else slice(None, None, -1)
+            ts_a = ts[order]
+            inside = (t_samples >= ts_a[0]) & (t_samples <= ts_a[-1])
+            points = []
+            for tv in t_samples[inside]:
+                def at(vals):
+                    return float(np.interp(tv, ts_a, vals[lo:hi][order]))
+                points.append(TrajectoryPoint(
+                    t=float(tv), q=at(x), q_dot_from_energy=at(qdot_energy),
+                    q_dot_from_mass=at(qdot_mass), p=at(self.p.values), m_q=at(m_q)))
+            out_segments.append(tuple(points))
+        return TrajectoryResult(monotone=monotone, segments=tuple(out_segments))
 
 
 def build_microstate(pair: SolutionPair, params: MicrostateParams) -> Microstate:
     """The microstate of (pair, params); its fields are formed on first read."""
     return Microstate(params, pair)
-
-
-@dataclass(frozen=True)
-class QshjeReport:
-    """Stationary Hamilton-Jacobi residual with the potential term computed
-    both directly (V - E) and from the Schwarzian of exp(2i S0/hbar)."""
-
-    from_potential: ScalarField
-    from_schwarzian: ScalarField
-    w_mismatch: float
-
-
-def qshje_residual(ms: Microstate) -> QshjeReport:
-    """(1/2m)(S0')^2 + W + Q with both determinations of W."""
-    hbar, mass, eps = ms.pair.constants.hbar, ms.pair.constants.mass, ms.pair.constants.epsilon
-    kinetic = 0.5 / mass * ms.p.values ** 2
-    res_pot = kinetic + ms.mfW.values + ms.Q.values
-
-    g_vals = np.exp(2j / hbar * ms.S0.values)
-    c = 2j / hbar
-    p, dp, d2p = ms.S0.derivs
-    g1 = c * p * g_vals
-    g2 = c * (dp * g_vals + p * g1)
-    g3 = c * (d2p * g_vals + 2.0 * dp * g1 + p * g2)
-    g = ScalarField(ms.pair.grid, g_vals, derivs=(g1, g2, g3))
-    w_schw = np.real(-0.5 * eps * eps * schwarzian(g).values)
-    res_schw = kinetic + w_schw + ms.Q.values
-    mismatch = float(np.max(np.abs(w_schw - ms.mfW.values)))
-    return QshjeReport(ScalarField(ms.pair.grid, res_pot),
-                       ScalarField(ms.pair.grid, res_schw), mismatch)
 
 
 def microstate_checks(ms: Microstate) -> dict:
@@ -250,100 +383,9 @@ def microstate_checks(ms: Microstate) -> dict:
 
 
 @dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    q: float
-    q_dot_from_energy: float   # (dp/dE)^{-1}
-    q_dot_from_mass: float     # p / m_Q
-    p: float
-    m_q: float
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    monotone: bool
-    segments: tuple
-
-
-def _monotone_segments(t: np.ndarray):
-    """Maximal index ranges on which t is strictly monotone.
-
-    Each run of equal nonzero signs of diff(t) over differences lo..hi-1
-    spans the samples lo..hi; a reversal sample ends one range and starts the
-    next, and a zero step belongs to no range.
-    """
-    s = np.sign(np.diff(t))
-    if s.size == 0:
-        return []
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    ends = np.append(starts[1:], s.size)
-    keep = s[starts] != 0.0
-    return list(zip(starts[keep].tolist(), (ends[keep] + 1).tolist()))
-
-
-def _de_momentum(ms: Microstate) -> ScalarField:
-    """dp/dE of ``ms`` with dp'/dE and dp''/dE attached, exact in E.
-
-    With a = psi_dual + l2 psi and b = l1 psi the momentum is p = c/d, with
-    c = hbar l1 Omega and d = a^2 + b^2.  The pair's energy derivatives give
-    a_E, b_E and so d_E, d'_E, d''_E; differentiating p d = c, (p d)' = 0 and
-    (p d)'' = 0 in E then gives
-
-        p_E   = (c_E - p d_E) / d
-        p_E'  = -(p' d_E + p_E d' + p d'_E) / d
-        p_E'' = -(p'' d_E + 2 (p_E' d' + p' d'_E) + p_E d'' + p d''_E) / d.
-    """
-    pair, params = ms.pair, ms.params
-    if pair.psi_e is None:
-        raise CapabilityError("this pair carries no energy derivative (the harmonic closed "
-                              "form exists at its ground level only); use method 'numeric'")
-    a, b, (d, d1, d2) = ms._jets
-    a_e, b_e = _components(pair.psi_e, pair.psi_dual_e, params)
-    dd = 2.0 * (a[0] * a_e[0] + b[0] * b_e[0])
-    dd1 = 2.0 * (a_e[0] * a[1] + a[0] * a_e[1] + b_e[0] * b[1] + b[0] * b_e[1])
-    dd2 = 2.0 * (2.0 * (a[1] * a_e[1] + b[1] * b_e[1])
-                 + a_e[0] * a[2] + a[0] * a_e[2] + b_e[0] * b[2] + b[0] * b_e[2])
-
-    hbar, l1 = pair.constants.hbar, params.ell1
-    p, (p1, p2) = ms.p.values, ms.p.derivs
-    pe = (hbar * l1 * pair.omega_e - p * dd) / d
-    pe1 = -(p1 * dd + pe * d1 + p * dd1) / d
-    pe2 = -(p2 * dd + 2.0 * (pe1 * d1 + p1 * dd1) + pe * d2 + p * dd2) / d
-    return ScalarField(pair.grid, pe, derivs=(pe1, pe2))
-
-
-def _de_s0_q(ms: Microstate, de_p: ScalarField):
-    """(dS0/dE, dQ/dE) of ``ms``, exact in E, given its :func:`_de_momentum` ``de_p``.
-
-    Since S0 = hbar arg(a + i b) up to constants, dS0/dE = hbar (a b_E - b a_E)/d
-    = hbar l1 (psi_dual psi_E - psi psi_dual_E)/d.  dQ/dE is the E-derivative
-    of the Schwarzian formula Q = (hbar^2/4m)(p''/p - (3/2)(p'/p)^2), not of the
-    Hamilton-Jacobi identity, so that the two velocities of :func:`trajectory`
-    remain independent routes.
-    """
-    pair = ms.pair
-    hbar, eps, l1 = pair.constants.hbar, pair.constants.epsilon, ms.params.ell1
-    d = ms._jets[2][0]
-    p, (p1, p2) = ms.p.values, ms.p.derivs
-    pe, (pe1, pe2) = de_p.values, de_p.derivs
-
-    psi, chi = pair.psi.values, pair.psi_dual.values
-    s0_e = hbar * l1 * (chi * pair.psi_e.values - psi * pair.psi_dual_e.values) / d
-    r = pe / p
-    q_e = 0.5 * eps * eps * ((pe2 - p2 * r) - 3.0 * (p1 / p) * (pe1 - p1 * r)) / p
-    return s0_e, q_e
-
-
-@dataclass(frozen=True)
 class EnergyFamily:
     """One scenario's pair at E, solved lazily and at most once, with its
-    microstate and their exact energy derivatives, each formed on first read:
-    dp/dE (:func:`_de_momentum`) without dS0/dE and dQ/dE (:func:`_de_s0_q`).
-
-    ``params`` may be None when only :attr:`pair` is used.  A harmonic
-    scenario solved by its closed form has no energy derivative; asking for
-    one raises :class:`CapabilityError`.
-    """
+    microstate; ``params`` may be None when only :attr:`pair` is used."""
 
     scenario: Scenario
     params: MicrostateParams | None = None
@@ -356,78 +398,19 @@ class EnergyFamily:
     def microstate(self) -> Microstate:
         return build_microstate(self.pair, self.params)
 
-    @cached_property
-    def de_momentum(self) -> ScalarField:
-        """dp/dE with dp'/dE and dp''/dE attached."""
-        return _de_momentum(self.microstate)
-
-    @cached_property
-    def _de_s0_and_q(self):
-        return _de_s0_q(self.microstate, self.de_momentum)
-
-    def time_of_q(self, x_ref: float | None = None) -> ScalarField:
-        """t(q) = dS0/dE gauged to t(x_ref) = 0; see :func:`time_of_q`."""
-        grid = self.scenario.grid
-        ref = grid.index_of(grid.x_min if x_ref is None else x_ref)
-        de_p, s0_e = self.de_momentum, self._de_s0_and_q[0]
-        return ScalarField(grid, s0_e - s0_e[ref], derivs=(de_p.values,) + de_p.derivs)
-
-    def trajectory(self, t_samples, x_ref: float | None = None) -> TrajectoryResult:
-        """The motion sampled at ``t_samples``; see :func:`trajectory`."""
-        ms = self.microstate
-        t = self.time_of_q(x_ref).values
-        de_p, de_q = self.de_momentum, self._de_s0_and_q[1]
-        m_q = self.scenario.constants.mass * (1.0 - de_q)
-        # dp/dE may cross zero (stationary trajectory time); the reciprocal
-        # velocity is genuinely infinite there
-        with np.errstate(divide="ignore"):
-            qdot_energy = 1.0 / de_p.values
-            qdot_mass = ms.p.values / m_q
-
-        x = self.scenario.grid.x
-        t_samples = np.sort(np.asarray(t_samples, dtype=float))
-        segments = _monotone_segments(t)
-        monotone = len(segments) == 1 and segments[0] == (0, len(t))
-
-        out_segments = []
-        for lo, hi in segments:
-            ts = t[lo:hi]
-            order = slice(None) if ts[0] < ts[-1] else slice(None, None, -1)
-            ts_a = ts[order]
-            inside = (t_samples >= ts_a[0]) & (t_samples <= ts_a[-1])
-            points = []
-            for tv in t_samples[inside]:
-                def at(vals):
-                    return float(np.interp(tv, ts_a, vals[lo:hi][order]))
-                points.append(TrajectoryPoint(
-                    t=float(tv), q=at(x), q_dot_from_energy=at(qdot_energy),
-                    q_dot_from_mass=at(qdot_mass), p=at(ms.p.values), m_q=at(m_q)))
-            out_segments.append(tuple(points))
-        return TrajectoryResult(monotone=monotone, segments=tuple(out_segments))
-
 
 def energy_derivative_of_momentum(scenario: Scenario, params: MicrostateParams) -> ScalarField:
-    """dp/dE of the microstate, from the pair's exact energy derivatives."""
-    return EnergyFamily(scenario, params).de_momentum
+    """:attr:`Microstate.de_momentum` of the scenario's microstate."""
+    return EnergyFamily(scenario, params).microstate.de_momentum
 
 
 def time_of_q(scenario: Scenario, params: MicrostateParams,
               x_ref: float | None = None) -> ScalarField:
-    """Trajectory time t(q) = dS0/dE, gauged to t(x_ref) = 0 (x_ref defaults to x_min).
-
-    Exact in E: built from the pair's energy derivatives, which solve the
-    variational equation -eps^2 u_E'' + (V - E) u_E = u from zero initial
-    data.  Carries dp/dE, dp'/dE and dp''/dE as its attached derivatives.
-    """
-    return EnergyFamily(scenario, params).time_of_q(x_ref)
+    """:meth:`Microstate.time_of_q` of the scenario's microstate."""
+    return EnergyFamily(scenario, params).microstate.time_of_q(x_ref)
 
 
 def trajectory(scenario: Scenario, params: MicrostateParams, t_samples,
                x_ref: float | None = None) -> TrajectoryResult:
-    """Invert t(q) on monotone windows and sample the motion at ``t_samples``.
-
-    Reports the velocity through both exact routes, (dp/dE)^{-1} and p/m_Q
-    with m_Q = m(1 - dQ/dE).  A non-monotone t(q) yields one entry per
-    monotone segment and ``monotone=False``.
-    """
-    return EnergyFamily(scenario, params).trajectory(t_samples, x_ref)
+    """:meth:`Microstate.trajectory` of the scenario's microstate."""
+    return EnergyFamily(scenario, params).microstate.trajectory(t_samples, x_ref)

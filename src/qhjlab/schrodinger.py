@@ -225,30 +225,21 @@ class SolutionPair:
         w = self.wronskian_samples()
         return float(np.max(np.abs(w - self.wronskian)) / abs(self.wronskian))
 
-    def schrodinger_residual(self, member: str = "psi", stencil: bool = False) -> ScalarField:
-        """-eps^2 u'' + (V - E) u for the requested member, with u'' attached or,
-        for ``stencil``, the stencil of the samples."""
-        u = self.psi if member == "psi" else self.psi_dual
+    def relative_residual(self, stencil: bool = False, fraction: float = 1.0) -> float:
+        """Max |-eps^2 u'' + (V - E) u| of both members u over the central
+        ``fraction`` of the grid, relative to max |(V - E) u| over the whole grid
+        and both members (1 where that is 0); u'' is the attached one or, for
+        ``stencil``, the stencil of the samples."""
+        inner = self.grid.interior_slice(fraction)
         eps = self.constants.epsilon
         v = self.v_field.values
-        d2 = derivative(u, 2).values if stencil else derivatives(u, 2)[2]
-        return ScalarField(self.grid, -eps * eps * d2 + (v - self.energy) * u.values)
-
-    def residual_scale(self) -> float:
-        """Reference magnitude for relative residual checks."""
-        v = self.v_field.values
-        scale = 0.0
+        worst, scale = [], 0.0
         for u in (self.psi, self.psi_dual):
-            scale = max(scale, float(np.max(np.abs((v - self.energy) * u.values))))
-        return scale if scale > 0 else 1.0
-
-    def relative_residual(self, stencil: bool = False, fraction: float = 1.0) -> float:
-        """Max |Schrodinger residual| of both members over the central ``fraction``
-        of the grid, relative to :meth:`residual_scale`."""
-        inner = self.grid.interior_slice(fraction)
-        worst = max(float(np.max(np.abs(self.schrodinger_residual(m, stencil).values[inner])))
-                    for m in ("psi", "psi_dual"))
-        return worst / self.residual_scale()
+            d2 = derivative(u, 2).values if stencil else derivatives(u, 2)[2]
+            vu = (v - self.energy) * u.values
+            worst.append(float(np.max(np.abs((-eps * eps * d2 + vu)[inner]))))
+            scale = max(scale, float(np.max(np.abs(vu))))
+        return max(worst) / (scale if scale > 0 else 1.0)
 
     def checks(self) -> dict:
         """{check name: (relative residual, bound)}, the bounds by provenance; the
@@ -443,11 +434,11 @@ def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, gri
         i_pp, i_pc, i_cc = (antiderivative(ScalarField(grid, a * b), grid.x_min).values
                             for a, b in ((psi_v, psi_v), (psi_v, chi_v), (chi_v, chi_v)))
         scale = eps2 * w0
-        e_lanes = np.array([(chi_v * i_pp - psi_v * i_pc) / scale,
-                            (dchi * i_pp - dpsi * i_pc) / scale,
-                            (chi_v * i_pc - psi_v * i_cc) / scale,
-                            (dchi * i_pc - dpsi * i_cc) / scale])
-    if not np.isfinite(e_lanes).all():
+        e_lanes = ((chi_v * i_pp - psi_v * i_pc) / scale,
+                   (dchi * i_pp - dpsi * i_pc) / scale,
+                   (chi_v * i_pc - psi_v * i_cc) / scale,
+                   (dchi * i_pc - dpsi * i_cc) / scale)
+    if not all(np.isfinite(lane).all() for lane in e_lanes):
         big = max(np.max(np.abs(psi_v)), np.max(np.abs(chi_v)))
         raise AccuracyError(f"energy derivative overflows: max |psi|, |psiD| = {big:.3e}")
     psi_ev, dpsi_e, chi_ev, dchi_e = e_lanes
@@ -488,11 +479,12 @@ def normalize_wronskian(pair: SolutionPair, target: complex | None = None) -> So
     """Rescale (and possibly swap) the members so the Wronskian equals ``target``.
 
     ``target=None`` means 2i/eps, the convention the duality checks assume for
-    conjugate pairs.  Scaling both members by the same square root leaves every
-    derived microstate untouched; for conjugate pairs a negative real ratio is
-    absorbed by swapping the members so conjugacy survives.  A target that
-    needs a non-real scale factor would break the pair's kind and raises
-    :class:`ContractError`.
+    conjugate pairs.  Scaling both members by the same square root s, their
+    energy derivatives by s and ``omega_e`` by s^2, leaves every derived
+    microstate untouched; for conjugate pairs, which carry no energy
+    derivatives, a negative real ratio is absorbed by swapping the members so
+    conjugacy survives.  A target that needs a non-real scale factor would
+    break the pair's kind and raises :class:`ContractError`.
     """
     if abs(pair.wronskian) == 0:
         raise DegeneracyError("cannot normalize a zero Wronskian")
@@ -514,9 +506,13 @@ def normalize_wronskian(pair: SolutionPair, target: complex | None = None) -> So
         raise ContractError(
             f"rescaling a {pair.kind} pair from Wronskian {w} to {target} needs the "
             f"non-real factor {s}")
-    return SolutionPair(_scaled_field(psi, s.real), _scaled_field(psi_dual, s.real),
+    s = s.real
+    psi_e, psi_dual_e = (None if f is None else _scaled_field(f, s)
+                         for f in (pair.psi_e, pair.psi_dual_e))
+    return SolutionPair(_scaled_field(psi, s), _scaled_field(psi_dual, s),
                         pair.energy, pair.constants, target,
-                        kind=pair.kind, potential=pair.potential, provenance=pair.provenance)
+                        kind=pair.kind, potential=pair.potential, provenance=pair.provenance,
+                        psi_e=psi_e, psi_dual_e=psi_dual_e, omega_e=s * s * pair.omega_e)
 
 
 def default_ics(potential: Potential, constants: PhysicalConstants, x_min: float) -> tuple:

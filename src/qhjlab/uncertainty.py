@@ -162,7 +162,7 @@ def hbar_scaling_scan(family: EnergyFamily, window, hbar_list,
         scenario = family.scenario.at_hbar(h)
         at_h = family if scenario == family.scenario else EnergyFamily(scenario, family.params)
         reports.append(delta_chain(at_h.microstate, delta_alpha, window,
-                                   de_momentum=at_h.de_momentum))
+                                   de_momentum=at_h.microstate.de_momentum))
     pq_mid = [r.product_pq_midpoint for r in reports]
     et_mid = [r.product_et_midpoint for r in reports]
     return ScanReport(tuple(hbars), tuple(pq_mid), tuple(et_mid),

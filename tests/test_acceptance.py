@@ -17,7 +17,7 @@ from qhjlab.duality import build_prepotential, duality_checks, gd_terms, omega_f
 from qhjlab.fields import Grid, ScalarField, derivative
 from qhjlab.hierarchy import HierarchyInput, hierarchy_checks, master_remainder, recurse
 from qhjlab.microstates import MicrostateParams, build_microstate, microstate_checks, \
-    qshje_residual, time_of_q, trajectory
+    time_of_q, trajectory
 from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair, \
     make_conjugate, normalize_wronskian, solve_pair
 from qhjlab.uncertainty import hbar_scaling_scan
@@ -181,9 +181,9 @@ def test_criterion_8_norm_scaling():
 
     pair = analytic_pair(Potential("free"), 1.0, constants, grid)
     params = MicrostateParams(alpha=0.0, ell=2.0 + 0.0j)
-    before = qshje_residual(build_microstate(pair, params)).from_potential.values
+    before = build_microstate(pair, params).qshje.from_potential.values
     scaled = normalize_wronskian(pair, pair.wronskian * omega)
-    after = qshje_residual(build_microstate(scaled, params)).from_potential.values
+    after = build_microstate(scaled, params).qshje.from_potential.values
     worst = np.max(np.abs(before - after))
 
     conj = normalize_wronskian(make_conjugate(pair))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhjlab import hierarchy, microstates
+from qhjlab import fields, hierarchy, microstates
 from qhjlab.cli import CSV_BLOCK_ROWS, SCHEMA_VERSION, TOLERANCE_KEYS, _cell_words, \
     load_config, main, write_csv
 from qhjlab.errors import ConfigError
@@ -150,6 +150,27 @@ class TestValidation:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra, solver", [
+        ({}, {"ics": [5, 1, 2, 3]}),
+        ({}, {"method": "analytic", "ics": [5, 1, 2, 3]}),
+        (HARMONIC, {"ics": [0.9, 0.4, 0.1, 1.2]}),
+    ], ids=["free-auto", "free-analytic", "harmonic-ground-auto"])
+    def test_ics_of_a_closed_form_refused(self, tmp_path, capsys, extra, solver):
+        # initial data seed only the numeric sweep: under a closed form they
+        # would change no output, so they are refused rather than ignored
+        out = tmp_path / "out"
+        doc = base_config(out, solver=solver, **extra)
+        if extra:
+            del doc["uncertainty"]  # auto then picks the harmonic closed form
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "solver.method: numeric" in err
+        assert not out.exists()
+        doc["solver"]["method"] = "numeric"
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 0
 
     def test_config_tolerance_map(self, tmp_path):
         out = tmp_path / "out"
@@ -350,12 +371,14 @@ class TestRun:
             sorted(doc["uncertainty"]["hbar_scan"])
 
     @pytest.mark.parametrize("subcommand, expected", [
-        ("all", {"ScalarField": 144, "unwrap_phase": 1, "schwarzian": 2, "V": 1}),
-        ("uncertainty", {"ScalarField": 96, "unwrap_phase": 0, "schwarzian": 0, "V": 1}),
+        ("all", {"ScalarField": 131, "copies": 20, "unwrap_phase": 1, "schwarzian": 2, "V": 1}),
+        ("uncertainty", {"ScalarField": 86, "copies": 20, "unwrap_phase": 0, "schwarzian": 0,
+                         "V": 1}),
     ])
     def test_work_counts(self, tmp_path, monkeypatch, subcommand, expected):
         # exact counts per run, so that added work shows without timing noise:
-        # fields built, phases unwrapped into S0, Schwarzians taken, V formed
+        # fields built, arrays they copy (the deinterleaved rows of each of the
+        # five RK4 sweeps), phases unwrapped into S0, Schwarzians taken, V formed
         counts = dict.fromkeys(expected, 0)
 
         def count(owner, name, key, when=lambda *args: True):
@@ -366,6 +389,8 @@ class TestRun:
             monkeypatch.setattr(owner, name, counted)
 
         count(ScalarField, "__post_init__", "ScalarField")
+        count(fields, "_owned", "copies",
+              lambda arr: not (type(arr) is np.ndarray and arr.base is None))
         count(microstates, "unwrap_phase", "unwrap_phase")
         count(microstates, "schwarzian", "schwarzian")
         count(Potential, "derivative_samples", "V", lambda self, grid, order: order == 0)

@@ -24,7 +24,7 @@ SRC = Path(os.path.realpath(qhjlab.__file__)).parent
 # Functions no subcommand enters: {qualified name: why it stays in src/}.
 ALLOWED = {
     **{f"microstates.{name}": "a per-layer metric of BENCHMARK.json names it; the CLI "
-                              "calls the EnergyFamily method (ROADMAP D10 item 5)"
+                              "reads the Microstate member (ROADMAP D10 item 5)"
        for name in ("time_of_q", "trajectory", "energy_derivative_of_momentum")},
     **{f"catalog.{name}": "perfbench/tracer.py imports catalog (ROADMAP D14)"
        for name in ("free_scenario", "harmonic_scenario", "linear_scenario",
@@ -35,8 +35,6 @@ ALLOWED = {
     "hierarchy.master_remainder": "test oracle for the truncation order (ROADMAP D7a)",
     "hierarchy.reconstruct_modulus": "test oracle for |psi|^2 (ROADMAP D8)",
     "fields.Grid.refined": "test oracle for self-convergence (ROADMAP D5)",
-    "duality.FreeEnergy.f0": "test oracle for F0'' = -V/2; akq_residual reads only F0'' "
-                             "(ROADMAP D14)",
     "errors.SingularFieldError.__init__": "raised at a node of psi or a zero of a "
                                           "derivative, which no pair with a nonzero "
                                           "Wronskian has (test_fields plants them)",

@@ -10,7 +10,6 @@ from qhjlab import duality
 from qhjlab.catalog import builtin_scenario
 from qhjlab.errors import ContractError, DomainError
 from qhjlab.duality import (
-    FreeEnergy,
     Prepotential,
     akq_residual,
     build_prepotential,
@@ -24,7 +23,7 @@ from qhjlab.duality import (
     prepotential_ode_residual,
 )
 from qhjlab.fields import Grid, ScalarField, derivatives
-from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual
+from qhjlab.microstates import MicrostateParams, build_microstate
 from qhjlab.schrodinger import (
     Potential,
     SolutionPair,
@@ -221,12 +220,16 @@ class TestAkq:
         direct = prepotential_gd_residual(prep)
         assert np.max(np.abs(via_akq.values - direct.values)) < 1e-12
 
-    def test_construction_identity(self, free_grid):
-        fe = FreeEnergy.from_field(Potential("harmonic").field(free_grid), 0.0)
-        assert np.max(np.abs(fe.f0_dd.values + 0.5 * free_grid.x ** 2)) == 0.0
-        from qhjlab.fields import derivative
-        back = derivative(derivative(fe.f0, 1), 1)
-        assert np.max(np.abs(back.values[4:-4] - fe.f0_dd.values[4:-4])) < 1e-7
+    def test_construction_identity(self, harmonic_pair):
+        # the free-energy form with F0'' = -V/2 = -x^2/2 and F0''' = -V'/2 = -x
+        # written out, in akq_residual's operation order: equal bit for bit
+        prep = build_prepotential(normalize_wronskian(make_conjugate(harmonic_pair)))
+        x, eps, energy = prep.pair.grid.x, prep.epsilon, prep.pair.energy
+        f, f1, _, f3 = derivatives(prep.F, 3)
+        expected = (eps ** 2 * f3
+                    + (f1 + 1.0 / (1j * eps)) * (8.0 * (-0.5 * x ** 2) + 4.0 * energy)
+                    + 4.0 * (-0.5 * (2.0 * x)) * (f + x / (1j * eps)))
+        assert np.array_equal(akq_residual(prep).values, expected)
 
 
 def sprime_error(name, ell, c_factor=1.0):
@@ -311,8 +314,8 @@ class TestOmegaForNorm:
         from qhjlab.schrodinger import normalize_wronskian
         scaled = normalize_wronskian(free_pair, free_pair.wronskian * omega)
         ms_scaled = build_microstate(scaled, MicrostateParams(ell=2.0))
-        a = qshje_residual(ms).from_potential.values
-        b = qshje_residual(ms_scaled).from_potential.values
+        a = ms.qshje.from_potential.values
+        b = ms_scaled.qshje.from_potential.values
         assert np.max(np.abs(a - b)) < 1e-10
 
 

@@ -13,8 +13,7 @@ from qhjlab.duality import (
 )
 from qhjlab.fields import Grid
 from qhjlab.hierarchy import HierarchyInput, master_residual, recurse
-from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual, \
-    time_of_q, trajectory
+from qhjlab.microstates import MicrostateParams, build_microstate, time_of_q, trajectory
 from qhjlab.schrodinger import PhysicalConstants, Potential, Scenario, analytic_pair, \
     make_conjugate, normalize_wronskian
 
@@ -33,7 +32,7 @@ CASES = [
 def test_qshje_residual_generic_units(name, potential, energy, grid, ell):
     pair = analytic_pair(potential, energy, CONSTANTS, grid)
     ms = build_microstate(pair, MicrostateParams(alpha=0.3, ell=ell))
-    rep = qshje_residual(ms)
+    rep = ms.qshje
     scale = max(abs(energy), np.max(np.abs(ms.mfW.values)))
     inner = grid.interior_slice(0.8)
     assert np.max(np.abs(rep.from_potential.values[inner])) / scale < 1e-7

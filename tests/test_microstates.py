@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhjlab import catalog
 from qhjlab.errors import CapabilityError, ContractError
@@ -11,18 +12,16 @@ from qhjlab.fields import Grid, ScalarField, derivative
 from qhjlab.microstates import (
     EnergyFamily,
     MicrostateParams,
-    _de_momentum,
-    _de_s0_q,
     _monotone_segments,
     beta_field,
     build_microstate,
     energy_derivative_of_momentum,
-    qshje_residual,
     quantum_potential,
     time_of_q,
     trajectory,
 )
-from qhjlab.schrodinger import Potential, Scenario, analytic_pair, make_conjugate
+from qhjlab.schrodinger import Potential, Scenario, analytic_pair, make_conjugate, \
+    normalize_wronskian
 
 
 UNIT_ELL = MicrostateParams(alpha=0.0, ell=1.0 + 0.0j)
@@ -133,7 +132,7 @@ class TestQuantumPotential:
     def test_free_ell_two_balances_kinetic(self, free_pair):
         ms = build_microstate(free_pair, MicrostateParams(ell=2.0))
         assert np.max(np.abs(ms.Q.values)) > 1e-3  # genuinely nonzero
-        resid = qshje_residual(ms).from_potential.values
+        resid = ms.qshje.from_potential.values
         assert np.max(np.abs(resid)) < 1e-7
 
     def test_two_paths_agree(self, free_pair):
@@ -148,7 +147,7 @@ class TestQuantumPotential:
 class TestQshjeResidual:
     def test_both_w_routes_agree_free(self, free_pair):
         ms = build_microstate(free_pair, UNIT_ELL)
-        report = qshje_residual(ms)
+        report = ms.qshje
         # -(hbar^2/4m){exp(2i S0/hbar); x} = -1 = V - E for the free microstate
         assert report.w_mismatch < 1e-12
         assert np.max(np.abs(report.from_schwarzian.values)) < 1e-7
@@ -156,7 +155,7 @@ class TestQshjeResidual:
     def test_analytic_scenarios_below_tolerance(self, free_pair, harmonic_pair, airy_pair):
         for pair in (free_pair, harmonic_pair, airy_pair):
             ms = build_microstate(pair, UNIT_ELL)
-            report = qshje_residual(ms)
+            report = ms.qshje
             scale = max(abs(pair.energy), np.max(np.abs(ms.mfW.values)))
             assert np.max(np.abs(report.from_potential.values)) / scale < 1e-7
 
@@ -165,8 +164,8 @@ class TestQshjeResidual:
         ms = build_microstate(free_pair, MicrostateParams(ell=1.5))
         scaled_pair = normalize_wronskian(free_pair, free_pair.wronskian * 9.0)
         ms_scaled = build_microstate(scaled_pair, MicrostateParams(ell=1.5))
-        a = qshje_residual(ms).from_potential.values
-        b = qshje_residual(ms_scaled).from_potential.values
+        a = ms.qshje.from_potential.values
+        b = ms_scaled.qshje.from_potential.values
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -230,7 +229,7 @@ class TestRandomizedConstants:
                 alpha = rng.uniform(-3.0, 3.0)
                 ms = build_microstate(pair, MicrostateParams(alpha=alpha,
                                                              ell=complex(ell1, ell2)))
-                resid = qshje_residual(ms).from_potential.values
+                resid = ms.qshje.from_potential.values
                 inner = pair.grid.interior_slice(0.8)
                 assert np.max(np.abs(resid[inner])) / scale < 1e-7
 
@@ -248,8 +247,8 @@ class TestTimeOfQ:
         assert abs(t.values[free_grid.index_of(np.pi)]) < 1e-15
 
     def test_attached_derivative_is_de_momentum(self):
-        family = EnergyFamily(catalog.linear_scenario(), GENERIC)
-        t, de_p = family.time_of_q(), family.de_momentum
+        ms = EnergyFamily(catalog.linear_scenario(), GENERIC).microstate
+        t, de_p = ms.time_of_q(), ms.de_momentum
         assert np.array_equal(t.derivs[0], de_p.values)
         assert all(np.array_equal(a, b) for a, b in zip(t.derivs[1:], de_p.derivs))
         # t' = dp/dE: the stencil derivative of t agrees with the exact dp/dE
@@ -286,9 +285,8 @@ def differenced(scenario, params, de):
 def exact(pair, params):
     """t (gauged to x_min), dp/dE and dQ/dE from the pair's energy derivatives."""
     ms = build_microstate(pair, params)
-    de_p = _de_momentum(ms)
-    s0_e, de_q = _de_s0_q(ms, de_p)
-    return s0_e - s0_e[0], de_p.values, de_q
+    s0_e, de_q = ms._de_s0_q
+    return s0_e - s0_e[0], ms.de_momentum.values, de_q
 
 
 def assert_second_order(pair, scenario, params, de):
@@ -352,8 +350,8 @@ class TestExactEnergyDerivatives:
         sc = ORACLE_CASES["harmonic-numeric-hbar1"]()
         family = EnergyFamily(sc, GENERIC)
         t, de_p, _ = exact(family.pair, GENERIC)
-        assert np.array_equal(family.time_of_q().values, t)
-        assert np.array_equal(family.de_momentum.values, de_p)
+        assert np.array_equal(family.microstate.time_of_q().values, t)
+        assert np.array_equal(family.microstate.de_momentum.values, de_p)
 
 
 class TestTrajectory:
@@ -446,12 +444,12 @@ class TestEnergyFamily:
         # time_of_q, trajectory and de_momentum share the one solve at E
         sc = catalog.free_scenario()
         family = EnergyFamily(sc, UNIT_ELL)
-        t = family.time_of_q()
-        family.trajectory([-2.0, -1.0])
+        t = family.microstate.time_of_q()
+        family.microstate.trajectory([-2.0, -1.0])
         assert family.microstate.pair is family.pair
         assert len(pair_solves) == 1
         assert np.array_equal(t.values, time_of_q(sc, UNIT_ELL).values)
-        assert np.array_equal(family.de_momentum.values,
+        assert np.array_equal(family.microstate.de_momentum.values,
                               energy_derivative_of_momentum(sc, UNIT_ELL).values)
 
 
@@ -476,3 +474,54 @@ def monotone_segments_loop(t):
     if start < len(t) - 1:
         segments.append((start, len(t)))
     return segments
+
+
+# One pair per closed form and the harmonic numeric pair, solved once for the
+# property tests below.
+PROPERTY_PAIRS = {
+    "free-analytic": lambda: catalog.free_scenario().pair(),
+    "linear-airy": lambda: catalog.linear_scenario().pair(),
+    "harmonic-numeric": lambda: catalog.harmonic_scenario(grid=Grid(-0.5, 0.5, 1025)).pair(),
+}
+_property_pairs = {}
+
+
+def property_pair(case):
+    if case not in _property_pairs:
+        _property_pairs[case] = PROPERTY_PAIRS[case]()
+    return _property_pairs[case]
+
+
+ALPHAS = st.floats(-10.0, 10.0)
+ELLS = st.builds(complex, st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), st.floats(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("case", list(PROPERTY_PAIRS))
+class TestInvarianceProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=ALPHAS, ell=ELLS, m=st.integers(-20, 20))
+    def test_rescaling_by_a_power_of_four_changes_no_bit(self, case, alpha, ell, m):
+        # psi, psi_dual and their E-derivatives scale by 2^m and omega by 4^m,
+        # exactly, and every microstate field is a ratio of equal powers
+        pair = property_pair(case)
+        params = MicrostateParams(alpha=alpha, ell=ell)
+        ms = build_microstate(pair, params)
+        scaled = build_microstate(normalize_wronskian(pair, 4.0 ** m * pair.wronskian), params)
+        assert np.array_equal(ms.w.values, scaled.w.values, equal_nan=True)
+        for name in ("p", "S0", "Q", "de_momentum"):
+            assert np.array_equal(getattr(ms, name).values, getattr(scaled, name).values), name
+        assert np.array_equal(ms.time_of_q().values, scaled.time_of_q().values)
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=ALPHAS, shift=ALPHAS, ell=ELLS)
+    def test_alpha_moves_only_s0_by_half_hbar_per_unit(self, case, alpha, shift, ell):
+        pair = property_pair(case)
+        ms = build_microstate(pair, MicrostateParams(alpha=alpha, ell=ell))
+        moved = build_microstate(pair, MicrostateParams(alpha=alpha + shift, ell=ell))
+        for name in ("p", "Q", "de_momentum"):
+            assert np.array_equal(getattr(ms, name).values, getattr(moved, name).values), name
+        step = moved.params.alpha - alpha  # the shift the rounded sum carries
+        s0, s0_moved = ms.S0.values, moved.S0.values
+        size = max(np.max(np.abs(s0)), np.max(np.abs(s0_moved)))
+        gap = np.max(np.abs(s0_moved - s0 - 0.5 * pair.constants.hbar * step))
+        assert gap <= 8.0 * np.finfo(float).eps * size

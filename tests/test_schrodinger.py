@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qhjlab.errors import CapabilityError, ContractError, DegeneracyError, DomainError
 from qhjlab.fields import Grid, ScalarField, derivative, interpolate
-from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual
+from qhjlab.microstates import MicrostateParams, build_microstate
 from qhjlab.schrodinger import (
     PhysicalConstants,
     Potential,
@@ -22,9 +22,14 @@ from qhjlab.schrodinger import (
 
 
 def fd_residual(pair, member="psi", margin=4):
-    """Relative stationary-equation residual on the centered-stencil region."""
-    res = pair.schrodinger_residual(member, stencil=True)
-    return np.max(np.abs(res.values[margin:-margin])) / pair.residual_scale()
+    """Relative stationary-equation residual -eps^2 u'' + (V - E) u of one
+    member, u'' its samples' stencil, on the centered-stencil region, over
+    max |(V - E) u| of both members."""
+    eps, v_e = pair.constants.epsilon, pair.v_field.values - pair.energy
+    u = pair.psi if member == "psi" else pair.psi_dual
+    res = -eps * eps * derivative(u, 2).values + v_e * u.values
+    scale = max(np.max(np.abs(v_e * w.values)) for w in (pair.psi, pair.psi_dual))
+    return np.max(np.abs(res[margin:-margin])) / scale
 
 
 class TestConstants:
@@ -220,13 +225,13 @@ class TestSolvePair:
 
     def test_custom_sampled_potential(self, constants):
         # the sampled kind goes through spline evaluation at the RK4 midpoints
-        from qhjlab.microstates import MicrostateParams, build_microstate, qshje_residual
+        from qhjlab.microstates import MicrostateParams, build_microstate
         g = Grid(-2.0, 2.0, 1025)
         pot = Potential("custom", samples=ScalarField(g, 0.3 * np.cos(g.x)))
         pair = solve_pair(pot, 1.4, constants, g, (1.0, 0.0, 0.0, 1.0))
         assert pair.wronskian_drift() < 1e-6
         ms = build_microstate(pair, MicrostateParams())
-        rep = qshje_residual(ms)
+        rep = ms.qshje
         scale = max(1.4, np.max(np.abs(ms.mfW.values)))
         inner = g.interior_slice(0.8)
         assert np.max(np.abs(rep.from_potential.values[inner])) / scale < 1e-6
@@ -397,11 +402,23 @@ class TestNormalizeWronskian:
 
     def test_scaling_leaves_microstate_residual_unchanged(self, free_pair):
         params = MicrostateParams(alpha=0.0, ell=2.0 + 0.0j)
-        before = qshje_residual(build_microstate(free_pair, params))
+        before = build_microstate(free_pair, params).qshje
         scaled = normalize_wronskian(free_pair, free_pair.wronskian * 4.0)
-        after = qshje_residual(build_microstate(scaled, params))
+        after = build_microstate(scaled, params).qshje
         assert np.max(np.abs(before.from_potential.values
                              - after.from_potential.values)) < 1e-12
+
+    def test_rescaled_real_pair_keeps_its_energy_derivatives(self, free_pair):
+        # psi_E, psi_dual_E scale with the members and omega_E with the Wronskian,
+        # so dp/dE of the rescaled pair is still defined, and unchanged
+        scaled = normalize_wronskian(free_pair, 4.0 * free_pair.wronskian)
+        for f, g in ((free_pair.psi_e, scaled.psi_e), (free_pair.psi_dual_e, scaled.psi_dual_e)):
+            for u, v in zip((f.values,) + f.derivs, (g.values,) + g.derivs):
+                assert np.array_equal(2.0 * u, v)
+        assert scaled.omega_e == 4.0 * free_pair.omega_e != 0.0
+        params = MicrostateParams(alpha=0.3, ell=1.5 + 0.2j)
+        assert np.array_equal(build_microstate(scaled, params).de_momentum.values,
+                              build_microstate(free_pair, params).de_momentum.values)
 
     def test_zero_wronskian_rejected(self, free_pair):
         from dataclasses import replace

@@ -1,5 +1,6 @@
 """Indeterminacy chain, interval reports, and the hbar scaling law."""
 
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ from qhjlab.errors import DomainError, StatisticsError
 from qhjlab.fields import Grid, ScalarField
 from qhjlab.microstates import MicrostateParams, build_microstate, \
     energy_derivative_of_momentum
+from qhjlab.schrodinger import Scenario
 from qhjlab.uncertainty import delta_chain, hbar_scaling_scan
 
 UNIT_ELL = MicrostateParams(alpha=0.0, ell=1.0 + 0.0j)
@@ -149,6 +151,27 @@ class TestScaling:
             monkeypatch.setattr(microstates, name, counted)
         hbar_scaling_scan(family, SCAN_WINDOWS["harmonic"], SCAN_HBARS, 1.0)
         assert calls == []
+
+    def test_each_hbar_is_released_before_the_next_solve(self, monkeypatch):
+        # peak memory holds one added hbar's pair and microstate at a time:
+        # when a pair is solved, only the caller's family (hbar = 1) may hold
+        # a microstate
+        family = scan_family("harmonic")
+        built, alive_at_solve = [], []
+
+        def build(pair, params, _original=microstates.build_microstate):
+            ms = _original(pair, params)
+            built.append(weakref.ref(ms))
+            return ms
+
+        def solve(scenario, energy=None, _original=Scenario.pair):
+            alive_at_solve.append(sum(ref() is not None for ref in built))
+            return _original(scenario, energy)
+
+        monkeypatch.setattr(microstates, "build_microstate", build)
+        monkeypatch.setattr(Scenario, "pair", solve)
+        hbar_scaling_scan(family, SCAN_WINDOWS["harmonic"], SCAN_HBARS, 1.0)
+        assert alive_at_solve == [0, 1, 1, 1, 1]
 
     def test_too_few_points(self):
         with pytest.raises(StatisticsError):
