@@ -285,9 +285,9 @@ def load_config(path: str) -> ScenarioConfig:
 # Output helpers
 
 
-# Rows per formatted block.  The cell kernel holds about 100 bytes per cell in
-# temporaries; larger blocks raised peak memory and were no faster.
-CSV_BLOCK_ROWS = 512
+# Varying cells per formatted block (512 rows of fields.csv).  The cell kernel
+# holds about 100 bytes a cell in temporaries; larger blocks were no faster.
+CSV_BLOCK_CELLS = 6656
 
 # Decimal exponents X = floor(log10|v|) of the cells the kernel formats: with
 # 1e-270 <= |v| <= 1e270, X and X +- 1 stay inside, and so do the carry
@@ -515,11 +515,12 @@ def write_csv(path: str, columns):
     have the first sample's bit pattern (so +0.0, -0.0 and NaN payloads stay
     apart) is formatted once, into the row template; the hierarchy's parity
     makes half of the hierarchy.csv columns +0 on every potential.  The
-    varying cells are formatted CSV_BLOCK_ROWS rows at a time by
-    ``_cell_words``, which computes the digits exactly in numpy and leaves the
-    values it cannot decide to Python's formatter; the NUL bytes padding each
-    cell are dropped from the finished block, which is written to the
-    temporary file that replaces ``path`` once the last block is in.
+    varying cells are formatted in blocks of whole rows, at most
+    CSV_BLOCK_CELLS cells or else one row, by ``_cell_words``, which computes
+    the digits exactly in numpy and leaves the values it cannot decide to
+    Python's formatter; the NUL bytes padding each cell are dropped from the
+    finished block, which is written to the temporary file that replaces
+    ``path`` once the last block is in.
     """
     names, arrays = [], []
     for name, arr in columns:
@@ -547,8 +548,9 @@ def write_csv(path: str, columns):
     table = np.stack(varying, axis=1) if varying else np.empty((len(arrays[0]), 0))
     with _atomic_file(path) as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = _csv_block(table[start:start + CSV_BLOCK_ROWS], pieces)
+        rows = max(1, CSV_BLOCK_CELLS // (len(varying) or 1))
+        for start in range(0, len(table), rows):
+            block = _csv_block(table[start:start + rows], pieces)
             fh.write(block.translate(None, b"\0"))
 
 

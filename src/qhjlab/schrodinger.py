@@ -9,12 +9,13 @@ examples.  Closed forms cover the free, linear (Airy) and harmonic
 ground-state cases; everything else integrates both members with a
 fixed-step RK4 sweep from energy-independent initial data at x_min.
 
-The sweep steps on Python floats: numpy's per-call overhead on 4-element
-arrays dominated each step, and the same IEEE operations in the same order
-leave the pair bitwise unchanged.  Steps are never composed across the grid
-(prefix scan, blocks, step matrices): each sample must stay one rounded step
-from its neighbour, or the stencil-based Schrodinger residual amplifies the
-uncorrelated rounding by 1/h^2.
+A scenario's own pair is swept one step at a time on Python floats (bitwise
+the numpy vector update, at a tenth of its cost), so that each sample stays
+one rounded step from its neighbour: its stencil-based schrodinger_residual is
+reported and amplifies uncorrelated rounding between neighbours by 1/h^2.
+The pairs the hbar scan adds feed only the uncertainty products; they compose
+the steps' 2x2 matrices in blocks of about sqrt(n) steps, which agrees to
+1e-13 or better at a fifth of the cost and passes the same construction bounds.
 
 Every pair except the harmonic ground pair also carries its energy
 derivative.  Differentiating the equation in E gives the variational equation
@@ -365,14 +366,76 @@ def analytic_pair(potential: Potential, E: float, constants: PhysicalConstants,
     return _validate_pair(pair)
 
 
+def _stepwise_sweep(g_nodes, g_mid, h, ics) -> np.ndarray:
+    """(psi, psi', psiD, psiD') at every sample, one RK4 step at a time."""
+    # y + (h/6)(k1 + 2 k2 + 2 k3 + k4) per component of y = (psi, psi', psiD, psiD')
+    half, sixth = 0.5 * h, h / 6.0
+    u, du, w, dw = ics
+    state = [u, du, w, dw]
+    extend = state.extend
+    g_list = g_nodes.tolist()
+    for g0, gm, g1 in zip(g_list, g_mid.tolist(), g_list[1:]):
+        a1, b1, c1, d1 = du, g0 * u, dw, g0 * w
+        u2, w2 = u + half * a1, w + half * c1
+        a2, b2, c2, d2 = du + half * b1, gm * u2, dw + half * d1, gm * w2
+        u3, w3 = u + half * a2, w + half * c2
+        a3, b3, c3, d3 = du + half * b2, gm * u3, dw + half * d2, gm * w3
+        u4, w4 = u + h * a3, w + h * c3
+        a4, b4, c4, d4 = du + h * b3, g1 * u4, dw + h * d3, g1 * w4
+        u, du, w, dw = (u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                        du + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+                        w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
+                        dw + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+        extend((u, du, w, dw))
+
+    # one flat list to one array: converting a list of tuples costs far more
+    return np.array(state).reshape(-1, 4).T
+
+
+def _composed_sweep(g_nodes, g_mid, h, ics) -> np.ndarray:
+    """:func:`_stepwise_sweep` by step matrices T, whose rows are the stage
+    formulas applied to (1, 0) and (0, 1): prefix products of T within blocks
+    of about sqrt(steps) steps, times each block's start state."""
+    steps = len(g_mid)
+    width = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps))
+    half, sixth = 0.5 * h, h / 6.0
+    g0, gm, g1 = g_nodes[:-1], g_mid, g_nodes[1:]
+
+    def step(u, du):  # the stage formulas of _stepwise_sweep, over every step at once
+        a1, b1 = du, g0 * u
+        u2 = u + half * a1
+        a2, b2 = du + half * b1, gm * u2
+        u3 = u + half * a2
+        a3, b3 = du + half * b2, gm * u3
+        u4 = u + h * a3
+        a4, b4 = du + h * b3, g1 * u4
+        return (u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                du + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+
+    with np.errstate(all="ignore"):  # overflow shows as non-finite samples
+        prefix = np.empty((-(-steps // width), width, 2, 2))
+        flat = prefix.reshape(-1, 2, 2)
+        flat[steps:] = np.eye(2)
+        for row, basis in enumerate(((1.0, 0.0), (0.0, 1.0))):
+            flat[:steps, row, 0], flat[:steps, row, 1] = step(*basis)
+        for j in range(1, width):
+            prefix[:, j] = prefix[:, j - 1] @ prefix[:, j]
+        starts = [np.reshape(ics, (2, 2))]  # rows (psi, psi'), (psiD, psiD')
+        for last in prefix[:-1, -1]:
+            starts.append(starts[-1] @ last)
+        samples = (np.array(starts)[:, None] @ prefix).reshape(-1, 4)[:steps]
+    return np.vstack((ics, samples)).T
+
+
 def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, grid: Grid,
-               ics) -> SolutionPair:
+               ics, stepwise: bool = True) -> SolutionPair:
     """Numeric pair from four real initial values (psi, psi', psiD, psiD') at x_min.
 
     Both members are integrated together with classic fixed-step RK4 on the
     grid.  Each step runs on Python floats; the four components keep the
     operation order of the vector update, which is bitwise the numpy result
-    at a tenth of its cost.
+    at a tenth of its cost.  ``stepwise=False`` composes the steps instead
+    (:func:`_composed_sweep`; the module docstring says which pairs may).
 
     The energy derivatives come from the Green's function (module docstring),
     with w0 = psi' psiD - psi psiD' at x_min and integrals from x_min by
@@ -403,28 +466,7 @@ def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, gri
     g_nodes = (potential.value(x) - E) / eps2
     g_mid = (potential.value(x[:-1] + 0.5 * h) - E) / eps2
 
-    # y + (h/6)(k1 + 2 k2 + 2 k3 + k4) per component of y = (psi, psi', psiD, psiD')
-    half, sixth = 0.5 * h, h / 6.0
-    u, du, w, dw = ics
-    state = [u, du, w, dw]
-    extend = state.extend
-    g_list = g_nodes.tolist()
-    for g0, gm, g1 in zip(g_list, g_mid.tolist(), g_list[1:]):
-        a1, b1, c1, d1 = du, g0 * u, dw, g0 * w
-        u2, w2 = u + half * a1, w + half * c1
-        a2, b2, c2, d2 = du + half * b1, gm * u2, dw + half * d1, gm * w2
-        u3, w3 = u + half * a2, w + half * c2
-        a3, b3, c3, d3 = du + half * b2, gm * u3, dw + half * d2, gm * w3
-        u4, w4 = u + h * a3, w + h * c3
-        a4, b4, c4, d4 = du + h * b3, g1 * u4, dw + h * d3, g1 * w4
-        u, du, w, dw = (u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-                        du + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-                        w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
-                        dw + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
-        extend((u, du, w, dw))
-
-    # one flat list to one array: converting a list of tuples costs far more
-    swept = np.array(state).reshape(-1, 4).T
+    swept = (_stepwise_sweep if stepwise else _composed_sweep)(g_nodes, g_mid, h, ics)
     if not np.isfinite(swept).all():
         diagnostics = {"schrodinger_residual": math.nan, "wronskian_drift": math.nan}
         raise AccuracyError("Schrodinger residual is NaN: the pair has non-finite samples",
@@ -545,6 +587,8 @@ class Scenario:
     Numeric pairs start from the same energy-independent initial data at every
     energy, which is what gives their energy derivatives zero initial data;
     ``ics=None`` means :func:`default_ics` at the scenario's constants.
+    ``stepwise=False`` lets numeric pairs compose their RK4 steps, for pairs
+    whose samples are never reported (the hbar scan's added ones).
     """
 
     potential: Potential
@@ -553,6 +597,7 @@ class Scenario:
     energy: float
     method: str = "analytic"
     ics: tuple | None = None
+    stepwise: bool = True
 
     def __post_init__(self):
         if self.method not in ("analytic", "numeric"):
@@ -565,7 +610,8 @@ class Scenario:
         ics = self.ics
         if ics is None:
             ics = default_ics(self.potential, self.constants, self.grid.x_min)
-        return solve_pair(self.potential, E, self.constants, self.grid, ics)
+        return solve_pair(self.potential, E, self.constants, self.grid, ics,
+                          stepwise=self.stepwise)
 
     def at_hbar(self, hbar: float) -> "Scenario":
         """This scenario at another hbar with the same mass; a harmonic one

@@ -20,7 +20,7 @@ log(hbar) must give slope 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,16 +151,17 @@ def hbar_scaling_scan(family: EnergyFamily, window, hbar_list,
 
     Each hbar runs :func:`delta_chain` over ``window`` on the family of
     ``family.scenario.at_hbar(hbar)``, which is ``family`` itself where that
-    scenario is unchanged.  A slope near 1 in the returned fits is the scaling
-    content of the uncertainty statements.  ``hbar_list`` must pass
-    :func:`scan_hbars`; spanning a decade or more keeps the fit well
-    conditioned.
+    scenario is unchanged; the pairs it adds compose their RK4 steps.  A slope
+    near 1 in the returned fits is the scaling content of the uncertainty
+    statements.  ``hbar_list`` must pass :func:`scan_hbars`; spanning a decade
+    or more keeps the fit well conditioned.
     """
     hbars = scan_hbars(hbar_list)
     reports = []
     for h in hbars:
         scenario = family.scenario.at_hbar(h)
-        at_h = family if scenario == family.scenario else EnergyFamily(scenario, family.params)
+        at_h = (family if scenario == family.scenario
+                else EnergyFamily(replace(scenario, stepwise=False), family.params))
         reports.append(delta_chain(at_h.microstate, delta_alpha, window,
                                    de_momentum=at_h.microstate.de_momentum))
     pq_mid = [r.product_pq_midpoint for r in reports]

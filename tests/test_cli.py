@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhjlab import fields, hierarchy, microstates
-from qhjlab.cli import CSV_BLOCK_ROWS, SCHEMA_VERSION, TOLERANCE_KEYS, _cell_words, \
+from qhjlab import fields, hierarchy, microstates, schrodinger
+from qhjlab.cli import CSV_BLOCK_CELLS, SCHEMA_VERSION, TOLERANCE_KEYS, _cell_words, \
     load_config, main, write_csv
 from qhjlab.errors import ConfigError
 from qhjlab.fields import ScalarField
@@ -244,6 +244,40 @@ class TestExtremeScales:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 assert main(["report", "--config", cfg]) in (0, 1, 2)
 
+    @settings(max_examples=60)
+    @given(window=st.lists(st.floats(-0.6, 0.6) | st.sampled_from([-0.5, 0.5]),
+                           min_size=2, max_size=2, unique=True).map(sorted),
+           ell=st.tuples(*[st.tuples(st.sampled_from([-1.0, 1.0]),
+                                     st.floats(-300.0, 300.0) | st.floats(-3.0, 3.0))] * 2),
+           delta_alpha=st.floats(-1e3, 1e3))
+    def test_any_scan_input_exits_cleanly(self, window, ell, delta_alpha):
+        # the window (edges on and off the harmonic grid [-0.5, 0.5]), ell1
+        # and ell2 over 1e+-300 and delta_alpha, on numeric pairs, so that
+        # the scan's added pairs compose their sweeps (about a third of the
+        # draws reach the scan): an exit code and one error line or none,
+        # never a traceback; numpy may warn on such scales (ell1^2 + ell2^2
+        # overflows past 1e154), as the command line would print
+        (s1, e1), (s2, e2) = ell
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = kind_config(os.path.join(tmp, "out"), "harmonic")
+            doc["solver"] = {"method": "numeric"}
+            doc["microstate"] = {"alpha": 0.3, "ell1": s1 * 10.0 ** e1, "ell2": s2 * 10.0 ** e2}
+            doc["uncertainty"].update(window=window, delta_alpha=delta_alpha)
+            cfg = os.path.join(tmp, "scenario.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(["report", "--config", cfg])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith(("error:", "config error:"))
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+        else:
+            assert err.getvalue() == ""
+
     def test_vanishing_time_weight_is_an_error(self, tmp_path, capsys):
         # found by the scale fuzz: at m = 10**30 a sample of |dp/dE|/|p| is 0
         out = tmp_path / "out"
@@ -371,14 +405,17 @@ class TestRun:
             sorted(doc["uncertainty"]["hbar_scan"])
 
     @pytest.mark.parametrize("subcommand, expected", [
-        ("all", {"ScalarField": 131, "copies": 20, "unwrap_phase": 1, "schwarzian": 2, "V": 1}),
+        ("all", {"ScalarField": 131, "copies": 20, "unwrap_phase": 1, "schwarzian": 2, "V": 1,
+                 "stepwise": 1, "composed": 4}),
         ("uncertainty", {"ScalarField": 86, "copies": 20, "unwrap_phase": 0, "schwarzian": 0,
-                         "V": 1}),
+                         "V": 1, "stepwise": 1, "composed": 4}),
     ])
     def test_work_counts(self, tmp_path, monkeypatch, subcommand, expected):
         # exact counts per run, so that added work shows without timing noise:
         # fields built, arrays they copy (the deinterleaved rows of each of the
-        # five RK4 sweeps), phases unwrapped into S0, Schwarzians taken, V formed
+        # five RK4 sweeps), phases unwrapped into S0, Schwarzians taken, V
+        # formed, and the sweeps: the configured pair's is stepwise, since its
+        # residual is reported, and the four pairs the scan adds compose
         counts = dict.fromkeys(expected, 0)
 
         def count(owner, name, key, when=lambda *args: True):
@@ -394,6 +431,8 @@ class TestRun:
         count(microstates, "unwrap_phase", "unwrap_phase")
         count(microstates, "schwarzian", "schwarzian")
         count(Potential, "derivative_samples", "V", lambda self, grid, order: order == 0)
+        count(schrodinger, "_stepwise_sweep", "stepwise")
+        count(schrodinger, "_composed_sweep", "composed")
         doc = base_config(tmp_path / "out", **HARMONIC_SCAN)
         assert main([subcommand, "--config", write_config(tmp_path, doc)]) == 0
         assert counts == expected
@@ -636,6 +675,12 @@ EDGE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, np.finfo(float)
                -np.finfo(float).max, 0.1, 1.0 / 3.0, -2.5, 1e22]
 
 
+# rows per block of TestWriteCsv.columns, which has thirteen varying columns,
+# as fields.csv has, once it spans more than one block ("late" and "wide"
+# change at the first boundary)
+BLOCK_ROWS = CSV_BLOCK_CELLS // 13
+
+
 class TestWriteCsv:
     @staticmethod
     def columns(rows):
@@ -651,12 +696,14 @@ class TestWriteCsv:
                 ("flag", np.arange(rows) % 3 == 0),
                 ("k", np.arange(rows) - rows // 2),
                 ("signed_zero", np.where(np.arange(rows) % 2 == 0, 0.0, -0.0)),  # must not fold
-                ("late", np.where(np.arange(rows) < CSV_BLOCK_ROWS, 0.5, 0.25)),
+                ("late", np.where(np.arange(rows) < BLOCK_ROWS, 0.5, 0.25)),
                 # a later block needs a sign, 17 integer digits and an exponent
-                ("wide", np.where(np.arange(rows) < CSV_BLOCK_ROWS, 0.5,
+                ("wide", np.where(np.arange(rows) < BLOCK_ROWS, 0.5,
                                   np.where(np.arange(rows) % 2, -1.2345678901234567e+100,
                                            -12345678901234568.0))),
-                ("i", imaginary)] + TestWriteCsv.constant_columns(rows)
+                ("i", imaginary),
+                ("u", np.array([complex(a, b) for a, b in zip(cycle(7), cycle(9))])),
+                ("tiny", np.geomspace(1e-300, 1e300, rows))] + TestWriteCsv.constant_columns(rows)
 
     @staticmethod
     def constant_columns(rows):
@@ -664,10 +711,10 @@ class TestWriteCsv:
             ("zero", 0.0), ("negative_zero", -0.0), ("nan", math.nan), ("inf", math.inf),
             ("tenth", 0.1), ("off", False))]
 
-    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                                      CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS - 1,
-                                      2 * CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 1,
-                                      4 * CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                      BLOCK_ROWS + 1, 2 * BLOCK_ROWS - 1,
+                                      2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1,
+                                      4 * BLOCK_ROWS + 1])
     def test_bytes_equal_the_per_cell_loop(self, tmp_path, rows):
         # the second table has no varying column
         for columns in (self.columns(rows), self.constant_columns(rows)):
@@ -692,8 +739,9 @@ class TestWriteCsv:
         real_block = cli._csv_block
         monkeypatch.setattr(cli, "_csv_block", fail_second)
         with pytest.raises(RuntimeError, match="disk full"):
-            write_csv(str(path), [("x", np.arange(2 * CSV_BLOCK_ROWS, dtype=float))])
-        assert formatted == [CSV_BLOCK_ROWS]
+            # one varying column: CSV_BLOCK_CELLS rows per block
+            write_csv(str(path), [("x", np.arange(2 * CSV_BLOCK_CELLS, dtype=float))])
+        assert formatted == [CSV_BLOCK_CELLS]
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
