@@ -389,8 +389,8 @@ def _groups(n, count):
 
 
 def _digits(values, t):
-    """(d, i, undecided): |v| rounds to d * 10**(X - 16), d a 17-digit int64
-    and i = X - _X_MIN, for every cell but those at the indices ``undecided``."""
+    """(d, i, undecided): |v| rounds to d * 10**(X - 16), d a 17-digit int64 or
+    0 for +-0, and i = X - _X_MIN, for every cell but those at ``undecided``."""
     a = np.abs(values)
     decided = (a >= 1e-270) & (a <= 1e270)  # false for NaN
     np.copyto(a, 1.0, where=~decided)
@@ -410,7 +410,8 @@ def _digits(values, t):
     undecided = np.flatnonzero(~decided)
     base[undecided] = _TEN16  # a stand-in, blanked by the caller
     i[undecided] = -_X_MIN
-    return base, i, undecided
+    base[values == 0.0] = 0  # +-0: d = 0 at X = 0 writes "0" after the sign
+    return base, i, np.flatnonzero(~decided & (values != 0.0))
 
 
 def _cell_words(values):
@@ -423,8 +424,8 @@ def _cell_words(values):
     The 17 significant digits are d = round(|v| 10**(16 - X)), X the decimal
     exponent, from a double-double product within 1e-14.  That decides d
     unless the fraction lies within 1e-9 of 1/2, where %.17g may round an
-    exact tie half to even: those cells, +-0, NaN, +-inf, subnormals and
-    |v| outside [1e-270, 1e270] are undecided.  A row holds a sign, the
+    exact tie half to even: those cells, NaN, +-inf, subnormals and |v|
+    outside [1e-270, 1e270] but for +-0 are undecided.  A row holds a sign, the
     integer digits right aligned, a point and up to three zeros, 17 fraction
     digits left aligned and an exponent suffix; leading and trailing zeros
     come out as NUL through the digit table, so dropping NUL bytes yields %g.

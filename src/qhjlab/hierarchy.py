@@ -22,6 +22,9 @@ No sample's recursion reads a neighbour, so it runs one column tile at a time,
 while the jets of V and F'' are formed once on the whole grid because their
 stencils must see all of it.  Memory is O(K^2 tile + K n), plus K n for each F''
 correction given, and the output is bit for bit that of the whole-grid loop.
+Where every sample's input jets are bitwise those of sample 0, as for the free
+particle, the recursion runs on two copies of sample 0 (a one-column tile sums
+in another order) and its rows are broadcast onto the grid, the same bits.
 
 The input is one :class:`Potential` on a grid; V and each F'' enter as jets by
 one route, the derivatives a field carries (closed forms for a built-in V)
@@ -203,7 +206,8 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
     rather than stencils.  Samples are independent of each other, so the
     recursion runs one column tile of ``_tile_width`` columns or fewer at a
     time on slices of the V and F'' jets, which are formed once on the whole
-    grid.  Memory is O(K^2 tile + K n), and the output equals that of one tile
+    grid; where every sample's input is sample 0's it runs once on two columns.
+    Memory is O(K^2 tile + K n), and the output equals that of one tile
     spanning the grid bit for bit.
     """
     inp = hierarchy_input
@@ -213,11 +217,16 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
     e_minus_v = -_field_jet(inp.v_field, rows)
     e_minus_v[0] += inp.energy
     f_dd = {nn: inp.f_dd_jet(nn, rows - nn) for nn in range(1, K + 1)}
-    # edges at n k // count: no tile is under half a tile wide, so none is 1 column
-    count = -(-n // _tile_width(K))
-    staged = np.empty((K + 1, 2, n))  # rows 0-1 of each R_j
+    flat = _is_flat(e_minus_v, *f_dd.values())
+    if flat:  # two copies of sample 0, since one column sums in another order
+        e_minus_v = e_minus_v[:, [0, 0]]
+        f_dd = {nn: f if f is None else f[:, [0, 0]] for nn, f in f_dd.items()}
+    m = e_minus_v.shape[1]
+    # edges at m k // count: no tile is under half a tile wide, so none is 1 column
+    count = -(-m // _tile_width(K))
+    staged = np.empty((K + 1, 2, m))  # rows 0-1 of each R_j
     for k in range(count):
-        cols = slice(n * k // count, n * (k + 1) // count)
+        cols = slice(m * k // count, m * (k + 1) // count)
         staged[:, :, cols] = _recurse_tile(e_minus_v[:, cols], f_dd, cols)[:, :2]
 
     p_fields = []
@@ -225,12 +234,19 @@ def recurse(hierarchy_input: HierarchyInput) -> HierarchySolution:
         # value and first derivative as two owned arrays, which the field keeps
         value, slope = np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128)
         for samples, row in zip((value, slope), staged[j]):
-            (samples.imag if j % 2 == 0 else samples.real)[:] = row
+            (samples.imag if j % 2 == 0 else samples.real)[:] = row[0] if flat else row
         p_fields.append(ScalarField(inp.grid, value, derivs=(slope,)))
 
     parity = (np.max([np.max(np.abs(f.values.real)) for f in p_fields[0::2]]),
               np.max([np.max(np.abs(f.values.imag)) for f in p_fields[1::2]], initial=0.0))
     return HierarchySolution(tuple(p_fields), inp, tuple(map(float, parity)))
+
+
+def _is_flat(*jets):
+    """True if every row of every jet given (None skipped) holds sample 0's bit
+    pattern at each sample, so +0 and -0 differ; stops at the first row that varies."""
+    rows = (row for jet in jets if jet is not None for row in jet.view(np.int64))
+    return all((row == row[0]).all() for row in rows)
 
 
 def _tile_width(order: int) -> int:

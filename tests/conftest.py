@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qhjlab import schrodinger
+from qhjlab import hierarchy, schrodinger
 from qhjlab.fields import Grid
 from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair
 
@@ -56,6 +56,19 @@ def pair_solves(monkeypatch):
 
         monkeypatch.setattr(schrodinger, name, counted)
     return keys
+
+
+@pytest.fixture
+def tile_columns(monkeypatch):
+    """Columns of every ``_recurse_tile`` call ``hierarchy.recurse`` makes, in order."""
+    columns = []
+
+    def counted(e_minus_v, f_dd, cols, _original=hierarchy._recurse_tile):
+        columns.append(e_minus_v.shape[1])
+        return _original(e_minus_v, f_dd, cols)
+
+    monkeypatch.setattr(hierarchy, "_recurse_tile", counted)
+    return columns
 
 
 # Property tests draw the same examples on every run, with no time limit per

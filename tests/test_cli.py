@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhjlab import fields, hierarchy, microstates, schrodinger
-from qhjlab.cli import CSV_BLOCK_CELLS, SCHEMA_VERSION, TOLERANCE_KEYS, _cell_words, \
-    load_config, main, write_csv
+from qhjlab.cli import CSV_BLOCK_CELLS, SCHEMA_VERSION, TOLERANCE_KEYS, _X_MAX, _X_MIN, \
+    _cell_tables, _cell_words, load_config, main, write_csv
 from qhjlab.errors import ConfigError
 from qhjlab.fields import ScalarField
 from qhjlab.schrodinger import Potential, default_ics
@@ -437,6 +437,25 @@ class TestRun:
         assert main([subcommand, "--config", write_config(tmp_path, doc)]) == 0
         assert counts == expected
 
+    @pytest.mark.parametrize("extra, f_even, expected",
+                             [({}, None, 2), ({}, 0.0, 2), ({}, -0.0, 257),
+                              (HARMONIC_SCAN, None, 257)],
+                             ids=["free", "free-zero-file", "free-signed-zero-file",
+                                  "harmonic-scan"])
+    def test_recursion_columns(self, tmp_path, tile_columns, extra, f_even, expected):
+        # the hierarchy recursion runs on two copies of sample 0 where every
+        # sample's input is sample 0's, and on every sample otherwise: an F_2''
+        # file of +0 with a -0 at sample 40 keeps the grid whole
+        doc = base_config(tmp_path / "out", **extra)
+        if f_even is not None:
+            f2 = np.zeros(257)
+            f2[40] = f_even
+            text = "".join(f"{v!r}\n" for v in f2.tolist())
+            (tmp_path / "f2.csv").write_text("f2_dd\n" + text)
+            doc["hierarchy"]["f_even_files"] = ["f2.csv"]
+        assert main(["all", "--config", write_config(tmp_path, doc)]) == 0
+        assert sum(tile_columns) == expected
+
     @pytest.mark.parametrize("ics", [None, [0.9, 0.4, 0.1, 1.2]], ids=["default", "given"])
     def test_scan_solves_keep_the_configured_ics(self, tmp_path, pair_solves, ics):
         doc = base_config(tmp_path / "out", **HARMONIC)
@@ -849,6 +868,19 @@ class TestCellKernel:
         ties = half_ties()
         assert set(_cell_words(ties)[1].tolist()) == set(range(len(ties)))
         assert cell_texts([4000000000000001 / 4])[0] == "1000000000000000.2"
+
+    def test_signed_zeros_are_written_in_numpy(self):
+        values = np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.5e-300, 0.0])
+        assert cell_texts(values) == percent_g(values)
+        assert _cell_words(values)[1].tolist() == [5]
+
+    def test_power_table_within_1e_31(self):
+        # hi + lo stands for 10**(16 - X); _scaled's 1e-14 bound rests on it
+        tables = _cell_tables()
+        for i, x in enumerate(range(_X_MIN, _X_MAX + 1)):
+            exact = Fraction(10) ** (16 - x)
+            table = Fraction(float(tables["hi"][i])) + Fraction(float(tables["lo"][i]))
+            assert abs(table - exact) <= Fraction(1, 10 ** 31) * exact, x
 
     def test_carry_to_the_next_power(self):
         values = EDGE_LISTS["powers_of_ten"]

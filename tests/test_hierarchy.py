@@ -285,6 +285,86 @@ def test_default_tiles_equal_one_tile(linear_report_input, monkeypatch):
         assert np.array_equal(p.derivs[0], ref.derivs[0]), f"P_{j}'"
 
 
+def whole_grid_jets(inp):
+    """(E - V jet, {nn: F_nn'' jet or None}) as ``recurse`` forms them."""
+    rows = inp.order + 2
+    e_minus_v = -hierarchy._field_jet(inp.v_field, rows)
+    e_minus_v[0] += inp.energy
+    return e_minus_v, {nn: inp.f_dd_jet(nn, rows - nn) for nn in range(1, inp.order + 1)}
+
+
+def whole_grid_tile(inp):
+    """(values, slopes) of P_0..P_K from one ``_recurse_tile`` call spanning the
+    grid, with no runs merged."""
+    jets = hierarchy._recurse_tile(*whole_grid_jets(inp), slice(0, inp.grid.n))
+    out = np.zeros((inp.order + 1, 2, inp.grid.n), dtype=np.complex128)
+    out.imag[0::2] = jets[0::2, :2]
+    out.real[1::2] = jets[1::2, :2]
+    return out
+
+
+def assert_bits_equal_whole_grid_tile(sol):
+    reference = whole_grid_tile(sol.input)
+    for j, (p, ref) in enumerate(zip(sol.p_coeffs, reference)):
+        # bit patterns, so that +0 and -0 count as different
+        assert np.array_equal(p.values.view(np.int64), ref[0].view(np.int64)), f"P_{j}"
+        assert np.array_equal(p.derivs[0].view(np.int64), ref[1].view(np.int64)), f"P_{j}'"
+
+
+def input_bits(inp):
+    """Every row of E - V and of each F'' jet as int64 bit patterns, one row each."""
+    e_minus_v, f_dd = whole_grid_jets(inp)
+    return np.concatenate([e_minus_v, *(f for f in f_dd.values() if f is not None)]).view(np.int64)
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_flat_input_runs_on_two_columns(order, tile_columns):
+    # free-write's grid: every sample's jet is the same, so the recursion runs
+    # once on two copies of sample 0 and matches the whole grid bit for bit
+    inp = HierarchyInput(Potential("free"), Grid(0.0, 2.0 * np.pi, 16385), 1.0, order, 0.1, 1.0)
+    bits = input_bits(inp)
+    assert np.all(bits == bits[:, :1])
+    sol = recurse(inp)
+    assert tile_columns == [2]
+    assert_bits_equal_whole_grid_tile(sol)
+    assert any(np.signbit(p.values.real).any() or np.signbit(p.derivs[0].imag).any()
+               for p in sol.p_coeffs)  # the zeros compared include some -0
+
+
+def free_with_correction(f2):
+    """The free particle at K = 6 on 1025 samples with F_2'' sampled from ``f2(x)``."""
+    grid = Grid(0.0, 2.0 * np.pi, 1025)
+    return HierarchyInput(Potential("free"), grid, 1.0, 6, 0.1, 1.0,
+                          f_even=(ScalarField(grid, f2(grid.x)),))
+
+
+def zeros_but_one_negative(x):
+    f2 = np.zeros_like(x)
+    f2[100] = -0.0
+    return f2
+
+
+@pytest.mark.parametrize("f2, flat", [
+    (np.zeros_like, True),
+    (zeros_but_one_negative, False),  # -0 is not sample 0's +0
+    (lambda x: np.where(x > np.pi, 0.01 + 0.02 * (x - np.pi) ** 3, 0.01), False),
+], ids=["zero", "one-signed-zero", "flat-then-varying"])
+@pytest.mark.parametrize("columns", [None, 16])
+def test_corrections_join_the_flatness_test(f2, flat, columns, tile_columns, monkeypatch):
+    # E - V is flat for the free particle, so F_2'' decides: the recursion runs
+    # on two columns only if its every jet row is sample 0's, else on every
+    # sample, across tile seams when tiles are 16 columns wide
+    inp = free_with_correction(f2)
+    bits = input_bits(inp)
+    assert np.all(bits[:inp.order + 2] == bits[:inp.order + 2, :1])
+    assert np.all(bits == bits[:, :1]) == flat
+    if columns:
+        monkeypatch.setattr(hierarchy, "_tile_width", lambda order: columns)
+    sol = recurse(inp)
+    assert sum(tile_columns) == (2 if flat else inp.grid.n)
+    assert_bits_equal_whole_grid_tile(sol)
+
+
 def test_recursion_peak_memory(linear_report_input):
     # the whole-grid loop held a 23.9 MB (K + 1) x (K + 2) x n jet array and
     # peaked at 32.4 MiB; tiled it reads 13.3 MiB
