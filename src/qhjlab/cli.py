@@ -45,8 +45,7 @@ import numpy as np
 from . import duality, hierarchy, microstates, uncertainty
 from .errors import QhjLabError, ConfigError
 from .fields import Grid, ScalarField
-from .schrodinger import PhysicalConstants, Potential, Scenario, make_conjugate, \
-    normalize_wronskian
+from .schrodinger import PhysicalConstants, Potential, Scenario
 
 SCHEMA_VERSION = "qhjlab.report/1"
 
@@ -605,7 +604,7 @@ def run_uncertainty(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_d
 
 
 def run_duality(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
-    prep = duality.build_prepotential(normalize_wronskian(make_conjugate(family.pair)))
+    prep = duality.build_prepotential(family.pair)
     return duality.duality_checks(prep), "fields.csv", [("F", prep.F.values),
                                                         ("phi", prep.phi.values)]
 
@@ -656,6 +655,11 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
     stages = [name for name in PIPELINES[subcommand]
               if name not in SECTION_STAGES or getattr(cfg, name) is not None]
     out = out_dir or cfg.out_dir
+    nearest = out  # its nearest existing ancestor, itself included, as the OS resolves it
+    while nearest and not os.path.lexists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest or "."):
+        raise ConfigError(f"output directory {out}: {nearest} is not a directory")
     write_to = None if subcommand == "report" else out
 
     family = microstates.EnergyFamily(cfg.scenario(), cfg.microstate)  # solved on first use
@@ -721,7 +725,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except QhjLabError as exc:
+    except (QhjLabError, OSError) as exc:  # OSError: an output could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,22 +1,25 @@
 """Wave/coordinate duality: prepotential, resolvent checks and norm scaling.
 
-For a conjugate pair (psi, conj(psi)) with Wronskian scaled to 2i/eps the
-prepotential
+The duality reads the conjugate pair of a real pair (u, v) with Wronskian
+W = u' v - u v': psi = s (u + i v) and its partner conj(psi), the two
+swapped where W > 0, so that psi' conj(psi) - psi conj(psi)' is 2 s^2 |W| i;
+the scale s > 0 sets it to 2i/eps.  :func:`build_prepotential` forms that
+pair and, on it, the prepotential
 
-    F = (1/2) |psi|^2 + i X / eps
+    F = (1/2) |psi|^2 + i X / eps,
 
-generates the dual solution through dF/dpsi = F_X / psi_X = conj(psi) and
-satisfies a third-order ODE in psi.  The square eigenfunctions
+which generates the dual solution through dF/dpsi = F_X / psi_X = conj(psi)
+and satisfies a third-order ODE in psi.  The square eigenfunctions
 Xi in {psi conj(psi), psi^2, conj(psi)^2} all satisfy the third-order
 resolvent equation
 
     eps^2 Xi''' - 2 V' Xi + 4 (E - V) Xi' = 0,
 
 which is also what the prepotential form and the free-energy (AKQ-type) form
-reduce to.  Each residual takes the prepotential, or one Xi with its pair,
-and reads V, E and eps from the pair, whose V is formed once.  The remaining
-entry points cover the modulus-momentum and Legendre identities and the
-norm-fixing scale factor omega.
+reduce to.  Each residual takes the prepotential, or one Xi with the real
+pair, and reads V, E and eps from the real pair, whose V is formed once.  The
+remaining entry points cover the modulus-momentum and Legendre identities and
+the norm-fixing scale factor omega.
 """
 
 from __future__ import annotations
@@ -26,16 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, SingularFieldError
+from .errors import DomainError, SingularFieldError
 from .fields import NODE_TOL, ScalarField, derivatives
 from .schrodinger import SolutionPair
 
 
 @dataclass(frozen=True)
 class Prepotential:
-    """Prepotential F, the ratio phi = conj(psi)/2psi, and the Xi variants."""
+    """Prepotential F, the ratio phi = conj(psi)/2psi, and the Xi variants.
+
+    ``psi`` and ``psibar`` are the conjugate pair scaled to Wronskian 2i/eps,
+    formed from the real ``pair``, which gives V, E, eps and the provenance.
+    """
 
     pair: SolutionPair
+    psi: ScalarField
+    psibar: ScalarField
     F: ScalarField
     phi: ScalarField
     xi: dict
@@ -45,14 +54,21 @@ class Prepotential:
         return self.pair.constants.epsilon
 
 
-def _require_normalized_conjugate(pair: SolutionPair):
-    if pair.kind != "conjugate":
-        raise ContractError(f"prepotential needs a conjugate pair, got kind={pair.kind!r}")
-    target = 2j / pair.constants.epsilon
-    if abs(pair.wronskian - target) > 1e-9 * abs(target):
-        raise ContractError(
-            f"pair Wronskian {pair.wronskian} is not scaled to 2i/eps = {target}; "
-            f"normalize it first")
+def _conjugate(pair: SolutionPair):
+    """(psi, conj(psi)) of the real ``pair``, oriented and scaled as the module
+    docstring says.  A pair whose Wronskian already gives 2i/eps is not
+    rescaled, not even by s = 1, which would turn a -0 imaginary part into +0."""
+    u, v = pair.psi, pair.psi_dual
+    vals = u.values + 1j * v.values
+    derivs = tuple(du + 1j * dv for du, dv in zip(u.derivs, v.derivs))
+    members = [(vals, derivs), (np.conj(vals), tuple(np.conj(d) for d in derivs))]
+    eps, w = pair.constants.epsilon, pair.wronskian
+    if 2.0 / eps != -2.0 * w:
+        if w > 0:
+            members.reverse()
+        s = math.sqrt((2.0 / eps) / (2.0 * abs(w)))
+        members = [(s * f, tuple(s * d for d in ds)) for f, ds in members]
+    return tuple(ScalarField(pair.grid, f, derivs=ds) for f, ds in members)
 
 
 def _leibniz_product(f: ScalarField, g: ScalarField):
@@ -66,11 +82,11 @@ def _leibniz_product(f: ScalarField, g: ScalarField):
 
 
 def build_prepotential(pair: SolutionPair) -> Prepotential:
-    """Assemble F, phi and all three Xi variants for a normalized conjugate pair."""
-    _require_normalized_conjugate(pair)
+    """Form the conjugate pair of the real ``pair`` and assemble F, phi and
+    all three Xi variants on it."""
     grid = pair.grid
     eps = pair.constants.epsilon
-    psi, psibar = pair.psi, pair.psi_dual
+    psi, psibar = _conjugate(pair)
 
     prod, dprod, d2prod, d3prod = _leibniz_product(psi, psibar)
     w = 2j / eps
@@ -92,12 +108,12 @@ def build_prepotential(pair: SolutionPair) -> Prepotential:
         "psi_sq": squared(psi),
         "psibar_sq": squared(psibar),
     }
-    return Prepotential(pair=pair, F=f, phi=phi, xi=xi)
+    return Prepotential(pair=pair, psi=psi, psibar=psibar, F=f, phi=phi, xi=xi)
 
 
 def _chain_derivatives(prep: Prepotential):
     """F', F'', F''' and psi', psi'', psi''' as arrays, preferring attachments."""
-    f, psi = prep.F, prep.pair.psi
+    f, psi = prep.F, prep.psi
     fd = derivatives(f, 3)[1:]
     pd = derivatives(psi, 3)[1:]
     mod = np.abs(pd[0])
@@ -113,7 +129,7 @@ def dual_derivative_residual(prep: Prepotential) -> ScalarField:
     """|dF/dpsi - conj(psi)|, with the psi-derivative realized on the
     coordinate grid through the chain rule dF/dpsi = F_X / psi_X."""
     (f1, _, _), (p1, _, _) = _chain_derivatives(prep)
-    return ScalarField(prep.pair.grid, np.abs(f1 / p1 - prep.pair.psi_dual.values))
+    return ScalarField(prep.pair.grid, np.abs(f1 / p1 - prep.psibar.values))
 
 
 def prepotential_ode_residual(prep: Prepotential) -> ScalarField:
@@ -124,7 +140,7 @@ def prepotential_ode_residual(prep: Prepotential) -> ScalarField:
     with psi-derivatives taken by the chain rule on the coordinate grid.
     """
     (f1, f2, f3), (p1, p2, p3) = _chain_derivatives(prep)
-    psi = prep.pair.psi.values
+    psi = prep.psi.values
     f_p = f1 / p1
     num = f2 * p1 - f1 * p2
     f_pp = num / p1 ** 3
@@ -205,16 +221,14 @@ def omega_for_norm(modulus_sq: ScalarField) -> float:
     return float(1.0 / np.max(m2))
 
 
-def modulus_momentum_residual(pair: SolutionPair) -> ScalarField:
-    """|psi|^2 Im(eps psi'/psi) - 1; zero for pairs scaled to W = 2i/eps."""
-    if pair.kind != "conjugate":
-        raise ContractError("modulus-momentum check expects a conjugate pair")
-    eps = pair.constants.epsilon
-    psi = pair.psi
+def modulus_momentum_residual(prep: Prepotential) -> ScalarField:
+    """|psi|^2 Im(eps psi'/psi) - 1 on the conjugate pair; zero at W = 2i/eps."""
+    eps = prep.epsilon
+    psi = prep.psi
     d1 = derivatives(psi, 1)[1]
     mod2 = np.abs(psi.values) ** 2
     im_p = np.imag(eps * d1 / psi.values)
-    return ScalarField(pair.grid, mod2 * im_p - 1.0)
+    return ScalarField(psi.grid, mod2 * im_p - 1.0)
 
 
 def legendre_residual(prep: Prepotential) -> ScalarField:
@@ -242,7 +256,7 @@ def duality_checks(prep: Prepotential) -> dict:
         "duality_im_f": (float(np.max(np.abs(prep.F.values.imag - grid.x / eps))), 0.0),
         "dual_derivative": (float(np.max(dual_derivative_residual(prep).values)),
                             {"analytic": 1e-10, "numeric": 1e-5}[method]),
-        "modulus_momentum": (float(np.max(np.abs(modulus_momentum_residual(pair).values))),
+        "modulus_momentum": (float(np.max(np.abs(modulus_momentum_residual(prep).values))),
                              {"analytic": 1e-8, "numeric": 1e-5}[method]),
         "legendre": (float(np.max(np.abs(legendre_residual(prep).values))), 1e-6),
     }

@@ -76,8 +76,6 @@ class MicrostateParams:
 
 
 def _require_real_pair(pair: SolutionPair):
-    if pair.kind != "real":
-        raise ContractError(f"microstate formulas need a real pair, got kind={pair.kind!r}")
     if min(len(pair.psi.derivs), len(pair.psi_dual.derivs)) < 2:
         raise ContractError("microstate formulas need psi' and psi'' attached to both members")
 
@@ -100,7 +98,6 @@ def _denominator(a, b):
 
 def beta_field(pair: SolutionPair, params: MicrostateParams) -> ScalarField:
     """Unimodular phase factor beta = (psi_dual + i conj(l) psi)/(psi_dual - i l psi)."""
-    _require_real_pair(pair)
     psi, chi = pair.psi.values, pair.psi_dual.values
     num = chi + 1j * np.conj(params.ell) * psi
     den = chi - 1j * params.ell * psi
@@ -173,8 +170,8 @@ def _monotone_segments(t: np.ndarray):
 class Microstate:
     """A real solution pair dressed with the three microstate constants.
 
-    Each field and energy derivative is formed on first read; a pair that is
-    not real, or lacks psi' and psi'', is refused at construction.
+    Each field and energy derivative is formed on first read; a pair that
+    lacks psi' or psi'' on either member is refused at construction.
     """
 
     params: MicrostateParams
@@ -205,7 +202,7 @@ class Microstate:
         function, so its direction follows the orientation of the pair.
         """
         pair = self.pair
-        c = pair.constants.hbar * self.params.ell1 * pair.omega
+        c = pair.constants.hbar * self.params.ell1 * pair.wronskian
         d, d1, d2 = self._jets[2]
         p = c / d
         dp = -c * d1 / (d * d)

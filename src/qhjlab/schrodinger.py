@@ -174,13 +174,13 @@ class Potential:
 
 @dataclass(frozen=True)
 class SolutionPair:
-    """Two linearly independent solutions (psi, psi_dual) at a common energy.
+    """Two linearly independent real solutions (psi, psi_dual) at a common energy.
 
-    ``kind`` is "real" for pairs that feed the microstate formulas
-    (psi_dual/psi real) and "conjugate" for pairs (psi_dual = conj(psi)) that
-    feed the duality checks.  ``wronskian`` is psi' psi_dual - psi psi_dual',
-    constant for genuine solutions.  Both members carry their x-derivatives
-    of orders 1..3, and ``potential`` is the V they solve with.
+    ``wronskian`` is psi' psi_dual - psi psi_dual', constant for genuine
+    solutions.  Both members carry their x-derivatives of orders 1..3, and
+    ``potential`` is the V they solve with.  The microstate formulas read the
+    pair as it is; the duality layer forms its conjugate pair
+    (:func:`qhjlab.duality.build_prepotential`).
 
     ``psi_e`` and ``psi_dual_e`` are the members' energy derivatives, each
     with its first two x-derivatives attached, or None where the pair has no
@@ -191,9 +191,8 @@ class SolutionPair:
     psi_dual: ScalarField
     energy: float
     constants: PhysicalConstants
-    wronskian: complex
+    wronskian: float
     potential: Potential
-    kind: str = "real"
     provenance: str = "analytic"
     psi_e: ScalarField | None = None
     psi_dual_e: ScalarField | None = None
@@ -209,21 +208,11 @@ class SolutionPair:
         shares it."""
         return self.potential.field(self.grid)
 
-    @property
-    def omega(self) -> float:
-        """The real Wronskian constant of a real pair."""
-        if self.kind != "real":
-            raise ContractError("omega is defined for real pairs only")
-        return float(np.real(self.wronskian))
-
-    def wronskian_samples(self) -> np.ndarray:
-        """psi' psi_dual - psi psi_dual' at every sample, from attached derivatives."""
-        return (self.psi.derivs[0] * self.psi_dual.values
-                - self.psi.values * self.psi_dual.derivs[0])
-
     def wronskian_drift(self) -> float:
-        """Max relative deviation of the samplewise Wronskian from its constant."""
-        w = self.wronskian_samples()
+        """Max relative deviation of psi' psi_dual - psi psi_dual', from the
+        attached derivatives at every sample, from the constant ``wronskian``."""
+        w = (self.psi.derivs[0] * self.psi_dual.values
+             - self.psi.values * self.psi_dual.derivs[0])
         return float(np.max(np.abs(w - self.wronskian)) / abs(self.wronskian))
 
     def relative_residual(self, stencil: bool = False, fraction: float = 1.0) -> float:
@@ -252,7 +241,7 @@ class SolutionPair:
 
 
 def _validate_pair(pair: SolutionPair) -> SolutionPair:
-    if abs(pair.wronskian) == 0:
+    if pair.wronskian == 0.0:
         raise DegeneracyError("pair has zero Wronskian: members are linearly dependent")
     both = np.abs(pair.psi.values) ** 2 + np.abs(pair.psi_dual.values) ** 2
     if float(np.min(both)) <= 0.0:
@@ -291,7 +280,7 @@ def _free_pair(E, constants, grid):
                         derivs=(-k_e * (s + kx * c), -k_e * k * (2.0 * c - kx * s)))
     psi_dual_e = ScalarField(grid, k_e * x * c,
                              derivs=(k_e * (c - kx * s), -k_e * k * (2.0 * s + kx * c)))
-    return psi, psi_dual, complex(-k), (psi_e, psi_dual_e, -k_e)
+    return psi, psi_dual, -k, (psi_e, psi_dual_e, -k_e)
 
 
 def _harmonic_ground_pair(potential, E, constants, grid):
@@ -317,7 +306,7 @@ def _harmonic_ground_pair(potential, E, constants, grid):
     d2v = -d2u * integral
     d3v = -(d3u * integral + d2u / (u * u))
     psi_dual = ScalarField(grid, v, derivs=(dv, d2v, d3v))
-    return psi, psi_dual, complex(1.0), (None, None, 0.0)
+    return psi, psi_dual, 1.0, (None, None, 0.0)
 
 
 def _airy_pair(potential, E, constants, grid):
@@ -337,7 +326,7 @@ def _airy_pair(potential, E, constants, grid):
                         derivs=(z_e * c * z * ai, z_e * c * c * (ai + z * aip)))
     psi_dual_e = ScalarField(grid, z_e * bip,
                              derivs=(z_e * c * z * bi, z_e * c * c * (bi + z * bip)))
-    return psi, psi_dual, complex(-c / math.pi), (psi_e, psi_dual_e, 0.0)
+    return psi, psi_dual, float(-c / math.pi), (psi_e, psi_dual_e, 0.0)
 
 
 def analytic_pair(potential: Potential, E: float, constants: PhysicalConstants,
@@ -361,7 +350,7 @@ def analytic_pair(potential: Potential, E: float, constants: PhysicalConstants,
         raise CapabilityError(f"no analytic pair for potential kind {potential.kind!r}")
     psi_e, psi_dual_e, omega_e = energy_derivs
     pair = SolutionPair(psi, psi_dual, float(E), constants, w,
-                        kind="real", potential=potential, provenance="analytic",
+                        potential=potential, provenance="analytic",
                         psi_e=psi_e, psi_dual_e=psi_dual_e, omega_e=omega_e)
     return _validate_pair(pair)
 
@@ -493,68 +482,10 @@ def solve_pair(potential: Potential, E: float, constants: PhysicalConstants, gri
                            derivs=(dchi, g_nodes * chi_v, (dv / eps2) * chi_v + g_nodes * dchi))
     psi_e = ScalarField(grid, psi_ev, derivs=(dpsi_e, g_nodes * psi_ev - src * psi_v))
     psi_dual_e = ScalarField(grid, chi_ev, derivs=(dchi_e, g_nodes * chi_ev - src * chi_v))
-    pair = SolutionPair(psi, psi_dual, float(E), constants, complex(w0),
-                        kind="real", potential=potential, provenance="numeric",
+    pair = SolutionPair(psi, psi_dual, float(E), constants, w0,
+                        potential=potential, provenance="numeric",
                         psi_e=psi_e, psi_dual_e=psi_dual_e)
     return _validate_pair(pair)
-
-
-def _scaled_field(f: ScalarField, s: float) -> ScalarField:
-    return ScalarField(f.grid, s * f.values, derivs=tuple(s * d for d in f.derivs))
-
-
-def make_conjugate(pair: SolutionPair) -> SolutionPair:
-    """Combine a real pair into the conjugate pair (psi + i psiD, psi - i psiD)."""
-    if pair.kind != "real":
-        raise ContractError("make_conjugate expects a real pair")
-    u, v = pair.psi, pair.psi_dual
-    vals = u.values + 1j * v.values
-    derivs = tuple(du + 1j * dv for du, dv in zip(u.derivs, v.derivs))
-    psi = ScalarField(pair.grid, vals, derivs=derivs)
-    psi_dual = ScalarField(pair.grid, np.conj(vals), derivs=tuple(np.conj(d) for d in derivs))
-    w = -2j * pair.wronskian
-    return SolutionPair(psi, psi_dual, pair.energy, pair.constants, w,
-                        kind="conjugate", potential=pair.potential, provenance=pair.provenance)
-
-
-def normalize_wronskian(pair: SolutionPair, target: complex | None = None) -> SolutionPair:
-    """Rescale (and possibly swap) the members so the Wronskian equals ``target``.
-
-    ``target=None`` means 2i/eps, the convention the duality checks assume for
-    conjugate pairs.  Scaling both members by the same square root s, their
-    energy derivatives by s and ``omega_e`` by s^2, leaves every derived
-    microstate untouched; for conjugate pairs, which carry no energy
-    derivatives, a negative real ratio is absorbed by swapping the members so
-    conjugacy survives.  A target that needs a non-real scale factor would
-    break the pair's kind and raises :class:`ContractError`.
-    """
-    if abs(pair.wronskian) == 0:
-        raise DegeneracyError("cannot normalize a zero Wronskian")
-    if target is None:
-        target = 2j / pair.constants.epsilon
-    target = complex(target)
-    if target == pair.wronskian:
-        return pair
-
-    psi, psi_dual, w = pair.psi, pair.psi_dual, pair.wronskian
-    ratio = target / w
-    if pair.kind == "conjugate" and abs(ratio.imag) <= 1e-14 * abs(ratio) and ratio.real < 0:
-        psi, psi_dual = psi_dual, psi
-        w = -w
-        ratio = -ratio
-
-    s = np.sqrt(complex(ratio))
-    if abs(s.imag) > 1e-14 * abs(s):
-        raise ContractError(
-            f"rescaling a {pair.kind} pair from Wronskian {w} to {target} needs the "
-            f"non-real factor {s}")
-    s = s.real
-    psi_e, psi_dual_e = (None if f is None else _scaled_field(f, s)
-                         for f in (pair.psi_e, pair.psi_dual_e))
-    return SolutionPair(_scaled_field(psi, s), _scaled_field(psi_dual, s),
-                        pair.energy, pair.constants, target,
-                        kind=pair.kind, potential=pair.potential, provenance=pair.provenance,
-                        psi_e=psi_e, psi_dual_e=psi_dual_e, omega_e=s * s * pair.omega_e)
 
 
 def default_ics(potential: Potential, constants: PhysicalConstants, x_min: float) -> tuple:

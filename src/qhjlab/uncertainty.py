@@ -136,10 +136,12 @@ def _loglog_slope(x, y) -> float:
 
 
 def scan_hbars(hbar_list) -> list:
-    """The hbar values of a slope fit as floats: at least four, all positive."""
+    """The hbar values of a slope fit as floats: at least four distinct ones
+    (a repeat adds no point to the fit), all positive."""
     hbars = [float(h) for h in hbar_list]
-    if len(hbars) < 4:
-        raise StatisticsError(f"need at least 4 hbar values for a slope fit, got {len(hbars)}")
+    if len(set(hbars)) < 4:
+        raise StatisticsError("need at least 4 distinct hbar values for a slope fit, "
+                              f"got {len(set(hbars))}")
     if any(h <= 0 for h in hbars):
         raise StatisticsError("hbar values must all be positive")
     return hbars

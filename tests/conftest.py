@@ -1,10 +1,28 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from qhjlab import hierarchy, schrodinger
-from qhjlab.fields import Grid
+from qhjlab.fields import Grid, ScalarField
 from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair
+
+
+def rescaled(pair, factor):
+    """``pair`` with both members and their energy derivatives multiplied by
+    sqrt(factor) > 0, so that its Wronskian and ``omega_e`` are multiplied by
+    ``factor``: the free norm of a pair, which no derived quantity may read."""
+    s = math.sqrt(factor)
+
+    def scaled(f):
+        return None if f is None else ScalarField(f.grid, s * f.values,
+                                                  derivs=tuple(s * d for d in f.derivs))
+
+    return replace(pair, psi=scaled(pair.psi), psi_dual=scaled(pair.psi_dual),
+                   psi_e=scaled(pair.psi_e), psi_dual_e=scaled(pair.psi_dual_e),
+                   wronskian=factor * pair.wronskian, omega_e=s * s * pair.omega_e)
 
 
 @pytest.fixture(scope="session")

@@ -18,9 +18,10 @@ from qhjlab.fields import Grid, ScalarField, derivative
 from qhjlab.hierarchy import HierarchyInput, hierarchy_checks, master_remainder, recurse
 from qhjlab.microstates import MicrostateParams, build_microstate, microstate_checks, \
     time_of_q, trajectory
-from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair, \
-    make_conjugate, normalize_wronskian, solve_pair
+from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair, solve_pair
 from qhjlab.uncertainty import hbar_scaling_scan
+
+from conftest import rescaled
 
 UNIT_ELL = MicrostateParams(alpha=0.0, ell=1.0 + 0.0j)
 SCAN_HBARS = [1.0, 0.5, 0.25, 0.125, 0.0625]
@@ -102,22 +103,20 @@ def test_criterion_4_resolvent_residuals():
     for potential, energy, grid in (
             (Potential("free"), 1.0, Grid(0.0, 2.0 * math.pi, 1025)),
             (Potential("linear"), 2.0, Grid(-4.0, 1.5, 1025))):
-        pair = normalize_wronskian(make_conjugate(
-            analytic_pair(potential, energy, constants, grid)))
+        pair = analytic_pair(potential, energy, constants, grid)
         report_checks(4, f"{potential.kind} analytic pair",
                       duality_checks(build_prepotential(pair)), GD_CHECKS)
 
     grid = Grid(-3.0, 3.0, 2049)
     numeric = solve_pair(Potential("harmonic"), 2.0, constants, grid, (1.0, 0.0, 0.0, 1.0))
-    checks = duality_checks(build_prepotential(normalize_wronskian(make_conjugate(numeric))))
+    checks = duality_checks(build_prepotential(numeric))
     report_checks(4, "harmonic numeric pair", checks, GD_CHECKS + ("akq_matches_direct",))
 
 
 def test_criterion_5_duality_identities():
     constants = PhysicalConstants()
     grid = Grid(0.0, 2.0 * math.pi, 1025)
-    pair = normalize_wronskian(make_conjugate(
-        analytic_pair(Potential("free"), 1.0, constants, grid)))
+    pair = analytic_pair(Potential("free"), 1.0, constants, grid)
     checks = duality_checks(build_prepotential(pair))
     report(5, "Im F = X/eps (construction)", *checks["duality_im_f"])
     report(5, "dual derivative identity", *checks["dual_derivative"])
@@ -182,17 +181,16 @@ def test_criterion_8_norm_scaling():
     pair = analytic_pair(Potential("free"), 1.0, constants, grid)
     params = MicrostateParams(alpha=0.0, ell=2.0 + 0.0j)
     before = build_microstate(pair, params).qshje.from_potential.values
-    scaled = normalize_wronskian(pair, pair.wronskian * omega)
+    scaled = rescaled(pair, omega)
     after = build_microstate(scaled, params).qshje.from_potential.values
     worst = np.max(np.abs(before - after))
 
-    conj = normalize_wronskian(make_conjugate(pair))
-    xi = conj.psi.values * conj.psi_dual.values
+    prep = build_prepotential(pair)
+    xi = prep.psi.values * prep.psibar.values
     for factor in (1.0, omega):
         field = ScalarField(grid, factor * xi,
-                            derivs=tuple(factor * d for d in
-                                         build_prepotential(conj).xi["psi_psibar"].derivs))
-        resid, scale = gd_terms(field, conj)
+                            derivs=tuple(factor * d for d in prep.xi["psi_psibar"].derivs))
+        resid, scale = gd_terms(field, pair)
         relative = float(np.max(np.abs(resid))) / scale
         if factor == 1.0:
             base = relative

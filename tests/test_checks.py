@@ -15,8 +15,6 @@ from qhjlab.schrodinger import (
     Potential,
     Scenario,
     SolutionPair,
-    make_conjugate,
-    normalize_wronskian,
 )
 from qhjlab.uncertainty import ScanReport
 
@@ -40,7 +38,7 @@ def test_a_second_run_of_the_checks_forms_no_v(name, monkeypatch):
     scenario = PAIRS[name]
     pair = scenario.pair()
     ms = build_microstate(pair, MicrostateParams(alpha=0.4, ell=1.3 - 0.2j))
-    prep = build_prepotential(normalize_wronskian(make_conjugate(pair)))
+    prep = build_prepotential(pair)
     sol = recurse(HierarchyInput(scenario.potential, scenario.grid, scenario.energy, 4, 0.1,
                                  scenario.grid.x_min))
     runs = [pair.checks, lambda: microstate_checks(ms), lambda: duality_checks(prep),
@@ -57,8 +55,8 @@ def test_a_second_run_of_the_checks_forms_no_v(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_one_v_per_potential_and_grid(name, monkeypatch):
-    # the pair, its conjugate and normalised forms, the pair at another hbar
-    # and a hierarchy input on the grid all read one V, formed once
+    # the pair, the duality checks on its conjugate pair, the pair at another
+    # hbar and a hierarchy input on the grid all read one V, formed once
     scenario = PAIRS[name]
     scenario = replace(scenario, potential=replace(scenario.potential))  # no V formed yet
     formed = []
@@ -69,8 +67,8 @@ def test_one_v_per_potential_and_grid(name, monkeypatch):
 
     monkeypatch.setattr(Potential, "derivative_samples", counted)
     pair = scenario.pair()
-    readers = [make_conjugate(pair), normalize_wronskian(make_conjugate(pair)),
-               scenario.at_hbar(0.5).pair(),
+    duality_checks(build_prepotential(pair))
+    readers = [scenario.at_hbar(0.5).pair(),
                HierarchyInput(scenario.potential, scenario.grid, scenario.energy, 4, 0.1,
                               scenario.grid.x_min)]
     assert all(reader.v_field is pair.v_field for reader in readers)

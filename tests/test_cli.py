@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhjlab import fields, hierarchy, microstates, schrodinger
-from qhjlab.cli import CSV_BLOCK_CELLS, SCHEMA_VERSION, TOLERANCE_KEYS, _X_MAX, _X_MIN, \
-    _cell_tables, _cell_words, load_config, main, write_csv
+from qhjlab.cli import CSV_BLOCK_CELLS, SCHEMA_VERSION, STAGES, TOLERANCE_KEYS, _X_MAX, \
+    _X_MIN, _cell_tables, _cell_words, load_config, main, write_csv
 from qhjlab.errors import ConfigError
 from qhjlab.fields import ScalarField
 from qhjlab.schrodinger import Potential, default_ics
@@ -98,6 +98,52 @@ class TestValidation:
         for item in ("nonsense=1", "duality_im_f=1", "gd_psi_sq=1"):
             assert main(["all", "--config", cfg, "--tol", item]) == 1
             assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("scan", [[1, 1, 1, 1], [1, 0.5, 0.5, 0.25]])
+    def test_repeated_hbar_values_refused_before_any_write(self, tmp_path, capsys, scan):
+        # four values but fewer distinct ones: a repeat adds no point to the
+        # fit, and [1, 1, 1, 1] ended in numpy's LinAlgError traceback after
+        # uncertainty.csv was written
+        out = tmp_path / "out"
+        doc = base_config(out)
+        doc["uncertainty"]["hbar_scan"] = scan
+        assert main(["all", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "distinct" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["all", "report"])
+    @pytest.mark.parametrize("target", ["afile", "afile/x", "afile/../x"])
+    def test_output_path_through_a_file_refused_before_any_stage(
+            self, tmp_path, capsys, monkeypatch, subcommand, target):
+        # an existing file, or a path through one, cannot become the output
+        # directory; under report that showed only after every stage had run
+        (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+        cfg = write_config(tmp_path, base_config(tmp_path / "unused"))
+
+        def refuse(*args):
+            raise AssertionError("a stage ran")
+
+        for name in STAGES:
+            monkeypatch.setitem(STAGES, name, refuse)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert sorted(os.listdir(tmp_path)) == ["afile", "scenario.json"]
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(out))
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        assert main(["all", "--config", write_config(tmp_path, base_config(out))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
 
     def test_negative_tolerance_refused_before_any_write(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -249,20 +295,21 @@ class TestExtremeScales:
                            min_size=2, max_size=2, unique=True).map(sorted),
            ell=st.tuples(*[st.tuples(st.sampled_from([-1.0, 1.0]),
                                      st.floats(-300.0, 300.0) | st.floats(-3.0, 3.0))] * 2),
-           delta_alpha=st.floats(-1e3, 1e3))
-    def test_any_scan_input_exits_cleanly(self, window, ell, delta_alpha):
+           delta_alpha=st.floats(-1e3, 1e3),
+           hbars=st.lists(st.sampled_from([1.0, 0.5, 0.25, 0.125]), min_size=4, max_size=6))
+    def test_any_scan_input_exits_cleanly(self, window, ell, delta_alpha, hbars):
         # the window (edges on and off the harmonic grid [-0.5, 0.5]), ell1
-        # and ell2 over 1e+-300 and delta_alpha, on numeric pairs, so that
-        # the scan's added pairs compose their sweeps (about a third of the
-        # draws reach the scan): an exit code and one error line or none,
-        # never a traceback; numpy may warn on such scales (ell1^2 + ell2^2
-        # overflows past 1e154), as the command line would print
+        # and ell2 over 1e+-300, delta_alpha and hbar lists with repeats, on
+        # numeric pairs, so that the scan's added pairs compose their sweeps:
+        # an exit code and one error line or none, never a traceback; numpy
+        # may warn on such scales (ell1^2 + ell2^2 overflows past 1e154), as
+        # the command line would print
         (s1, e1), (s2, e2) = ell
         with tempfile.TemporaryDirectory() as tmp:
             doc = kind_config(os.path.join(tmp, "out"), "harmonic")
             doc["solver"] = {"method": "numeric"}
             doc["microstate"] = {"alpha": 0.3, "ell1": s1 * 10.0 ** e1, "ell2": s2 * 10.0 ** e2}
-            doc["uncertainty"].update(window=window, delta_alpha=delta_alpha)
+            doc["uncertainty"].update(window=window, delta_alpha=delta_alpha, hbar_scan=hbars)
             cfg = os.path.join(tmp, "scenario.json")
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
@@ -405,7 +452,7 @@ class TestRun:
             sorted(doc["uncertainty"]["hbar_scan"])
 
     @pytest.mark.parametrize("subcommand, expected", [
-        ("all", {"ScalarField": 131, "copies": 20, "unwrap_phase": 1, "schwarzian": 2, "V": 1,
+        ("all", {"ScalarField": 129, "copies": 20, "unwrap_phase": 1, "schwarzian": 2, "V": 1,
                  "stepwise": 1, "composed": 4}),
         ("uncertainty", {"ScalarField": 86, "copies": 20, "unwrap_phase": 0, "schwarzian": 0,
                          "V": 1, "stepwise": 1, "composed": 4}),

@@ -8,7 +8,7 @@ import pytest
 
 from qhjlab import duality
 from qhjlab.catalog import builtin_scenario
-from qhjlab.errors import ContractError, DomainError
+from qhjlab.errors import DomainError
 from qhjlab.duality import (
     Prepotential,
     akq_residual,
@@ -24,47 +24,36 @@ from qhjlab.duality import (
 )
 from qhjlab.fields import Grid, ScalarField, derivatives
 from qhjlab.microstates import MicrostateParams, build_microstate
-from qhjlab.schrodinger import (
-    Potential,
-    SolutionPair,
-    analytic_pair,
-    make_conjugate,
-    normalize_wronskian,
-    solve_pair,
-)
+from qhjlab.schrodinger import Potential, analytic_pair, solve_pair
+
+from conftest import rescaled
 
 
 @pytest.fixture(scope="module")
-def free_conjugate(constants, free_grid, free_pair):
-    return normalize_wronskian(make_conjugate(free_pair))
+def free_prep(free_pair):
+    return build_prepotential(free_pair)
 
 
 @pytest.fixture(scope="module")
-def free_prep(free_conjugate):
-    return build_prepotential(free_conjugate)
+def airy_prep(airy_pair):
+    return build_prepotential(airy_pair)
 
 
 @pytest.fixture(scope="module")
-def airy_conjugate(airy_pair):
-    return normalize_wronskian(make_conjugate(airy_pair))
-
-
-@pytest.fixture(scope="module")
-def harmonic_numeric_conjugate(constants):
+def harmonic_numeric_prep(constants):
     g = Grid(-3.0, 3.0, 2049)
-    pair = solve_pair(Potential("harmonic"), 2.0, constants, g, (1.0, 0.0, 0.0, 1.0))
-    return normalize_wronskian(make_conjugate(pair))
+    return build_prepotential(
+        solve_pair(Potential("harmonic"), 2.0, constants, g, (1.0, 0.0, 0.0, 1.0)))
 
 
 def strip(prep):
     """Clone without analytic derivatives, so every check runs on stencils."""
-    pair = SolutionPair(ScalarField(prep.pair.grid, prep.pair.psi.values),
-                        ScalarField(prep.pair.grid, prep.pair.psi_dual.values),
-                        prep.pair.energy, prep.pair.constants, prep.pair.wronskian,
-                        kind=prep.pair.kind, potential=prep.pair.potential,
-                        provenance=prep.pair.provenance)
-    return Prepotential(pair=pair, F=ScalarField(prep.F.grid, prep.F.values), phi=prep.phi,
-                        xi={k: ScalarField(v.grid, v.values) for k, v in prep.xi.items()})
+    def bare(f):
+        return ScalarField(f.grid, f.values)
+
+    return Prepotential(pair=prep.pair, psi=bare(prep.psi), psibar=bare(prep.psibar),
+                        F=bare(prep.F), phi=prep.phi,
+                        xi={k: bare(v) for k, v in prep.xi.items()})
 
 
 def printed_gd_residual(prep):
@@ -88,33 +77,41 @@ class TestBuildPrepotential:
     def test_phi_times_psi_squared(self, free_prep):
         # psi^2 phi = |psi|^2 / 2 samplewise
         lhs = free_prep.xi["psi_sq"].values * free_prep.phi.values
-        rhs = 0.5 * np.abs(free_prep.pair.psi.values) ** 2
+        rhs = 0.5 * np.abs(free_prep.psi.values) ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-15
 
-    def test_modulus_momentum_normalization(self, free_conjugate):
-        assert np.max(np.abs(modulus_momentum_residual(free_conjugate).values)) < 1e-8
+    def test_modulus_momentum_normalization(self, free_prep):
+        assert np.max(np.abs(modulus_momentum_residual(free_prep).values)) < 1e-8
 
-    def test_modulus_momentum_numeric(self, harmonic_numeric_conjugate):
-        resid = modulus_momentum_residual(harmonic_numeric_conjugate)
+    def test_modulus_momentum_numeric(self, harmonic_numeric_prep):
+        resid = modulus_momentum_residual(harmonic_numeric_prep)
         assert np.max(np.abs(resid.values)) < 1e-5
 
-    def test_rejects_real_pair(self, free_pair):
-        with pytest.raises(ContractError):
-            build_prepotential(free_pair)
+    def test_pair_at_the_standard_scale_is_not_rescaled(self, free_prep):
+        # W = -1 at eps = 1 is already 2i/eps; rescaling by s = 1 anyway would
+        # turn psibar[0] = 1 - 0j into 1 + 0j, and a -0 of fields.csv into 0
+        assert free_prep.psibar.values[0] == 1.0
+        assert np.signbit(free_prep.psibar.values[0].imag)
 
-    def test_rejects_unnormalized(self, free_pair):
-        conj = make_conjugate(free_pair)
-        conj = normalize_wronskian(conj, conj.wronskian * 2.0)
-        with pytest.raises(ContractError):
-            build_prepotential(conj)
+    @pytest.mark.parametrize("factor", [1e-6, 0.25, 3.0, 7e5])
+    def test_conjugate_pair_ignores_the_real_pairs_norm(self, free_pair, airy_pair,
+                                                       harmonic_pair, factor):
+        # the orientation and the scale s come from W alone, so the real pair
+        # may carry any norm: its conjugate pair moves by rounding only
+        # (at most 2.3e-16 relative measured)
+        for pair in (free_pair, airy_pair, harmonic_pair):
+            prep = build_prepotential(pair)
+            moved = build_prepotential(rescaled(pair, factor))
+            size = np.max(np.abs(prep.psi.values))
+            assert np.max(np.abs(moved.psi.values - prep.psi.values)) <= 1e-15 * size
 
 
 class TestDualDerivative:
     def test_free_exact(self, free_prep):
         assert np.max(dual_derivative_residual(free_prep).values) < 1e-10
 
-    def test_numeric_harmonic_combination(self, harmonic_numeric_conjugate):
-        prep = build_prepotential(harmonic_numeric_conjugate)
+    def test_numeric_harmonic_combination(self, harmonic_numeric_prep):
+        prep = harmonic_numeric_prep
         inner = slice(4, -4)
         assert np.max(dual_derivative_residual(prep).values[inner]) < 1e-5
 
@@ -131,15 +128,15 @@ class TestPrepotentialOde:
         resid = prepotential_ode_residual(prep)
         assert np.max(np.abs(resid.values)) > 1.0
 
-    def test_airy_pair_solves_it(self, airy_conjugate):
+    def test_airy_pair_solves_it(self, airy_prep):
         # not a free-case accident: the travelling Airy combination satisfies
         # the same third-order equation
-        prep = build_prepotential(airy_conjugate)
+        prep = airy_prep
         resid = prepotential_ode_residual(prep)
         assert np.max(np.abs(resid.values)) < 1e-10
 
-    def test_numeric_pair_solves_it(self, harmonic_numeric_conjugate):
-        prep = build_prepotential(harmonic_numeric_conjugate)
+    def test_numeric_pair_solves_it(self, harmonic_numeric_prep):
+        prep = harmonic_numeric_prep
         resid = prepotential_ode_residual(prep)
         assert np.max(np.abs(resid.values)) < 1e-5
 
@@ -150,8 +147,7 @@ class TestPrepotentialOde:
         maxima = []
         for n in (33, 65, 129):
             g = Grid(0.0, 2.0 * np.pi, n)
-            pair = normalize_wronskian(make_conjugate(
-                analytic_pair(Potential("free"), 1.0, constants, g)))
+            pair = analytic_pair(Potential("free"), 1.0, constants, g)
             prep = strip(build_prepotential(pair))
             resid = prepotential_ode_residual(prep)
             maxima.append(np.max(np.abs(resid.values[4:-4])))
@@ -170,20 +166,20 @@ class TestGelfandDickey:
         assert np.max(np.abs(resid)) / scale < 1e-6
 
     @pytest.mark.parametrize("variant", ["psi_psibar", "psi_sq", "psibar_sq"])
-    def test_all_variants_airy(self, airy_conjugate, variant):
-        prep = build_prepotential(airy_conjugate)
+    def test_all_variants_airy(self, airy_prep, variant):
+        prep = airy_prep
         resid, scale = gd_terms(prep.xi[variant], prep.pair)
         assert np.max(np.abs(resid)) / scale < 1e-6
 
     @pytest.mark.parametrize("variant", ["psi_psibar", "psi_sq", "psibar_sq"])
-    def test_all_variants_numeric(self, harmonic_numeric_conjugate, variant):
-        prep = build_prepotential(harmonic_numeric_conjugate)
+    def test_all_variants_numeric(self, harmonic_numeric_prep, variant):
+        prep = harmonic_numeric_prep
         resid, scale = gd_terms(prep.xi[variant], prep.pair)
         assert np.max(np.abs(resid)) / scale < 1e-4
 
-    def test_prepotential_form_matches_xi_form(self, airy_conjugate):
+    def test_prepotential_form_matches_xi_form(self, airy_prep):
         # the prepotential rewriting is half of the psi*conj(psi) equation
-        prep = build_prepotential(airy_conjugate)
+        prep = airy_prep
         via_f = prepotential_gd_residual(prep)
         via_xi = gd_terms(prep.xi["psi_psibar"], prep.pair)[0]
         assert np.max(np.abs(2.0 * via_f.values - via_xi)) < 1e-10
@@ -208,14 +204,14 @@ class TestAkq:
         monkeypatch.setattr(duality, "prepotential_gd_residual", printed_gd_residual)
         assert duality_checks(free_prep)["akq_matches_direct"][0] > bound
 
-    def test_linear_with_airy_pair(self, airy_conjugate):
-        prep = build_prepotential(airy_conjugate)
+    def test_linear_with_airy_pair(self, airy_prep):
+        prep = airy_prep
         resid = akq_residual(prep)
         scale = gd_terms(prep.xi["psi_psibar"], prep.pair)[1]
         assert np.max(np.abs(resid.values)) / scale < 1e-4
 
-    def test_substitution_recovers_direct_form(self, airy_conjugate):
-        prep = build_prepotential(airy_conjugate)
+    def test_substitution_recovers_direct_form(self, airy_prep):
+        prep = airy_prep
         via_akq = akq_residual(prep)
         direct = prepotential_gd_residual(prep)
         assert np.max(np.abs(via_akq.values - direct.values)) < 1e-12
@@ -223,7 +219,7 @@ class TestAkq:
     def test_construction_identity(self, harmonic_pair):
         # the free-energy form with F0'' = -V/2 = -x^2/2 and F0''' = -V'/2 = -x
         # written out, in akq_residual's operation order: equal bit for bit
-        prep = build_prepotential(normalize_wronskian(make_conjugate(harmonic_pair)))
+        prep = build_prepotential(harmonic_pair)
         x, eps, energy = prep.pair.grid.x, prep.epsilon, prep.pair.energy
         f, f1, _, f3 = derivatives(prep.F, 3)
         expected = (eps ** 2 * f3
@@ -245,7 +241,7 @@ def sprime_error(name, ell, c_factor=1.0):
     p = build_microstate(pair, MicrostateParams(ell=ell)).p.values
     ell, u = complex(ell), pair.psi.values
     den = (pair.psi_dual.values + ell.imag * u) ** 2 + (ell.real * u) ** 2
-    psi = normalize_wronskian(make_conjugate(pair)).psi.values
+    psi = build_prepotential(pair).psi.values
     # real unknowns (Re a, Im a, c): the form is 2 Re(a psi^2) + c |psi|^2
     sq, mod2 = psi ** 2, np.abs(psi) ** 2
     basis = np.column_stack([2.0 * sq.real, -2.0 * sq.imag, mod2])
@@ -275,12 +271,12 @@ class TestWkbGeneralSprime:
         # c off by 1e-6 breaks c^2 - 4ab = 1, and the match with it
         assert sprime_error(name, ell, c_factor=1.0 + 1e-6) > 1e-12
 
-    def test_phase_derivative_cross_check(self, free_conjugate, constants):
+    def test_phase_derivative_cross_check(self, free_prep, constants):
         # independent route: R^2 s' from hbar * d/dx arg(psi) matches sqrt(2m)/c
         from qhjlab.fields import unwrap_phase, derivative
-        theta = unwrap_phase(free_conjugate.psi)
+        theta = unwrap_phase(free_prep.psi)
         dtheta = derivative(theta, 1).values
-        mod2 = np.abs(free_conjugate.psi.values) ** 2
+        mod2 = np.abs(free_prep.psi.values) ** 2
         product = mod2 * constants.hbar * dtheta
         assert np.max(np.abs(product - 1.0)) < 1e-9
 
@@ -311,8 +307,7 @@ class TestOmegaForNorm:
         ms = build_microstate(free_pair, MicrostateParams(ell=2.0))
         omega = omega_for_norm(ScalarField(free_pair.grid,
                                            np.abs(free_pair.psi.values) ** 2 + 0.5))
-        from qhjlab.schrodinger import normalize_wronskian
-        scaled = normalize_wronskian(free_pair, free_pair.wronskian * omega)
+        scaled = rescaled(free_pair, omega)
         ms_scaled = build_microstate(scaled, MicrostateParams(ell=2.0))
         a = ms.qshje.from_potential.values
         b = ms_scaled.qshje.from_potential.values
@@ -328,7 +323,7 @@ def test_checks_peak_memory(constants):
     # reading attached derivatives without copies peaks at 2.38 MiB, where
     # forming them per call on copied arrays peaked at 3.26 MiB
     pair = analytic_pair(Potential("linear"), 2.0, constants, Grid(-4.0, 1.5, 16385))
-    prep = build_prepotential(normalize_wronskian(make_conjugate(pair)))
+    prep = build_prepotential(pair)
     tracemalloc.start()
     try:
         duality_checks(prep)

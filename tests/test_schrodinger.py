@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qhjlab.duality import build_prepotential
 from qhjlab.errors import CapabilityError, ContractError, DegeneracyError, DomainError
 from qhjlab.fields import Grid, ScalarField, derivative, interpolate
 from qhjlab.microstates import MicrostateParams, build_microstate
@@ -16,10 +17,10 @@ from qhjlab.schrodinger import (
     Scenario,
     analytic_pair,
     default_ics,
-    make_conjugate,
-    normalize_wronskian,
     solve_pair,
 )
+
+from conftest import rescaled
 
 
 def fd_residual(pair, member="psi", margin=4):
@@ -116,7 +117,7 @@ class TestAnalyticPairs:
     def test_free_is_cos_sin(self, constants, free_grid, free_pair):
         assert np.allclose(free_pair.psi.values, np.cos(free_grid.x))
         assert np.allclose(free_pair.psi_dual.values, np.sin(free_grid.x))
-        assert free_pair.omega == pytest.approx(-1.0)
+        assert free_pair.wronskian == -1.0
 
     def test_free_wronskian_constancy(self, free_pair):
         assert free_pair.wronskian_drift() < 1e-12
@@ -132,7 +133,7 @@ class TestAnalyticPairs:
 
     def test_harmonic_ground_state(self, constants, harmonic_grid, harmonic_pair):
         assert np.allclose(harmonic_pair.psi.values, np.exp(-0.5 * harmonic_grid.x ** 2))
-        assert harmonic_pair.omega == pytest.approx(1.0)
+        assert harmonic_pair.wronskian == 1.0
         assert fd_residual(harmonic_pair, "psi_dual") < 1e-8
 
     def test_harmonic_excited_energy_rejected(self, constants, harmonic_grid):
@@ -406,32 +407,50 @@ def test_scalar_sweep_is_bitwise_the_numpy_loop(case):
         assert np.array_equal(values, expected[:, column]), f"state column {column}"
 
 
-class TestNormalizeWronskian:
-    def test_identity_when_target_matches(self, free_pair):
-        assert normalize_wronskian(free_pair, free_pair.wronskian) is free_pair
+def test_every_pair_has_a_float_wronskian(constants, free_grid, free_pair, harmonic_pair,
+                                          airy_pair):
+    numeric = solve_pair(Potential("free"), 1.0, constants, free_grid, (1.0, 0.0, 0.0, 1.0))
+    for pair in (free_pair, harmonic_pair, airy_pair, numeric):
+        assert type(pair.wronskian) is float
 
-    def test_conjugate_pair_to_standard_scale(self, constants, free_grid, free_pair):
-        conj = make_conjugate(free_pair)
-        assert conj.kind == "conjugate"
-        assert np.allclose(conj.psi_dual.values, np.conj(conj.psi.values))
-        scaled = normalize_wronskian(conj)
-        assert scaled.wronskian == 2j / constants.epsilon
-        assert scaled.kind == "conjugate"
-        # |psi|^2 Im(eps psi'/psi) = 1 after scaling
-        im_p = np.imag(constants.epsilon * scaled.psi.derivs[0] / scaled.psi.values)
-        assert np.max(np.abs(np.abs(scaled.psi.values) ** 2 * im_p - 1.0)) < 1e-12
+
+def conjugate_wronskian(prep):
+    """psi' psibar - psi psibar' of the prepotential's conjugate pair at every
+    sample, from the attached derivatives."""
+    return prep.psi.derivs[0] * prep.psibar.values - prep.psi.values * prep.psibar.derivs[0]
+
+
+class TestNormalizeWronskian:
+    """The Wronskian's scale: build_prepotential sets its conjugate pair's to
+    2i/eps, and rescaling a real pair changes no microstate field."""
+
+    def test_conjugate_pair_to_standard_scale(self, constants, free_pair):
+        # W = -1 < 0 at eps = 1: psi = cos + i sin already has Wronskian 2i/eps
+        prep = build_prepotential(free_pair)
+        target = 2j / constants.epsilon
+        assert np.max(np.abs(conjugate_wronskian(prep) - target)) <= 1e-15 * abs(target)
+        assert np.array_equal(prep.psibar.values, np.conj(prep.psi.values))
+        # |psi|^2 Im(eps psi'/psi) = 1 at this scale
+        psi = prep.psi
+        im_p = np.imag(constants.epsilon * psi.derivs[0] / psi.values)
+        assert np.max(np.abs(np.abs(psi.values) ** 2 * im_p - 1.0)) <= 1e-15
 
     def test_negative_ratio_handled_by_member_swap(self, constants, harmonic_pair):
-        conj = make_conjugate(harmonic_pair)  # Wronskian -2i: opposite orientation
-        scaled = normalize_wronskian(conj)
-        assert scaled.kind == "conjugate"
-        assert scaled.wronskian == 2j / constants.epsilon
-        assert np.allclose(scaled.psi_dual.values, np.conj(scaled.psi.values))
+        # W = +1 > 0: u + i v has Wronskian -2i, so the members swap
+        prep = build_prepotential(harmonic_pair)
+        target = 2j / constants.epsilon
+        assert np.max(np.abs(conjugate_wronskian(prep) - target)) <= 1e-15 * abs(target)
+        assert np.array_equal(prep.psibar.values, np.conj(prep.psi.values))
+        assert np.array_equal(prep.psi.values, harmonic_pair.psi.values
+                              - 1j * harmonic_pair.psi_dual.values)
+        psi = prep.psi
+        im_p = np.imag(constants.epsilon * psi.derivs[0] / psi.values)
+        assert np.max(np.abs(np.abs(psi.values) ** 2 * im_p - 1.0)) <= 1e-15
 
     def test_scaling_leaves_microstate_residual_unchanged(self, free_pair):
         params = MicrostateParams(alpha=0.0, ell=2.0 + 0.0j)
         before = build_microstate(free_pair, params).qshje
-        scaled = normalize_wronskian(free_pair, free_pair.wronskian * 4.0)
+        scaled = rescaled(free_pair, 4.0)
         after = build_microstate(scaled, params).qshje
         assert np.max(np.abs(before.from_potential.values
                              - after.from_potential.values)) < 1e-12
@@ -439,7 +458,7 @@ class TestNormalizeWronskian:
     def test_rescaled_real_pair_keeps_its_energy_derivatives(self, free_pair):
         # psi_E, psi_dual_E scale with the members and omega_E with the Wronskian,
         # so dp/dE of the rescaled pair is still defined, and unchanged
-        scaled = normalize_wronskian(free_pair, 4.0 * free_pair.wronskian)
+        scaled = rescaled(free_pair, 4.0)
         for f, g in ((free_pair.psi_e, scaled.psi_e), (free_pair.psi_dual_e, scaled.psi_dual_e)):
             for u, v in zip((f.values,) + f.derivs, (g.values,) + g.derivs):
                 assert np.array_equal(2.0 * u, v)
@@ -447,18 +466,6 @@ class TestNormalizeWronskian:
         params = MicrostateParams(alpha=0.3, ell=1.5 + 0.2j)
         assert np.array_equal(build_microstate(scaled, params).de_momentum.values,
                               build_microstate(free_pair, params).de_momentum.values)
-
-    def test_zero_wronskian_rejected(self, free_pair):
-        from dataclasses import replace
-        broken = replace(free_pair, wronskian=0.0j)
-        with pytest.raises(DegeneracyError):
-            normalize_wronskian(broken)
-
-    @pytest.mark.parametrize("factor", [-1.0, 1j])
-    def test_non_real_scale_factor_rejected(self, free_pair, factor):
-        # a real pair rescaled by sqrt(-1) or sqrt(i) would stop being real
-        with pytest.raises(ContractError):
-            normalize_wronskian(free_pair, free_pair.wronskian * factor)
 
 
 class TestScenario:

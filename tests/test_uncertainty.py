@@ -178,6 +178,8 @@ class TestScaling:
             scan("free", [1.0, 0.5, 0.25])
         with pytest.raises(StatisticsError):
             scan("free", [1.0, 0.5, 0.25, -0.125])
+        with pytest.raises(StatisticsError, match="distinct"):
+            scan("free", [1.0, 0.5, 0.5, 0.25, 0.25])
 
 
 def test_scan_windows_inside_grids():
