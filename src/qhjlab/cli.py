@@ -3,8 +3,10 @@
 Reads a single JSON config describing the scenario (constants, potential,
 energy, grid and the optional microstate / uncertainty / hierarchy sections),
 runs the selected pipelines, and writes CSV tables plus a JSON report into
-the output directory.  Files are written atomically (temp file + rename) and
-reruns of the same config are byte-identical.  Every CSV number is written
+the output directory.  A run writes every file into one staging directory and
+moves them into the output directory only after report.json is written, so a
+failed run leaves the output directory as it was; reruns of the same config
+are byte-identical.  Every CSV number is written
 as ``%.17g`` (17 significant digits, so it reads back exactly); the format is
 fixed so that CSV bytes stay stable across versions.  A column whose samples
 are bitwise equal is formatted once, with unchanged bytes; by the hierarchy's
@@ -32,10 +34,10 @@ validates the config, picks the stages, applies the ``--tol`` and
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import fields
@@ -227,8 +229,9 @@ class ScenarioConfig:
 
         outputs = _section(doc, "outputs")
         self.out_dir = outputs.get("directory", "out")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"field outputs.directory must be a string, got {self.out_dir!r}")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ConfigError("field outputs.directory must be a non-empty string, "
+                              f"got {self.out_dir!r}")
         self.plots = outputs.get("plots", False)
         if not isinstance(self.plots, bool):
             raise ConfigError(f"field outputs.plots must be true or false, got {self.plots!r}")
@@ -486,25 +489,10 @@ def _csv_block(block, pieces):
     return text
 
 
-@contextlib.contextmanager
-def _atomic_file(path: str):
-    """Binary file in path's directory that replaces path when the block ends;
-    an error inside the block removes it and leaves path as it was."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qhjlab-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write(path: str, text: str):
-    with _atomic_file(path) as fh:
+    """Write ``text`` to ``path`` as UTF-8.  ``run`` gives it a path in the
+    run's staging directory, which is committed as a whole."""
+    with open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))
 
 
@@ -519,8 +507,8 @@ def write_csv(path: str, columns):
     CSV_BLOCK_CELLS cells or else one row, by ``_cell_words``, which computes
     the digits exactly in numpy and leaves the values it cannot decide to
     Python's formatter; the NUL bytes padding each cell are dropped from the
-    finished block, which is written to the temporary file that replaces
-    ``path`` once the last block is in.
+    finished block, which is appended to ``path``.  ``run`` gives it a path
+    in the run's staging directory.
     """
     names, arrays = [], []
     for name, arr in columns:
@@ -546,7 +534,7 @@ def write_csv(path: str, columns):
     pieces = [np.frombuffer(piece.encode("ascii"), np.uint8)
               for piece in (",".join(cells) + "\n").split("%.17g")]
     table = np.stack(varying, axis=1) if varying else np.empty((len(arrays[0]), 0))
-    with _atomic_file(path) as fh:
+    with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))
         rows = max(1, CSV_BLOCK_CELLS // (len(varying) or 1))
         for start in range(0, len(table), rows):
@@ -557,7 +545,7 @@ def write_csv(path: str, columns):
 # ---------------------------------------------------------------------------
 # Stages: (cfg, family, out_dir) -> ({check name: (residual, bound)}, the
 # artifact the checks refer to, fields.csv columns); side tables are written
-# unless out_dir is None.
+# into out_dir, the run's staging directory, unless it is None.
 
 
 def run_solve(cfg: ScenarioConfig, family: microstates.EnergyFamily, out_dir):
@@ -660,32 +648,40 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
         nearest = os.path.dirname(nearest)
     if not os.path.isdir(nearest or "."):
         raise ConfigError(f"output directory {out}: {nearest} is not a directory")
-    write_to = None if subcommand == "report" else out
+    # every file goes into the staging directory, on the output's file system,
+    # and moves into place only once report.json is written
+    staging = tempfile.mkdtemp(dir=nearest or ".", prefix=".qhjlab-")
+    try:
+        write_to = None if subcommand == "report" else staging
+        family = microstates.EnergyFamily(cfg.scenario(), cfg.microstate)  # solved on first use
+        checks, columns = {}, []
+        for name in stages:
+            values, artifact, stage_columns = STAGES[name](cfg, family, write_to)
+            columns.extend(stage_columns)
+            for check, (value, bound) in values.items():
+                key = "gd_residual" if check.startswith("gd_") else check
+                tolerance = cfg.tolerances.get(key, bound)
+                checks[check] = {"status": "pass" if value <= tolerance else "fail",
+                                 "max_residual": float(value), "tolerance": float(tolerance),
+                                 "artifacts": [artifact]}
+        del family  # release its fields before fields.csv is written
 
-    family = microstates.EnergyFamily(cfg.scenario(), cfg.microstate)  # solved on first use
-    checks, columns = {}, []
-    for name in stages:
-        values, artifact, stage_columns = STAGES[name](cfg, family, write_to)
-        columns.extend(stage_columns)
-        for check, (value, bound) in values.items():
-            key = "gd_residual" if check.startswith("gd_") else check
-            tolerance = cfg.tolerances.get(key, bound)
-            checks[check] = {"status": "pass" if value <= tolerance else "fail",
-                             "max_residual": float(value), "tolerance": float(tolerance),
-                             "artifacts": [artifact]}
-    del family  # release its fields before fields.csv is written
+        if write_to and columns:
+            write_csv(os.path.join(staging, "fields.csv"), columns)
+            if cfg.plots:
+                atomic_write(os.path.join(staging, "plots.gp"), PLOT_SCRIPT)
 
-    if write_to and columns:
-        write_csv(os.path.join(out, "fields.csv"), columns)
-        if cfg.plots:
-            atomic_write(os.path.join(out, "plots.gp"), PLOT_SCRIPT)
-
-    failed = sorted(name for name, check in checks.items() if check["status"] == "fail")
-    report = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand, "checks": checks,
-              "summary": {"total": len(checks), "passed": len(checks) - len(failed),
-                          "failed": len(failed), "failing_checks": failed}}
-    atomic_write(os.path.join(out, "report.json"),
-                 json.dumps(report, indent=2, sort_keys=True) + "\n")
+        failed = sorted(name for name, check in checks.items() if check["status"] == "fail")
+        report = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand, "checks": checks,
+                  "summary": {"total": len(checks), "passed": len(checks) - len(failed),
+                              "failed": len(failed), "failing_checks": failed}}
+        atomic_write(os.path.join(staging, "report.json"),
+                     json.dumps(report, indent=2, sort_keys=True) + "\n")
+        os.makedirs(out, exist_ok=True)
+        for name in sorted(os.listdir(staging), key=lambda name: (name == "report.json", name)):
+            os.replace(os.path.join(staging, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     for name in sorted(checks):
         check = checks[name]

@@ -299,8 +299,10 @@ def unwrap_phase(f: ScalarField) -> ScalarField:
         raise SingularFieldError(
             f"modulus below tolerance at sample {bad[0]} (x={x_bad:.6g}); "
             f"cannot define a continuous phase", indices=bad)
-    theta = np.unwrap(np.angle(f.values))
-    return ScalarField(f.grid, theta)
+    angle = np.angle(f.values)
+    if angle[0] == -np.pi:  # e.g. -1 - 0j; the anchor lies in (-pi, pi]
+        angle[0] = np.pi
+    return ScalarField(f.grid, np.unwrap(angle))
 
 
 def schwarzian(f: ScalarField) -> ScalarField:

@@ -75,7 +75,7 @@ class MicrostateParams:
         return self.ell.imag
 
 
-def _require_real_pair(pair: SolutionPair):
+def _require_attached_derivatives(pair: SolutionPair):
     if min(len(pair.psi.derivs), len(pair.psi_dual.derivs)) < 2:
         raise ContractError("microstate formulas need psi' and psi'' attached to both members")
 
@@ -178,7 +178,7 @@ class Microstate:
     pair: SolutionPair
 
     def __post_init__(self):
-        _require_real_pair(self.pair)
+        _require_attached_derivatives(self.pair)
 
     @cached_property
     def _jets(self):
@@ -277,7 +277,7 @@ class Microstate:
 
         hbar, l1 = pair.constants.hbar, params.ell1
         p, (p1, p2) = self.p.values, self.p.derivs
-        pe = (hbar * l1 * pair.omega_e - p * dd) / d
+        pe = (hbar * l1 * pair.wronskian_e - p * dd) / d
         pe1 = -(p1 * dd + pe * d1 + p * dd1) / d
         pe2 = -(p2 * dd + 2.0 * (pe1 * d1 + p1 * dd1) + pe * d2 + p * dd2) / d
         return ScalarField(pair.grid, pe, derivs=(pe1, pe2))

@@ -184,7 +184,7 @@ class SolutionPair:
 
     ``psi_e`` and ``psi_dual_e`` are the members' energy derivatives, each
     with its first two x-derivatives attached, or None where the pair has no
-    energy derivative; ``omega_e`` is the energy derivative of the Wronskian.
+    energy derivative; ``wronskian_e`` is the energy derivative of the Wronskian.
     """
 
     psi: ScalarField
@@ -196,7 +196,7 @@ class SolutionPair:
     provenance: str = "analytic"
     psi_e: ScalarField | None = None
     psi_dual_e: ScalarField | None = None
-    omega_e: float = 0.0
+    wronskian_e: float = 0.0
 
     @property
     def grid(self) -> Grid:
@@ -348,10 +348,10 @@ def analytic_pair(potential: Potential, E: float, constants: PhysicalConstants,
         psi, psi_dual, w, energy_derivs = _airy_pair(potential, E, constants, grid)
     else:
         raise CapabilityError(f"no analytic pair for potential kind {potential.kind!r}")
-    psi_e, psi_dual_e, omega_e = energy_derivs
+    psi_e, psi_dual_e, wronskian_e = energy_derivs
     pair = SolutionPair(psi, psi_dual, float(E), constants, w,
                         potential=potential, provenance="analytic",
-                        psi_e=psi_e, psi_dual_e=psi_dual_e, omega_e=omega_e)
+                        psi_e=psi_e, psi_dual_e=psi_dual_e, wronskian_e=wronskian_e)
     return _validate_pair(pair)
 
 

@@ -12,7 +12,7 @@ from qhjlab.schrodinger import PhysicalConstants, Potential, analytic_pair
 
 def rescaled(pair, factor):
     """``pair`` with both members and their energy derivatives multiplied by
-    sqrt(factor) > 0, so that its Wronskian and ``omega_e`` are multiplied by
+    sqrt(factor) > 0, so that its Wronskian and ``wronskian_e`` are multiplied by
     ``factor``: the free norm of a pair, which no derived quantity may read."""
     s = math.sqrt(factor)
 
@@ -22,7 +22,7 @@ def rescaled(pair, factor):
 
     return replace(pair, psi=scaled(pair.psi), psi_dual=scaled(pair.psi_dual),
                    psi_e=scaled(pair.psi_e), psi_dual_e=scaled(pair.psi_dual_e),
-                   wronskian=factor * pair.wronskian, omega_e=s * s * pair.omega_e)
+                   wronskian=factor * pair.wronskian, wronskian_e=s * s * pair.wronskian_e)
 
 
 @pytest.fixture(scope="session")

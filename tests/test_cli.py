@@ -64,6 +64,26 @@ def write_config(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+def snapshot(root):
+    """{path under root: its bytes, or None for a directory} of the whole tree."""
+    tree = {}
+    for base, dirs, files in os.walk(root):
+        for name in dirs:
+            tree[os.path.relpath(os.path.join(base, name), root)] = None
+        for name in files:
+            with open(os.path.join(base, name), "rb") as fh:
+                tree[os.path.relpath(os.path.join(base, name), root)] = fh.read()
+    return tree
+
+
+def prefill(out):
+    """Fill the output directory ``out`` as an earlier run would have."""
+    os.makedirs(out)
+    for name in ("fields.csv", "report.json"):
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(f"an earlier {name}\n")
+
+
 class TestValidation:
     def test_zero_ell1_rejected_before_any_write(self, tmp_path):
         out = tmp_path / "out"
@@ -134,16 +154,42 @@ class TestValidation:
         assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
 
     def test_unwritable_output_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # the staging directory is made before any stage runs
         out = tmp_path / "out"
 
         def refuse(*args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(out))
+            raise PermissionError(13, "Permission denied", str(tmp_path))
 
-        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        def stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        for name in STAGES:
+            monkeypatch.setitem(STAGES, name, stage)
         assert main(["all", "--config", write_config(tmp_path, base_config(out))]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["all", "report"])
+    def test_empty_output_directory_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                      subcommand):
+        # "" once meant: no CSV at all, and report.json in the working directory
+        monkeypatch.chdir(tmp_path)
+        doc = base_config("")
+        assert main([subcommand, "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "outputs.directory" in err, err
+        assert os.listdir(tmp_path) == ["scenario.json"]
+
+    def test_empty_output_directory_is_refused_under_out_too(self, tmp_path, capsys):
+        # the config is checked as a whole, as written, before --out is read:
+        # a field that --out overrides is no more allowed to be malformed
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(""))
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_negative_tolerance_refused_before_any_write(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -256,17 +302,19 @@ class TestExtremeScales:
     ])
     def test_one_error_line(self, tmp_path, capsys, kind, path, value):
         out = tmp_path / "out"
+        prefill(out)
         doc = kind_config(out, kind)
         *parents, key = path.split(".")
         section = doc
         for name in parents:
             section = section[name]
         section[key] = value
-        assert main(["all", "--config", write_config(tmp_path, doc)]) == 1
+        cfg = write_config(tmp_path, doc)
+        before = snapshot(tmp_path)
+        assert main(["all", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith(("error:", "config error:")) and err.count("\n") == 1, err
-        if err.startswith("config error:"):
-            assert not out.exists()
+        assert snapshot(tmp_path) == before
 
     @settings(max_examples=150)
     @given(kind=st.sampled_from(["free", "linear", "harmonic"]),
@@ -277,6 +325,7 @@ class TestExtremeScales:
         # exception that escapes main is a traceback
         hbar, mass, energy, shape = (10.0 ** e for e in exponents)
         with tempfile.TemporaryDirectory() as tmp:
+            prefill(os.path.join(tmp, "out"))
             doc = kind_config(os.path.join(tmp, "out"), kind)
             doc["constants"] = {"hbar": hbar, "mass": mass}
             doc["energy"] = energy
@@ -285,10 +334,14 @@ class TestExtremeScales:
             cfg = os.path.join(tmp, "scenario.json")
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
+            before = snapshot(tmp)
             with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 warnings.simplefilter("ignore", RuntimeWarning)
-                assert main(["report", "--config", cfg]) in (0, 1, 2)
+                code = main(["report", "--config", cfg])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert snapshot(tmp) == before
 
     @settings(max_examples=60)
     @given(window=st.lists(st.floats(-0.6, 0.6) | st.sampled_from([-0.5, 0.5]),
@@ -306,6 +359,7 @@ class TestExtremeScales:
         # the command line would print
         (s1, e1), (s2, e2) = ell
         with tempfile.TemporaryDirectory() as tmp:
+            prefill(os.path.join(tmp, "out"))
             doc = kind_config(os.path.join(tmp, "out"), "harmonic")
             doc["solver"] = {"method": "numeric"}
             doc["microstate"] = {"alpha": 0.3, "ell1": s1 * 10.0 ** e1, "ell2": s2 * 10.0 ** e2}
@@ -313,17 +367,19 @@ class TestExtremeScales:
             cfg = os.path.join(tmp, "scenario.json")
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
+            before = snapshot(tmp)
             err = io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 code = main(["report", "--config", cfg])
-        assert code in (0, 1, 2)
-        if code == 1:
-            assert err.getvalue().startswith(("error:", "config error:"))
-            assert err.getvalue().count("\n") == 1, err.getvalue()
-        else:
-            assert err.getvalue() == ""
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.getvalue().startswith(("error:", "config error:"))
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert snapshot(tmp) == before
+            else:
+                assert err.getvalue() == ""
 
     def test_vanishing_time_weight_is_an_error(self, tmp_path, capsys):
         # found by the scale fuzz: at m = 10**30 a sample of |dp/dE|/|p| is 0
@@ -677,6 +733,58 @@ class TestRun:
         assert len(lines) == 4
 
 
+class TestOutputCommit:
+    """A run stages every file and moves them into the output directory only
+    after report.json is written; a failed run changes nothing there."""
+
+    def test_failed_rerun_keeps_every_file_of_the_earlier_run(self, tmp_path, capsys):
+        # the harmonic-scan workload's grid; widened to [-3, 3], the run writes
+        # trajectory.csv and uncertainty.csv and then fails at the hbar scan,
+        # which once left them next to the first run's report.json
+        out = tmp_path / "out"
+        doc = base_config(out, **copy.deepcopy(HARMONIC_SCAN))
+        doc["grid"]["n"] = 4097
+        cfg = write_config(tmp_path, doc)
+        assert main(["all", "--config", cfg]) == 0
+        assert sorted(os.listdir(out)) == ["fields.csv", "hierarchy.csv", "report.json",
+                                           "trajectory.csv", "uncertainty.csv"]
+        before = snapshot(tmp_path)
+        doc["grid"].update(x_min=-3.0, x_max=3.0)
+        del doc["hierarchy"]
+        write_config(tmp_path, doc)
+        before["scenario.json"] = (tmp_path / "scenario.json").read_bytes()
+        capsys.readouterr()
+        assert main(["all", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: Wronskian drift 1.100e+12")
+        assert snapshot(tmp_path) == before
+
+    def test_out_through_a_symlink_lands_where_the_os_resolves_it(self, tmp_path):
+        # link/../x is real/x, not the lexically folded tmp_path/x
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+        cfg = write_config(tmp_path, base_config(tmp_path / "unused"))
+        out = os.path.join(str(tmp_path), "link", "..", "x")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        assert sorted(os.listdir(tmp_path / "real" / "x")) == ["fields.csv", "report.json"]
+        assert sorted(os.listdir(tmp_path)) == ["link", "real", "scenario.json"]
+        assert sorted(os.listdir(tmp_path / "real")) == ["sub", "x"]
+
+    def test_report_json_moves_last(self, tmp_path, monkeypatch):
+        moved = []
+
+        def replace(src, dst, _original=os.replace):
+            moved.append(os.path.basename(dst))
+            _original(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        doc = base_config(tmp_path / "out")
+        doc["outputs"]["plots"] = True
+        assert main(["all", "--config", write_config(tmp_path, doc)]) == 0
+        assert moved == ["fields.csv", "hierarchy.csv", "plots.gp", "uncertainty.csv",
+                         "report.json"]
+        assert sorted(os.listdir(tmp_path)) == ["out", "scenario.json"]
+
+
 class TestGoldenSchema:
     def test_fields_header_stable(self, tmp_path):
         out = tmp_path / "out"
@@ -789,27 +897,33 @@ class TestWriteCsv:
             assert (tmp_path / "t.csv").read_bytes() == expected
             assert expected.count(b"\n") == rows + 1
 
-    def test_error_between_blocks_keeps_the_old_file(self, tmp_path, monkeypatch):
-        # blocks stream into a temporary file that replaces the CSV only at the end
+    def test_error_between_blocks_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
+        # a run's CSVs stream into its staging directory, which an error
+        # removes: every file of the earlier run stays as it was
         from qhjlab import cli
-        path = tmp_path / "t.csv"
-        path.write_bytes(b"old\n")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["all", "--config", cfg]) == 0
+        before = snapshot(tmp_path)
         formatted = []
 
         def fail_second(block, pieces):
             if formatted:
-                raise RuntimeError("disk full")
+                raise OSError(28, "No space left on device")
             formatted.append(len(block))
             return real_block(block, pieces)
 
         real_block = cli._csv_block
         monkeypatch.setattr(cli, "_csv_block", fail_second)
-        with pytest.raises(RuntimeError, match="disk full"):
-            # one varying column: CSV_BLOCK_CELLS rows per block
-            write_csv(str(path), [("x", np.arange(2 * CSV_BLOCK_CELLS, dtype=float))])
-        assert formatted == [CSV_BLOCK_CELLS]
-        assert path.read_bytes() == b"old\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        doc = base_config(out)
+        doc["hierarchy"]["x_ref"] = 2.0  # hierarchy.csv, the first block, differs
+        cfg = write_config(tmp_path, doc, name="second.json")
+        before["second.json"] = (tmp_path / "second.json").read_bytes()
+        capsys.readouterr()
+        assert main(["all", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert len(formatted) == 1
+        assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("length", [4, 6])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -937,17 +1051,28 @@ class TestCellKernel:
         assert cell_texts(carried) == percent_g(carried)
 
 
-@pytest.mark.xfail(strict=True, reason="no resolution guard before the hbar scan (ROADMAP D5)")
-def test_under_resolved_scan_refused_before_any_write(tmp_path, capsys):
-    out = tmp_path / "out"
+def under_resolved_scan(out):
     doc = base_config(out, potential={"kind": "linear", "slope": 1.0}, energy=2.0,
                       grid={"x_min": -4.0, "x_max": 1.5, "n": 1025},
                       solver={"method": "numeric"})
     doc["uncertainty"]["window"] = [-3.5, -0.5]
     doc["hierarchy"]["x_ref"] = 0.0
+    return doc
+
+
+@pytest.mark.xfail(strict=True, reason="no resolution guard before the hbar scan (ROADMAP D5)")
+def test_under_resolved_scan_refused_before_any_write(tmp_path, capsys):
+    doc = under_resolved_scan(tmp_path / "out")
     assert main(["all", "--config", write_config(tmp_path, doc)]) == 1
     assert "config error:" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+
+
+def test_under_resolved_scan_writes_nothing(tmp_path, capsys):
+    # it fails at the scan, after hierarchy.csv and uncertainty.csv are staged
+    out = tmp_path / "out"
+    assert main(["all", "--config", write_config(tmp_path, under_resolved_scan(out))]) == 1
+    assert capsys.readouterr().err.startswith("error: Wronskian drift")
+    assert os.listdir(tmp_path) == ["scenario.json"]
 
 
 def test_module_entry_point(tmp_path):

@@ -390,7 +390,7 @@ def test_energy_derivative_solves_the_variational_equation(case):
     if case.startswith("numeric"):
         # zero initial data: the pair's initial values do not depend on E
         assert (pair.psi_e.values[0], pair.psi_e.derivs[0][0]) == (0.0, 0.0)
-        assert pair.omega_e == 0.0
+        assert pair.wronskian_e == 0.0
 
 
 def test_harmonic_ground_pair_has_no_energy_derivative(harmonic_pair):
@@ -462,7 +462,7 @@ class TestNormalizeWronskian:
         for f, g in ((free_pair.psi_e, scaled.psi_e), (free_pair.psi_dual_e, scaled.psi_dual_e)):
             for u, v in zip((f.values,) + f.derivs, (g.values,) + g.derivs):
                 assert np.array_equal(2.0 * u, v)
-        assert scaled.omega_e == 4.0 * free_pair.omega_e != 0.0
+        assert scaled.wronskian_e == 4.0 * free_pair.wronskian_e != 0.0
         params = MicrostateParams(alpha=0.3, ell=1.5 + 0.2j)
         assert np.array_equal(build_microstate(scaled, params).de_momentum.values,
                               build_microstate(free_pair, params).de_momentum.values)
