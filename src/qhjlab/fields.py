@@ -29,37 +29,61 @@ from .errors import DomainError, GridSizeError, SingularFieldError
 # Relative floor below which a sample counts as a node / zero crossing.
 NODE_TOL = 1e-10
 
+# The fewest samples a grid may have.
+MIN_SAMPLES = 16
+
 _STENCIL_WIDTH = {1: 7, 2: 7, 3: 9}
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sample grid x_i = x_min + i*h with h = (x_max - x_min)/(n - 1)."""
+    """Uniform sample grid x_i = x_min + i*h with h = (x_max - x_min)/(n - 1).
+
+    A grid made by :meth:`samples` is a run of another grid's samples: it
+    keeps that grid as ``parent`` and its first sample's index there as
+    ``start``, and reads its x and h from the parent, so both are the
+    parent's bit for bit.
+    """
 
     x_min: float
     x_max: float
     n: int
+    parent: "Grid | None" = None
+    start: int = 0
 
     def __post_init__(self):
-        if self.n < 16:
-            raise GridSizeError(f"grid needs n >= 16 samples, got n={self.n}")
+        if self.n < MIN_SAMPLES:
+            raise GridSizeError(f"grid needs n >= {MIN_SAMPLES} samples, got n={self.n}")
         if not self.x_min < self.x_max:
             raise DomainError(f"grid needs x_min < x_max, got [{self.x_min}, {self.x_max}]")
 
     @property
     def h(self) -> float:
+        if self.parent is not None:
+            return self.parent.h
         return (self.x_max - self.x_min) / (self.n - 1)
 
     @cached_property
     def x(self) -> np.ndarray:
         """The sample coordinates, computed once per grid; read-only, as every
         field on the grid shares them."""
+        if self.parent is not None:
+            return self.parent.x[self.start:self.start + self.n]
         x = self.x_min + np.arange(self.n) * self.h
         x.flags.writeable = False
         return x
 
+    def samples(self, i0: int, i1: int) -> "Grid":
+        """The grid of samples i0..i1 of this one, with their x and h bit for
+        bit (a ``Grid(x[i0], x[i1], i1 - i0 + 1)`` would round both anew)."""
+        if not 0 <= i0 < i1 < self.n:
+            raise DomainError(f"samples {i0}..{i1} are not inside a grid of {self.n}")
+        parent, start = (self, i0) if self.parent is None else (self.parent, self.start + i0)
+        return Grid(float(self.x[i0]), float(self.x[i1]), i1 - i0 + 1, parent, start)
+
     def refined(self) -> "Grid":
-        """Grid with halved spacing and the same endpoints (shares every old sample)."""
+        """Grid with halved spacing and the same endpoints (shares every old
+        sample of a grid not made by :meth:`samples`)."""
         return Grid(self.x_min, self.x_max, 2 * self.n - 1)
 
     def contains(self, x: float) -> bool:

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapabilityError, ContractError
+from .errors import CapabilityError, ContractError, DomainError
 from .fields import ScalarField, derivative, derivatives, schwarzian, unwrap_phase, NODE_TOL
 from .schrodinger import Scenario, SolutionPair
 
@@ -89,10 +89,16 @@ def _components(psi: ScalarField, chi: ScalarField, params: MicrostateParams):
 
 def _denominator(a, b):
     """d = |psi_dual - i l psi|^2 = a^2 + b^2 with its first and second
-    derivatives, from the jets of :func:`_components`."""
-    d = a[0] * a[0] + b[0] * b[0]
-    d1 = 2.0 * (a[0] * a[1] + b[0] * b[1])
-    d2 = 2.0 * (a[1] * a[1] + a[0] * a[2] + b[1] * b[1] + b[0] * b[2])
+    derivatives, from the jets of :func:`_components`; where one of them
+    overflows (l or the pair too large), :class:`DomainError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a[0] * a[0] + b[0] * b[0]
+        d1 = 2.0 * (a[0] * a[1] + b[0] * b[1])
+        d2 = 2.0 * (a[1] * a[1] + a[0] * a[2] + b[1] * b[1] + b[0] * b[2])
+    finite = np.isfinite(d) & np.isfinite(d1) & np.isfinite(d2)
+    if not finite.all():
+        raise DomainError(f"|psi_dual - i l psi|^2 or its derivatives overflow at sample "
+                          f"{int(np.argmin(finite))}: l is too large for this pair")
     return d, d1, d2
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, StatisticsError
-from .fields import ScalarField
+from .fields import MIN_SAMPLES, ScalarField
 from .microstates import EnergyFamily, Microstate
 
 __all__ = ["UncertaintyReport", "ScanReport", "delta_chain", "hbar_scaling_scan",
@@ -86,11 +86,15 @@ def delta_chain(ms: Microstate, delta_alpha: float, window,
     ``de_momentum`` (dp/dE on the same grid) unlocks the time-side interval
     via the chain-rule weight |dp/dE|/|p| = |dt/dS0|.
     """
+    return _chain(ms, window_mask(ms.pair.grid, window), delta_alpha, window, de_momentum)
+
+
+def _chain(ms, rows, delta_alpha, window, de_momentum) -> UncertaintyReport:
+    """:func:`delta_chain` on the samples ``rows`` of ``ms``'s grid, which are
+    the window's."""
     hbar = ms.pair.constants.hbar
     delta_s0 = 0.5 * hbar * abs(delta_alpha)
-    mask = window_mask(ms.pair.grid, window)
-
-    abs_p = np.abs(ms.p.values[mask])
+    abs_p = np.abs(ms.p.values[rows])
     p_min, p_max = float(np.min(abs_p)), float(np.max(abs_p))
     if p_min == 0.0:
         raise DomainError(f"|p| vanishes in the window {window}, so the coordinate "
@@ -100,7 +104,7 @@ def delta_chain(ms: Microstate, delta_alpha: float, window,
 
     delta_t = product_et = None
     if de_momentum is not None:
-        weight = np.abs(de_momentum.values[mask]) / abs_p
+        weight = np.abs(de_momentum.values[rows]) / abs_p
         w_min, w_max = float(np.min(weight)), float(np.max(weight))
         if w_min == 0.0:
             raise DomainError(f"the time weight |dp/dE|/|p| vanishes in the window {window}, "
@@ -153,19 +157,39 @@ def hbar_scaling_scan(family: EnergyFamily, window, hbar_list,
 
     Each hbar runs :func:`delta_chain` over ``window`` on the family of
     ``family.scenario.at_hbar(hbar)``, which is ``family`` itself where that
-    scenario is unchanged; the pairs it adds compose their RK4 steps.  A slope
+    scenario is unchanged.  The products read p and dp/dE on the window's
+    samples only.  So each closed-form pair the scan adds (``method``
+    "analytic") is formed on exactly those samples, padded to a grid's 16
+    where the window holds fewer (:meth:`fields.Grid.samples`, whose x and h
+    are the grid's bit for bit, so every product is the one the whole grid
+    gives).  Each numeric pair it adds sweeps from its initial data at x_min
+    over the whole grid, composing its RK4 steps; a sweep that stopped at the
+    window's end would change the RK4 step count the benchmark pins.  A slope
     near 1 in the returned fits is the scaling content of the uncertainty
-    statements.  ``hbar_list`` must pass :func:`scan_hbars`; spanning a decade
-    or more keeps the fit well conditioned.
+    statements.  ``hbar_list`` must pass :func:`scan_hbars`; spanning a
+    decade or more keeps the fit well conditioned.
     """
     hbars = scan_hbars(hbar_list)
+    grid = family.scenario.grid
+    mask = window_mask(grid, window)
+    # the closed-form pairs' samples: the window's, padded at their end (at
+    # the grid's end, at their start) up to a grid's fewest
+    i0, i1 = (int(i) for i in np.flatnonzero(mask)[[0, -1]])
+    n = max(i1 - i0 + 1, MIN_SAMPLES)
+    start = min(i0, grid.n - n)
+    sub_grid, sub_rows = grid.samples(start, start + n - 1), slice(i0 - start, i1 - start + 1)
     reports = []
     for h in hbars:
         scenario = family.scenario.at_hbar(h)
-        at_h = (family if scenario == family.scenario
-                else EnergyFamily(replace(scenario, stepwise=False), family.params))
-        reports.append(delta_chain(at_h.microstate, delta_alpha, window,
-                                   de_momentum=at_h.microstate.de_momentum))
+        rows = mask
+        if scenario == family.scenario:
+            at_h = family
+        elif scenario.method == "analytic":
+            at_h, rows = EnergyFamily(replace(scenario, grid=sub_grid), family.params), sub_rows
+        else:
+            at_h = EnergyFamily(replace(scenario, stepwise=False), family.params)
+        reports.append(_chain(at_h.microstate, rows, delta_alpha, window,
+                              at_h.microstate.de_momentum))
     pq_mid = [r.product_pq_midpoint for r in reports]
     et_mid = [r.product_et_midpoint for r in reports]
     return ScanReport(tuple(hbars), tuple(pq_mid), tuple(et_mid),

@@ -7,7 +7,10 @@ temporary directory with relative config and output paths, so that no path
 reaches the outputs:
 - each workload of perfbench/workloads.py (read, not changed) at seeds 1 and
   7, invocation indices 0 and 1, under its own subcommand;
-- harmonic-scan's seed-1, index-0 config under every subcommand.
+- harmonic-scan's seed-1, index-0 config under every subcommand;
+- under ``all``, the seed-1, index-0 configs of linear-report with an hbar
+  scan over [-3.5, -0.5] (closed-form Airy pairs) and of free-write with a
+  window that holds 11 samples (under a grid's 16).
 
 Prints sorted JSON, one entry per case: the exit code, the SHA-256 of stdout
 followed by stderr, and the SHA-256 of every file in the output directory.
@@ -26,7 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import WORKLOADS  # noqa: E402
+from workloads import HBAR_SCAN, WORKLOADS  # noqa: E402
 
 import qhjlab  # noqa: E402
 from qhjlab.cli import PIPELINES  # noqa: E402
@@ -46,6 +49,13 @@ def cases():
     scan = WORKLOADS["harmonic-scan"].config(1, 0)
     for subcommand in PIPELINES:
         found.setdefault(f"harmonic-scan/seed1/index0/{subcommand}", (subcommand, scan))
+    linear = WORKLOADS["linear-report"].config(1, 0)
+    linear["uncertainty"] = {"delta_alpha": 1.0, "window": [-3.5, -0.5],
+                             "hbar_scan": list(HBAR_SCAN)}
+    found["linear-report/seed1/index0/all/scan"] = ("all", linear)
+    narrow = WORKLOADS["free-write"].config(1, 0)
+    narrow["uncertainty"]["window"] = [1.0, 1.004]
+    found["free-write/seed1/index0/all/narrow-window"] = ("all", narrow)
     return found
 
 

@@ -299,6 +299,8 @@ class TestExtremeScales:
         ("free", "uncertainty.hbar_scan", [1e300, 1e200, 1e100, 1.0]),
         ("free", "uncertainty.hbar_scan", [1e-300, 1e-200, 1e-100, 1.0]),
         ("free", "hierarchy.epsilon", 1e308),
+        ("harmonic", "microstate.ell2", 4.8e280),
+        ("harmonic", "microstate.ell1", 1e200),
     ])
     def test_one_error_line(self, tmp_path, capsys, kind, path, value):
         out = tmp_path / "out"

@@ -56,6 +56,25 @@ class TestGrid:
         assert r.n == 65
         assert np.max(np.abs(r.x[::2] - g.x)) < 1e-15
 
+    def test_samples_keep_x_and_h_bit_for_bit(self):
+        g = Grid(-1.3, 2.9, 1001)
+        sub = g.samples(117, 402)
+        assert (sub.n, sub.x_min, sub.x_max) == (286, g.x[117], g.x[402])
+        assert sub.h == g.h
+        assert np.array_equal(sub.x.view(np.int64), g.x[117:403].view(np.int64))
+        # a grid from the run's end points rounds its samples anew
+        assert not np.array_equal(Grid(sub.x_min, sub.x_max, sub.n).x, sub.x)
+        # a run of a run is a run of the first grid
+        inner = sub.samples(3, 40)
+        assert inner.parent is g and inner.start == 120
+        assert np.array_equal(inner.x.view(np.int64), g.x[120:158].view(np.int64))
+        assert sub == g.samples(117, 402) and hash(sub) == hash(g.samples(117, 402))
+        assert sub != Grid(sub.x_min, sub.x_max, sub.n)
+        with pytest.raises(GridSizeError):
+            g.samples(0, 14)
+        with pytest.raises(DomainError):
+            g.samples(990, 1001)
+
     def test_index_of(self):
         g = Grid(0.0, 1.0, 101)
         assert g.index_of(0.5) == 50

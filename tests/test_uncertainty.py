@@ -1,8 +1,10 @@
 """Indeterminacy chain, interval reports, and the hbar scaling law."""
 
+import math
 import weakref
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qhjlab import microstates
@@ -14,10 +16,10 @@ from qhjlab.catalog import (
 )
 from qhjlab.errors import DomainError, StatisticsError
 from qhjlab.fields import Grid, ScalarField
-from qhjlab.microstates import MicrostateParams, build_microstate, \
+from qhjlab.microstates import EnergyFamily, MicrostateParams, build_microstate, \
     energy_derivative_of_momentum
 from qhjlab.schrodinger import Scenario
-from qhjlab.uncertainty import delta_chain, hbar_scaling_scan
+from qhjlab.uncertainty import ScanReport, delta_chain, hbar_scaling_scan, window_mask
 
 UNIT_ELL = MicrostateParams(alpha=0.0, ell=1.0 + 0.0j)
 SCAN_HBARS = [1.0, 0.5, 0.25, 0.125, 0.0625]
@@ -180,6 +182,67 @@ class TestScaling:
             scan("free", [1.0, 0.5, 0.25, -0.125])
         with pytest.raises(StatisticsError, match="distinct"):
             scan("free", [1.0, 0.5, 0.5, 0.25, 0.25])
+
+
+def full_grid_scan(family, window, hbars, delta_alpha):
+    """The scan with every hbar's family on the whole grid, through
+    delta_chain: the oracle of :func:`hbar_scaling_scan`."""
+    reports = []
+    for h in hbars:
+        ms = EnergyFamily(family.scenario.at_hbar(h), family.params).microstate
+        reports.append(delta_chain(ms, delta_alpha, window, de_momentum=ms.de_momentum))
+    pq = [r.product_pq_midpoint for r in reports]
+    et = [r.product_et_midpoint for r in reports]
+
+    def slope(mid):
+        return float(np.polyfit(np.log(np.asarray(hbars)), np.log(np.asarray(mid)), 1)[0])
+    return ScanReport(tuple(hbars), tuple(pq), tuple(et), slope(pq), slope(et))
+
+
+class TestScanSamples:
+    """The pairs the scan adds are formed on the samples it reads."""
+
+    PARAMS = MicrostateParams(alpha=0.4, ell=1.3 - 0.2j)
+
+    @pytest.mark.parametrize("name, window, samples", [
+        ("free", SCAN_WINDOWS["free"], 652),
+        ("linear", SCAN_WINDOWS["linear"], 558),
+        ("free", (1.0, 1.05), 9),                  # padded at its end
+        ("free", (6.2, 2.0 * math.pi), 14),       # padded at its start
+    ], ids=["free", "linear", "free-narrow", "free-narrow-at-x_max"])
+    def test_closed_form_pairs_take_the_window_samples(self, pair_solves, name, window,
+                                                       samples):
+        family = scan_family(name, params=self.PARAMS)
+        grid = family.scenario.grid
+        mask = window_mask(grid, window)
+        assert mask.sum() == samples
+        report = hbar_scaling_scan(family, window, SCAN_HBARS, 1.0)
+
+        configured, *added = pair_solves
+        assert configured[0] == "analytic_pair" and configured[4] == grid
+        assert sorted(key[3].hbar for key in added) == sorted(SCAN_HBARS[1:])
+        for kind, _, _, _, sub, _ in added:
+            assert kind == "analytic_pair"
+            assert sub.n == max(samples, 16)
+            start = grid.index_of(sub.x_min)
+            # a run of the grid's samples, bit for bit: the window's, padded to 16
+            assert np.array_equal(sub.x.view(np.int64),
+                                  grid.x[start:start + sub.n].view(np.int64))
+            assert sub.h == grid.h
+            assert sub.x_min <= grid.x[mask][0] and grid.x[mask][-1] <= sub.x_max
+        # every number as the whole grid gives it
+        assert repr(report) == repr(full_grid_scan(family, window, SCAN_HBARS, 1.0))
+
+    def test_numeric_pairs_keep_the_whole_grid(self, pair_solves):
+        family = scan_family("harmonic", params=self.PARAMS)
+        window = SCAN_WINDOWS["harmonic"]
+        report = hbar_scaling_scan(family, window, SCAN_HBARS, 1.0)
+        assert [key[0] for key in pair_solves] == ["solve_pair"] * 5
+        assert all(key[4] == family.scenario.grid for key in pair_solves)
+        oracle = full_grid_scan(family, window, SCAN_HBARS, 1.0)
+        # the added pairs compose their RK4 steps; the oracle steps one at a time
+        assert report.pq_midpoints == pytest.approx(oracle.pq_midpoints, rel=1e-12)
+        assert report.et_midpoints == pytest.approx(oracle.et_midpoints, rel=1e-12)
 
 
 def test_scan_windows_inside_grids():
