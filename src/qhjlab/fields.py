@@ -279,8 +279,10 @@ def antiderivative(f: ScalarField, x_ref: float) -> ScalarField:
     """Cumulative integral F of ``f`` with F(x_ref) = 0.
 
     Each grid interval is integrated with the 6-point interpolatory rule
-    (order 6 locally), then the running sum is shifted so that the value at
-    ``x_ref`` (interpolated if off-sample) is exactly zero.
+    (order 6 locally).  The running sums go forward and backward from the
+    sample nearest ``x_ref``, so F near the anchor does not carry the rounding
+    of a large integral taken from x_min; then F is shifted so that its value
+    at ``x_ref`` (interpolated if off-sample) is exactly zero.
     """
     grid = f.grid
     if not grid.contains(x_ref):
@@ -301,9 +303,12 @@ def antiderivative(f: ScalarField, x_ref: float) -> ScalarField:
         increments[i] = _interval_weights(shift) @ values[-6:]
     increments *= grid.h
 
+    start = grid.index_of(x_ref)
     out = np.empty(n, dtype=dtype)
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
+    out[start] = 0.0
+    np.cumsum(increments[start:], out=out[start + 1:])
+    np.cumsum(increments[:start][::-1], out=out[:start][::-1])
+    np.subtract(0.0, out[:start], out=out[:start])  # not negative(): -(+0) would be -0
     result = ScalarField(grid, out)
     offset = interpolate(result, x_ref)
     return ScalarField(grid, out - offset, derivs=((values,) + f.derivs)[:3])

@@ -1,6 +1,7 @@
 """Digest of what the CLI writes and prints on the benchmark's configs.
 
     PYTHONPATH=<tree>/src python tests/output_digest.py > digest.json
+    python tests/output_digest.py --compare old.json new.json
 
 Runs ``python -m qhjlab.cli`` in a fresh process per case, in an empty
 temporary directory with relative config and output paths, so that no path
@@ -15,9 +16,13 @@ reaches the outputs:
 Prints sorted JSON, one entry per case: the exit code, the SHA-256 of stdout
 followed by stderr, and the SHA-256 of every file in the output directory.
 Two trees that print the same JSON give byte-identical results on these
-cases.  pytest does not collect this file.
+cases.  ``--compare`` reads two such digests and prints each case, file or
+stream (exit code, stdout+stderr) whose digest differs, then how many cases
+are identical; it exits 1 on any difference.  pytest does not collect this
+file.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -31,15 +36,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import HBAR_SCAN, WORKLOADS  # noqa: E402
 
-import qhjlab  # noqa: E402
-from qhjlab.cli import PIPELINES  # noqa: E402
-
-# the children import the qhjlab this process imported, also from a relative PYTHONPATH
-SRC = str(Path(qhjlab.__file__).resolve().parents[1])
-
 
 def cases():
     """{case name: (subcommand, config document)}."""
+    from qhjlab.cli import PIPELINES
+
     found = {}
     for name, workload in WORKLOADS.items():
         for seed in (1, 7):
@@ -63,13 +64,13 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(subcommand: str, doc: dict) -> dict:
+def digest(subcommand: str, doc: dict, src: str) -> dict:
     with tempfile.TemporaryDirectory(prefix="qhjlab-digest-") as work:
         work = Path(work)
         (work / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
         done = subprocess.run(
             [sys.executable, "-m", "qhjlab.cli", subcommand, "--config", "scenario.json",
-             "--out", "out"], cwd=work, env=dict(os.environ, PYTHONPATH=SRC),
+             "--out", "out"], cwd=work, env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, check=False)
         out = work / "out"
         files = {} if not out.is_dir() else {
@@ -78,8 +79,47 @@ def digest(subcommand: str, doc: dict) -> dict:
                 "files": files}
 
 
-def main() -> int:
-    result = {name: digest(*case) for name, case in cases().items()}
+def differences(old: dict, new: dict) -> list:
+    """One line per case, file or stream whose digest differs between the
+    digests ``old`` and ``new``."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            lines.append(f"{name}: case only in {'new' if name in new else 'old'}")
+            continue
+        was, now = old[name], new[name]
+        if was["exit"] != now["exit"]:
+            lines.append(f"{name}: exit code {was['exit']} -> {now['exit']}")
+        if was["log_sha256"] != now["log_sha256"]:
+            lines.append(f"{name}: stdout+stderr")
+        was, now = was["files"], now["files"]
+        for file in sorted(was.keys() | now.keys()):
+            if file not in was or file not in now:
+                lines.append(f"{name}: {file} only in {'new' if file in now else 'old'}")
+            elif was[file] != now[file]:
+                lines.append(f"{name}: {file}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two digests instead of taking one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
+        lines = differences(old, new)
+        for line in lines:
+            print(line)
+        differing = {line.partition(": ")[0] for line in lines}
+        total = len(old.keys() | new.keys())
+        print(f"{total - len(differing)} of {total} cases identical")
+        return 1 if lines else 0
+    import qhjlab
+
+    # the children import the qhjlab this process imported, also from a relative PYTHONPATH
+    src = str(Path(qhjlab.__file__).resolve().parents[1])
+    result = {name: digest(*case, src) for name, case in cases().items()}
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 

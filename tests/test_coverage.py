@@ -32,6 +32,10 @@ ALLOWED = {
     "microstates.quantum_potential": "test oracle, a second route to Q (ROADMAP D14)",
     "duality.prepotential_ode_residual": "test oracle for the third-order ODE (ROADMAP D9)",
     "duality.omega_for_norm": "test oracle for the norm scale (ROADMAP D8)",
+    "duality.Prepotential.psibar": "reader of conj(psi) as a field for callers and tests; "
+                                   "the checks form it one array per term",
+    "duality.Resolvents.__len__": "part of the Mapping protocol of Prepotential.xi; "
+                                  "the checks iterate it without len()",
     "hierarchy.master_remainder": "test oracle for the truncation order (ROADMAP D7a)",
     "hierarchy.reconstruct_modulus": "test oracle for |psi|^2 (ROADMAP D8)",
     "fields.Grid.refined": "test oracle for self-convergence (ROADMAP D5)",

@@ -1,7 +1,7 @@
 """Prepotential identities, resolvent residuals, the s' oracle, norm scaling."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from qhjlab import duality
 from qhjlab.catalog import builtin_scenario
 from qhjlab.errors import DomainError
 from qhjlab.duality import (
+    XI_VARIANTS,
     Prepotential,
     akq_residual,
     build_prepotential,
@@ -47,13 +48,15 @@ def harmonic_numeric_prep(constants):
 
 
 def strip(prep):
-    """Clone without analytic derivatives, so every check runs on stencils."""
+    """Clone without analytic derivatives, so every check runs on stencils:
+    psibar and each Xi, formed from the bare psi, carry none either."""
     def bare(f):
         return ScalarField(f.grid, f.values)
 
-    return Prepotential(pair=prep.pair, psi=bare(prep.psi), psibar=bare(prep.psibar),
-                        F=bare(prep.F), phi=prep.phi,
-                        xi={k: bare(v) for k, v in prep.xi.items()})
+    stripped = Prepotential(pair=prep.pair, psi=bare(prep.psi), F=bare(prep.F), phi=prep.phi)
+    assert not stripped.psibar.derivs
+    assert not any(xi.derivs for xi in stripped.xi.values())
+    return stripped
 
 
 def printed_gd_residual(prep):
@@ -319,9 +322,11 @@ def test_legendre_consistency(free_prep):
 
 
 def test_checks_peak_memory(constants):
-    # linear-report's duality stage: forming each Xi's resolvent terms once and
-    # reading attached derivatives without copies peaks at 2.38 MiB, where
-    # forming them per call on copied arrays peaked at 3.26 MiB
+    # linear-report's duality checks: forming each Xi's resolvent terms once and
+    # reading attached derivatives without copies peaked at 2.38 MiB, where
+    # forming them per call on copied arrays peaked at 3.26 MiB.  The checks
+    # now also form each Xi, one at a time, and peak at 1.88 MiB (1.51 MiB
+    # when build_prepotential formed and kept all three Xi)
     pair = analytic_pair(Potential("linear"), 2.0, constants, Grid(-4.0, 1.5, 16385))
     prep = build_prepotential(pair)
     tracemalloc.start()
@@ -331,3 +336,53 @@ def test_checks_peak_memory(constants):
     finally:
         tracemalloc.stop()
     assert peak < 2.75 * 2 ** 20
+
+
+def test_stage_peak_memory():
+    # free-write's duality stage, build_prepotential and then duality_checks,
+    # on the free built-in at n = 16385: storing conj(psi) and all three Xi
+    # peaked at 7.76 MiB; forming them on read, one Xi at a time, at 4.13 MiB
+    pair = builtin_scenario("free", grid=Grid(0.0, 2.0 * np.pi, 16385)).pair()
+    pair.v_field  # formed once per pair, by the stages before this one
+    tracemalloc.start()
+    try:
+        duality_checks(build_prepotential(pair))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2 ** 20
+
+
+class TestFormedOnRead:
+    def test_stored_fields(self, free_prep):
+        assert [f.name for f in fields(Prepotential)] == ["pair", "psi", "F", "phi"]
+        assert list(free_prep.xi) == list(XI_VARIANTS) and len(free_prep.xi) == 3
+        with pytest.raises(KeyError):
+            free_prep.xi["psi"]
+
+    def test_each_read_forms_a_new_xi(self, airy_prep):
+        first, second = airy_prep.xi["psi_psibar"], airy_prep.xi["psi_psibar"]
+        assert first is not second
+        for a, b in zip((first.values, *first.derivs), (second.values, *second.derivs)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["free_prep", "airy_prep", "harmonic_numeric_prep"])
+    def test_psibar_sq_is_the_conjugate_of_psi_sq(self, request, name):
+        # what lets the checks form Xi on read: Xi_psibar^2 is conj(Xi_psi^2) to
+        # the sign of a zero, and so is its resolvent residual, which is why
+        # gd_psibar_sq repeats gd_psi_sq
+        prep = request.getfixturevalue(name)
+        psi_sq, psibar_sq = prep.xi["psi_sq"], prep.xi["psibar_sq"]
+        assert len(psibar_sq.derivs) == len(psi_sq.derivs) == 3
+        for mine, theirs in zip((psibar_sq.values, *psibar_sq.derivs),
+                                (psi_sq.values, *psi_sq.derivs)):
+            assert np.array_equal(mine, np.conj(theirs))
+        resid, scale = gd_terms(psibar_sq, prep.pair)
+        resid_sq, scale_sq = gd_terms(psi_sq, prep.pair)
+        assert np.array_equal(resid, np.conj(resid_sq))
+        assert scale == scale_sq
+
+    def test_psi_psibar_is_the_modulus_squared(self, harmonic_numeric_prep):
+        xi = harmonic_numeric_prep.xi["psi_psibar"]
+        assert np.array_equal(xi.values, harmonic_numeric_prep.psi.values
+                              * np.conj(harmonic_numeric_prep.psi.values))

@@ -255,6 +255,18 @@ class TestAntiderivative:
         assert abs(interpolate(F, 1.0)) < 1e-14
         assert np.max(np.abs(F.values - (np.exp(g.x) - np.e))) < 1e-10
 
+    def test_wide_range_keeps_the_anchors_neighbourhood(self):
+        # e^{x^2} reaches e^36 at the ends: summed from x_min, the running sum
+        # near x_ref = 0 is 3.6e14 and does not move, so F read exactly 0 on
+        # |x| < 1.749; summed outward from the anchor it is 1.1e-13 relative
+        from scipy.special import erfi
+
+        g = Grid(-6.0, 6.0, 8193)
+        F = antiderivative(ScalarField(g, np.exp(g.x ** 2)), 0.0).values
+        exact = 0.5 * np.sqrt(np.pi) * erfi(g.x)
+        off = g.x != 0.0
+        assert np.max(np.abs(F[off] - exact[off]) / np.abs(exact[off])) < 1e-12
+
     def test_x_ref_outside_grid(self):
         g = Grid(0.0, 1.0, 64)
         with pytest.raises(DomainError):
